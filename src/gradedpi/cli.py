@@ -54,7 +54,7 @@ from .spaces import (
     check_factoring,
     identities_by_consequences,
     identities_by_evaluation,
-    stabilization_scan,
+    scan_truncations,
 )
 
 CERTIFICATE_VERSION = 1
@@ -233,7 +233,7 @@ def cmd_identities(args) -> int:
                 len(sig), _kstar_extra(inner)
             )
             n0 = int(n0)
-            scan = stabilization_scan(
+            scan, comps = scan_truncations(
                 lambda nn: algebra_from_descriptor(_with_generators(desc, nn)),
                 sig,
                 [n0, n0 + 2],
@@ -241,8 +241,10 @@ def cmd_identities(args) -> int:
                 guard,
             )
             desc = _with_generators(desc, n0)
-        algebra = algebra_from_descriptor(desc)
-        comp_eval = identities_by_evaluation(algebra, sig, args.method, guard)
+            comp_eval = comps[0]
+        else:
+            algebra = algebra_from_descriptor(desc)
+            comp_eval = identities_by_evaluation(algebra, sig, args.method, guard)
 
     comp_cons = None
     gen_texts = None
@@ -604,6 +606,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _guard_measure(exc, args) -> str:
+    """The cells/bits a guard error measured, next to the limits in force."""
+    limits = _guard(args) if hasattr(args, "max_cells") else GuardLimits()
+    parts = [
+        f"{name} {getattr(exc, name)} > max_{name} {getattr(limits, 'max_' + name)}"
+        for name in ("cells", "bits")
+        if getattr(exc, name, None) is not None
+    ]
+    return f" [{'; '.join(parts)}]" if parts else ""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -617,7 +630,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal inconsistency: {exc}\n")
         return 2
     except (GuardExceededError, TruncationError) as exc:
-        sys.stderr.write(f"resource guard: {exc}\n")
+        sys.stderr.write(f"resource guard: {exc}{_guard_measure(exc, args)}\n")
         return 3
     except UnsupportedFeatureError as exc:
         sys.stderr.write(f"unsupported: {exc}\n")

@@ -123,12 +123,13 @@ class TIdealPresentation:
 # -- evaluation route --------------------------------------------------------
 
 
-def _estimate_guard(n_rows_estimate: int, n_cols: int, guard: GuardLimits, what: str):
-    cells = n_rows_estimate * n_cols
+def _cells_guard(n_rows: int, n_cols: int, guard: GuardLimits, what: str):
+    """Bound rows x columns by the guard's max_cells, before the work."""
+    cells = n_rows * n_cols
     if cells > guard.max_cells:
         raise GuardExceededError(
-            f"{what}: about {n_rows_estimate} rows of {n_cols} columns "
-            f"(~{cells} cells) exceeds the guard of {guard.max_cells}",
+            f"{what}: {n_rows} rows of {n_cols} columns ({cells} cells) "
+            f"exceeds the guard of {guard.max_cells} cells",
             cells=cells,
         )
 
@@ -140,7 +141,7 @@ def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
     perms = multilinear_monomials(n)
     n_cols = len(perms)
     n_tuples = math.prod(len(c) for c in comps)
-    _estimate_guard(n_tuples, n_cols, guard, "evaluation kernel")
+    _cells_guard(n_tuples, n_cols, guard, "evaluation kernel, estimated")
     reducer = RowReducer(n_cols, guard)
     seen = set()
     n_rows = 0
@@ -205,7 +206,64 @@ def _fits(need, sizes) -> bool:
     return all(s is None or x <= s for x, s in zip(need, sizes))
 
 
-def grassmann_fast_rows(algebra: StructureConstantAlgebra, sig, limit: bool = False):
+def _fast_kind(algebra: StructureConstantAlgebra):
+    """(gspec, positions) when the fast evaluation rows apply: positions is
+    None for an exterior algebra E_N and the allowed matrix units for block
+    matrices over E_N. None for every other algebra."""
+    meta = algebra.meta
+    if meta.get("kind") == "grassmann":
+        return meta["gspec"], None
+    if (
+        meta.get("kind") == "matrix_over"
+        and meta["entries"].meta.get("kind") == "grassmann"
+    ):
+        gspec = meta["entries"].meta["gspec"]
+        return gspec, BlockShape(tuple(meta["shape"])).positions()
+    return None
+
+
+def _unit_chain_columns(positions, perms, guard: GuardLimits) -> list:
+    """Column sets of the matrix-unit rows, in unit-tuple sweep order.
+
+    A monomial evaluated at matrix units is nonzero exactly when the units,
+    read in the monomial's order, form a composable walk. Each (monomial,
+    walk) pair fixes the unit tuple, so the columns of one (unit tuple,
+    start row, end column) are found from the walks alone. Sorted by
+    (unit-index tuple, first column): the order of a lexicographic sweep
+    over unit tuples with columns bucketed by first appearance.
+    """
+    n = len(perms[0])
+    ends = {p: 1 for p in positions}  # walks of the current length, by last unit
+    for _ in range(n - 1):
+        ends = {q: sum(c for p, c in ends.items() if p[1] == q[0]) for q in positions}
+    _cells_guard(sum(ends.values()), len(perms), guard, "unit walks by monomials")
+    index = {p: i for i, p in enumerate(positions)}
+    walks = [(p,) for p in positions]
+    for _ in range(n - 1):
+        walks = [w + (q,) for w in walks for q in positions if q[0] == w[-1][1]]
+    walks = [
+        (tuple(index[p] for p in w), w[0][0], w[-1][1]) for w in walks
+    ]
+    groups = {}
+    for col, perm in enumerate(perms):
+        slot = [0] * n  # slot[v-1]: where variable v sits in the monomial
+        for t, v in enumerate(perm):
+            slot[v - 1] = t
+        for units, start, end in walks:
+            key = (tuple(units[t] for t in slot), start, end)
+            groups.setdefault(key, []).append(col)
+    return [
+        cols
+        for _, cols in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[1][0]))
+    ]
+
+
+def grassmann_fast_rows(
+    algebra: StructureConstantAlgebra,
+    sig,
+    limit: bool = False,
+    guard: GuardLimits = DEFAULT_GUARD,
+):
     """Reduced evaluation row set for E_N or block matrices over E_N.
 
     Substituting pairwise-disjoint-support monomials is enough: a tuple
@@ -216,28 +274,31 @@ def grassmann_fast_rows(algebra: StructureConstantAlgebra, sig, limit: bool = Fa
     sign that does not move the kernel. One row per achievable combination
     therefore cuts the same kernel as the full enumeration.
 
+    Over matrices only composable unit chains contribute, and a row's
+    column set does not depend on the pattern, which only sets the signs.
+    The column sets are found once per signature from the composable walks
+    of n matrix units, at cost O(walks * n!); each used pattern then signs
+    them, at cost O(patterns * rows). The guard bounds walks x n! before
+    the walks are listed, and rows x n! as rows are kept.
+
     With limit=True the rows describe the untruncated algebra: patterns
     that no truncation can realize are dropped, and a pattern realizable
     only with more generators than this algebra carries raises an error
     asking for a larger truncation.
     """
-    meta = algebra.meta
-    if meta.get("kind") == "grassmann":
-        gspec = meta["gspec"]
-        positions = None
-    elif (
-        meta.get("kind") == "matrix_over"
-        and meta["entries"].meta.get("kind") == "grassmann"
-    ):
-        gspec = meta["entries"].meta["gspec"]
-        positions = BlockShape(tuple(meta["shape"])).positions()
-    else:
+    kind = _fast_kind(algebra)
+    if kind is None:
         raise UnsupportedFeatureError(
             "fast evaluation rows need an exterior algebra or matrices over one"
         )
+    gspec, positions = kind
     sig = validate_signature(sig, algebra.group)
     n = len(sig)
     perms = multilinear_monomials(n)
+    if positions is None:
+        column_sets = [range(len(perms))]
+    else:
+        column_sets = _unit_chain_columns(positions, perms, guard)
     now_sizes = _pool_sizes(gspec, limit=False)
     lim_sizes = _pool_sizes(gspec, limit=True)
     rows = []
@@ -263,24 +324,14 @@ def grassmann_fast_rows(algebra: StructureConstantAlgebra, sig, limit: bool = Fa
             skipped.append({"pattern": pattern, "reason": "not realizable here"})
             continue
         used_patterns.append(pattern)
-        signs = [_pattern_sign(perm, pattern) for perm in perms]
-        if positions is None:
-            candidate_rows = [{col: Fraction(s) for col, s in enumerate(signs)}]
-        else:
-            candidate_rows = []
-            for units in itertools.product(positions, repeat=n):
-                buckets = {}
-                for col, perm in enumerate(perms):
-                    seq = [units[v - 1] for v in perm]
-                    if all(seq[t][1] == seq[t + 1][0] for t in range(n - 1)):
-                        key = (seq[0][0], seq[-1][1])
-                        buckets.setdefault(key, {})[col] = Fraction(signs[col])
-                candidate_rows.extend(buckets.values())
-        for row in candidate_rows:
-            key = tuple(sorted(row.items()))
-            if row and key not in seen:
+        signs = [Fraction(_pattern_sign(perm, pattern)) for perm in perms]
+        for cols in column_sets:
+            row = {col: signs[col] for col in cols}
+            key = tuple(row.items())
+            if key not in seen:
                 seen.add(key)
                 rows.append(row)
+                _cells_guard(len(rows), len(perms), guard, "evaluation kernel")
     report = {
         "patterns_used": used_patterns,
         "patterns_skipped": skipped,
@@ -288,16 +339,6 @@ def grassmann_fast_rows(algebra: StructureConstantAlgebra, sig, limit: bool = Fa
         "semantics": "limit" if limit else "truncated",
     }
     return rows, report
-
-
-def _fast_capable(algebra: StructureConstantAlgebra) -> bool:
-    kind = algebra.meta.get("kind")
-    if kind == "grassmann":
-        return True
-    return (
-        kind == "matrix_over"
-        and algebra.meta["entries"].meta.get("kind") == "grassmann"
-    )
 
 
 def identities_by_evaluation(
@@ -316,13 +357,13 @@ def identities_by_evaluation(
     """
     sig = validate_signature(sig, algebra.group)
     if method == "auto":
-        method = "fast" if _fast_capable(algebra) else "full"
+        method = "full" if _fast_kind(algebra) is None else "fast"
     if method == "full":
         space, info = _full_kernel(algebra, sig, guard)
     elif method in ("fast", "limit"):
-        rows, info = grassmann_fast_rows(algebra, sig, limit=(method == "limit"))
+        rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
         n_cols = math.factorial(len(sig))
-        _estimate_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
+        _cells_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
         reducer = RowReducer(n_cols, guard)
         for r in rows:
             reducer.add(r)
@@ -450,12 +491,7 @@ def identities_by_consequences(
                         u0, u1 = border[:cut], border[cut:]
                         row = {idx[u0 + w + u1]: c for w, c in gterms}
                         n_rows += 1
-                        if n_rows * n_cols > guard.max_cells:
-                            raise GuardExceededError(
-                                f"consequence span: {n_rows} rows of {n_cols} "
-                                "columns exceeds the guard",
-                                cells=n_rows * n_cols,
-                            )
+                        _cells_guard(n_rows, n_cols, guard, "consequence span")
                         reducer.add(row)
     space = reducer.finish()
     meta = {"route": "consequences", "rows": n_rows, "presentation": presentation.name}
@@ -571,12 +607,7 @@ def tideal_product(
                     prod = prod * g
                     row = multilinear_coordinates(prod, sig, spec)
                     n_rows += 1
-                    if n_rows * n_cols > guard.max_cells:
-                        raise GuardExceededError(
-                            f"T-ideal product: {n_rows} rows of {n_cols} columns "
-                            "exceeds the guard",
-                            cells=n_rows * n_cols,
-                        )
+                    _cells_guard(n_rows, n_cols, guard, "T-ideal product")
                     reducer.add(row)
     space = reducer.finish()
     meta = {"route": "product", "bordered": bordered, "rows": n_rows}
@@ -695,6 +726,39 @@ def check_factoring(
     )
 
 
+def scan_truncations(
+    family,
+    sig,
+    n_list,
+    method: str = "auto",
+    guard: GuardLimits = DEFAULT_GUARD,
+):
+    """Identity components along a family of truncations.
+
+    family maps a truncation size to an algebra. Returns the scan report
+    (dimensions, flagged stabilized when two consecutive values agree) and
+    the component at each truncation, so a caller can keep one without
+    building and evaluating it again.
+    """
+    n_list = list(n_list)
+    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
+        raise MalformedElementError("truncation list must be strictly increasing")
+    comps = [identities_by_evaluation(family(n), sig, method, guard) for n in n_list]
+    dims = [c.dim for c in comps]
+    stabilized_at = None
+    for i in range(len(dims) - 1):
+        if dims[i] == dims[i + 1]:
+            stabilized_at = n_list[i]
+            break
+    report = {
+        "n_values": n_list,
+        "dims": dims,
+        "stabilized": stabilized_at is not None,
+        "stabilized_at": stabilized_at,
+    }
+    return report, comps
+
+
 def stabilization_scan(
     family,
     sig,
@@ -702,29 +766,9 @@ def stabilization_scan(
     method: str = "auto",
     guard: GuardLimits = DEFAULT_GUARD,
 ) -> dict:
-    """Identity dimensions along a family of truncations.
-
-    family maps a truncation size to an algebra; dimensions are flagged
-    stabilized when two consecutive values agree.
-    """
-    n_list = list(n_list)
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise MalformedElementError("truncation list must be strictly increasing")
-    dims = []
-    for n in n_list:
-        algebra = family(n)
-        dims.append(identities_by_evaluation(algebra, sig, method, guard).dim)
-    stabilized_at = None
-    for i in range(len(dims) - 1):
-        if dims[i] == dims[i + 1]:
-            stabilized_at = n_list[i]
-            break
-    return {
-        "n_values": n_list,
-        "dims": dims,
-        "stabilized": stabilized_at is not None,
-        "stabilized_at": stabilized_at,
-    }
+    """The report of scan_truncations: identity dimensions along a family
+    of truncations, flagged stabilized when two consecutive values agree."""
+    return scan_truncations(family, sig, n_list, method, guard)[0]
 
 
 def membership(f: NcPolynomial, component: IdentitySubspace) -> bool:

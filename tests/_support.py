@@ -1,6 +1,9 @@
 """Shared test helpers: a dense rational Gauss-Jordan oracle used to
-cross-check the sparse row reduction, plus small conversion utilities."""
+cross-check the sparse row reduction, the direct evaluation-row
+enumeration used to cross-check grassmann_fast_rows, plus small
+conversion utilities."""
 
+import itertools
 from fractions import Fraction
 
 
@@ -73,6 +76,82 @@ def subspace_dense(space):
 
 def row_dict(row):
     return {c: v for c, v in row}
+
+
+# -- evaluation-row oracle ------------------------------------------------------
+
+
+def reference_fast_rows(algebra, sig, limit=False):
+    """grassmann_fast_rows by the direct enumeration: for every used parity
+    pattern, every tuple of matrix units and every permutation monomial,
+    test the chain for composability and bucket its column by (start row,
+    end column). |positions|^n * n! chain tests per pattern; the library
+    finds the same column sets once from the composable walks.
+
+    Pattern selection reuses the library's helpers; only the row
+    enumeration is independent.
+    """
+    from gradedpi.algebras import BlockShape
+    from gradedpi.errors import TruncationError
+    from gradedpi.freealg import multilinear_monomials, validate_signature
+    from gradedpi.spaces import _block_cost, _fits, _pattern_sign, _pool_sizes
+
+    meta = algebra.meta
+    if meta["kind"] == "grassmann":
+        gspec, positions = meta["gspec"], None
+    else:
+        gspec = meta["entries"].meta["gspec"]
+        positions = BlockShape(tuple(meta["shape"])).positions()
+    sig = validate_signature(sig, algebra.group)
+    n = len(sig)
+    perms = multilinear_monomials(n)
+    now_sizes = _pool_sizes(gspec, limit=False)
+    lim_sizes = _pool_sizes(gspec, limit=True)
+    rows, seen, used, skipped = [], set(), [], []
+    for pattern in itertools.product((0, 1), repeat=n):
+        costs = [_block_cost(gspec, sig[i], pattern[i]) for i in range(n)]
+        if any(c is None for c in costs):
+            skipped.append({"pattern": pattern, "reason": "parity-degree conflict"})
+            continue
+        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
+        if limit and not _fits(need, lim_sizes):
+            skipped.append({"pattern": pattern, "reason": "not realizable at any truncation"})
+            continue
+        if not _fits(need, now_sizes):
+            if limit:
+                raise TruncationError(
+                    f"signature {sig}, parity pattern {pattern} needs {need[0]} "
+                    f"degree-1 and {need[1]} degree-0 generators; rebuild the "
+                    f"algebra with a larger truncation than {gspec.n_generators}"
+                )
+            skipped.append({"pattern": pattern, "reason": "not realizable here"})
+            continue
+        used.append(pattern)
+        signs = [_pattern_sign(perm, pattern) for perm in perms]
+        if positions is None:
+            candidates = [{col: Fraction(s) for col, s in enumerate(signs)}]
+        else:
+            candidates = []
+            for units in itertools.product(positions, repeat=n):
+                buckets = {}
+                for col, perm in enumerate(perms):
+                    seq = [units[v - 1] for v in perm]
+                    if all(seq[t][1] == seq[t + 1][0] for t in range(n - 1)):
+                        key = (seq[0][0], seq[-1][1])
+                        buckets.setdefault(key, {})[col] = Fraction(signs[col])
+                candidates.extend(buckets.values())
+        for row in candidates:
+            key = tuple(sorted(row.items()))
+            if row and key not in seen:
+                seen.add(key)
+                rows.append(row)
+    report = {
+        "patterns_used": used,
+        "patterns_skipped": skipped,
+        "rows": len(rows),
+        "semantics": "limit" if limit else "truncated",
+    }
+    return rows, report
 
 
 # -- acceptance reporting ------------------------------------------------------

@@ -56,6 +56,24 @@ def test_identities_evaluation_route(capsys):
     assert cert["config"]["signature"] == [[1], [1]]
 
 
+def test_identities_builds_each_truncation_once(capsys, monkeypatch):
+    import gradedpi.cli as cli
+
+    built = []
+    real = cli.algebra_from_descriptor
+    monkeypatch.setattr(
+        cli, "algebra_from_descriptor", lambda d: built.append(d) or real(d)
+    )
+    code, out, _ = run_cli(
+        capsys, "identities", "--algebra", "grassmann:deg=infty", "--sig", "1,1,1"
+    )
+    assert code == 0
+    assert [d["generators"] for d in built] == [6, 8]
+    cert = cert_from(out)
+    assert cert["result"]["stabilization"]["dims"][0] == cert["result"]["dim"]
+    assert cert["config"]["algebra"]["generators"] == 6
+
+
 def test_identities_generators_route(capsys, tmp_path):
     gens = tmp_path / "gens.txt"
     gens.write_text("# generating identities\n[[x1, x2], x3]\n", encoding="utf-8")
@@ -131,6 +149,7 @@ def test_identities_guard_exits_3(capsys):
     )
     assert code == 3
     assert "guard" in err.lower()
+    assert "guard of 10 cells" in err and "max_cells 10" in err
 
 
 def test_usage_errors_exit_1(capsys):

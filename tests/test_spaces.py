@@ -31,6 +31,7 @@ from gradedpi.spaces import (
     TruncatedQuotientBackend,
     check_factoring,
     full_multilinearization,
+    grassmann_fast_rows,
     identities_by_consequences,
     identities_by_evaluation,
     membership,
@@ -38,10 +39,13 @@ from gradedpi.spaces import (
     presentation_for_mode,
     presentation_natural,
     presentation_trivial_grassmann,
+    scan_truncations,
     stabilization_scan,
     tideal_product,
     triple_commutator_generators,
 )
+
+from _support import reference_fast_rows
 
 
 def E(n, kind, k=None):
@@ -68,11 +72,46 @@ def test_full_equals_fast_across_kinds():
 
 
 def test_full_equals_fast_matrix_over():
-    M = build_matrix_over(E(4, "natural"), BlockShape((1, 1)))
-    for sig in [((1,), (1,)), ((0,), (1,))]:
-        full = identities_by_evaluation(M, sig, method="full")
-        fast = identities_by_evaluation(M, sig, method="fast")
-        assert full.space == fast.space
+    # at these lengths the components are 0 or everything, so each case
+    # checks that the fast rows reach full rank or vanish exactly as the
+    # full enumeration does
+    cases = [
+        (4, "natural", (1, 1), [((1,), (1,)), ((0,), (1,))]),
+        (1, "natural", (2, 1), [((0,), (0,), (0,), (1,)), ((0,), (0,), (1,), (1,))]),
+        (2, "natural", (1, 1, 1), [((1,), (0,), (1,)), ((1,), (1,), (1,))]),
+        (1, "infty", (1, 1, 1), [((0,), (0,), (0,), (0,)), ((0,), (1,), (1,), (1,))]),
+    ]
+    for n_gens, kind, shape, sigs in cases:
+        M = build_matrix_over(E(n_gens, kind), BlockShape(shape))
+        for sig in sigs:
+            full = identities_by_evaluation(M, sig, method="full")
+            fast = identities_by_evaluation(M, sig, method="fast")
+            assert full.space == fast.space, (n_gens, kind, shape, sig)
+
+
+def _fast_rows_outcome(fn, alg, sig, limit):
+    try:
+        rows, report = fn(alg, sig, limit)
+    except TruncationError as exc:
+        return ("truncation", str(exc))
+    return ("rows", [list(r.items()) for r in rows], report)
+
+
+def test_fast_rows_match_direct_enumeration():
+    """Rows from composable unit chains equal the direct |positions|^n * n!
+    enumeration: the same rows in the same order, and the same report."""
+    gradings = [("natural", None), ("infty", None), ("kstar", 1), ("trivial", None)]
+    cases = [(4, (1, 1), 4), (6, (1, 1), 4), (4, (2, 1), 3), (4, (1, 2), 3), (4, (1, 1, 1), 3)]
+    for n_gens, shape, max_len in cases:
+        for kind, k in gradings:
+            M = build_matrix_over(E(n_gens, kind, k=k), BlockShape(shape))
+            degrees = [()] if kind == "trivial" else [(0,), (1,)]
+            for n in range(1, max_len + 1):
+                for sig in itertools.product(degrees, repeat=n):
+                    for limit in (False, True):
+                        got = _fast_rows_outcome(grassmann_fast_rows, M, sig, limit)
+                        want = _fast_rows_outcome(reference_fast_rows, M, sig, limit)
+                        assert got == want, (n_gens, shape, kind, sig, limit)
 
 
 def test_ungraded_grassmann_dims_small():
@@ -237,6 +276,15 @@ def test_provider_caching():
     assert a is b
 
 
+def test_scan_truncations_returns_components():
+    fam = lambda n: E(n, "infty")
+    report, comps = scan_truncations(fam, ((1,), (0,), (1,)), [4, 6])
+    assert report == stabilization_scan(fam, ((1,), (0,), (1,)), [4, 6])
+    assert [c.dim for c in comps] == report["dims"]
+    direct = identities_by_evaluation(E(4, "infty"), ((1,), (0,), (1,)))
+    assert comps[0].space == direct.space and comps[0].meta == direct.meta
+
+
 def test_stabilization_scan():
     fam = lambda n: E(n, "natural")
     out = stabilization_scan(fam, ((1,), (1,)), [4, 6, 8])
@@ -294,6 +342,37 @@ def test_guard_trips_in_kernel_build():
     alg = E(6, "trivial")
     with pytest.raises(GuardExceededError):
         identities_by_evaluation(alg, ((),) * 4, guard=GuardLimits(max_cells=10, max_bits=20000))
+
+
+def test_fast_rows_guard_bounds_walks_and_rows():
+    M = build_matrix_over(E(4, "infty"), BlockShape((2, 1)))
+    sig = ((1,), (0,), (1,), (0,))
+    rows, _ = grassmann_fast_rows(M, sig)
+    positions = BlockShape((2, 1)).positions()
+    n_walks = sum(
+        all(w[t][1] == w[t + 1][0] for t in range(3))
+        for w in itertools.product(positions, repeat=4)
+    )
+    n_walks_by_monomials = n_walks * 24
+    with pytest.raises(GuardExceededError, match="unit walks by monomials"):
+        grassmann_fast_rows(M, sig, guard=GuardLimits(max_cells=n_walks_by_monomials - 1))
+    limit = GuardLimits(max_cells=n_walks_by_monomials)
+    assert len(rows) * 24 > limit.max_cells
+    with pytest.raises(GuardExceededError, match="evaluation kernel") as info:
+        grassmann_fast_rows(M, sig, guard=limit)
+    assert info.value.cells == (limit.max_cells // 24 + 1) * 24
+
+
+def test_streaming_guards_name_their_limit():
+    guard = GuardLimits(max_cells=100, max_bits=20000)
+    sig = ((0,), (0,), (1,), (1,))
+    with pytest.raises(GuardExceededError, match="guard of 100 cells") as info:
+        identities_by_consequences(presentation_natural(), sig, guard)
+    assert info.value.cells > 100
+    prov = ConsequenceProvider(presentation_natural())
+    with pytest.raises(GuardExceededError, match="guard of 100 cells") as info:
+        tideal_product(prov, prov, sig, Z2, guard=guard)
+    assert info.value.cells > 100
 
 
 def test_multidegree_components_split():
