@@ -112,7 +112,7 @@ from .spaces import (
     presentation_kstar,
     presentation_natural,
     presentation_trivial_grassmann,
-    stabilization_scan,
+    scan_truncations,
     tideal_product,
     triple_commutator_generators,
 )

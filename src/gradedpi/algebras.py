@@ -10,10 +10,10 @@ the entry-degree grading. Elements are sparse coordinate vectors
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (
     GradedEvaluationError,
@@ -231,17 +231,6 @@ class StructureConstantAlgebra:
                 )
 
 
-def support(algebra: StructureConstantAlgebra) -> set:
-    """Degrees with a nonzero homogeneous component."""
-    return set(algebra.degrees)
-
-
-def homogeneous_basis(algebra: StructureConstantAlgebra, degree) -> list:
-    """Basis coordinate vectors of the degree component."""
-    degree = algebra.group.validate(tuple(degree))
-    return [algebra.basis_vector(i) for i, d in enumerate(algebra.degrees) if d == degree]
-
-
 def homogeneous_indices(algebra: StructureConstantAlgebra, degree) -> list:
     degree = algebra.group.validate(tuple(degree))
     return [i for i, d in enumerate(algebra.degrees) if d == degree]
@@ -413,66 +402,178 @@ def build_matrix_over(
 
 
 # -- descriptors -----------------------------------------------------------
+#
+# Every descriptor, JSON or inline, takes one path: _resolve checks it and
+# returns its canonical form, its grading group, the exterior algebra at its
+# core and a builder. Kinds: field, matrix, block_triangular (elementary
+# grading over the field), grassmann, matrix_over (entry-degree grading over
+# a nested "entries" descriptor).
 
 
-def canonical_descriptor_text(desc: dict) -> str:
-    """Byte-stable JSON form of an algebra descriptor."""
-    return json.dumps(desc, sort_keys=True, indent=2) + "\n"
+class _Resolved(NamedTuple):
+    desc: dict  # canonical form
+    group: GroupSpec
+    exterior: GrassmannSpec | None  # the exterior algebra at the core, if any
+    build: Callable[[], StructureConstantAlgebra]
 
 
-def _group_from_descriptor(obj) -> GroupSpec:
-    return GroupSpec(tuple(int(x) for x in obj))
+def _int(value, what: str) -> int:
+    """An integer field: an int or integer text (bool is not an int here)."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
-def algebra_from_descriptor(desc: dict) -> StructureConstantAlgebra:
-    """Build an algebra from its JSON descriptor object.
+def _ints(value, what: str) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int(x, what) for x in value)
 
-    Kinds: field, matrix, block_triangular (elementary grading over the
-    field), grassmann, matrix_over (entry-degree grading, nested "entries"
-    descriptor).
-    """
+
+def _required(desc: dict, key: str):
+    if key not in desc:
+        raise ParseError(f"{desc['kind']} descriptor needs {key!r}")
+    return desc[key]
+
+
+def _grading(desc: dict) -> dict:
+    grading = desc.get("grading", {})
+    if not isinstance(grading, dict):
+        raise ParseError(f"'grading' must be an object, got {grading!r}")
+    return grading
+
+
+def _group(desc: dict, derived: GroupSpec | None = None) -> GroupSpec:
+    """The stated group (trivial if none); where the grading fixes the group,
+    a stated one must agree with it."""
+    if "group" not in desc:
+        return TRIVIAL_GROUP if derived is None else derived
+    spec = GroupSpec(_ints(desc["group"], "group orders"))
+    if derived is not None and spec != derived:
+        raise ParseError(
+            f"{desc['kind']} descriptor states group {list(spec.orders)}, "
+            f"its grading gives {list(derived.orders)}"
+        )
+    return spec
+
+
+def _grassmann_spec(deg, n: int) -> GrassmannSpec:
+    """The one table from a grading ("deg") to its GrassmannSpec: "natural",
+    "infty", "trivial", {"kstar": k} or {"explicit": [degrees]}."""
+    if isinstance(deg, dict) and len(deg) == 1:
+        ((name, arg),) = deg.items()
+        if name == "kstar":
+            return GrassmannSpec(n, "kstar", k=_int(arg, "kstar k"))
+        if name == "explicit":
+            return GrassmannSpec(n, "explicit", explicit=_ints(arg, "explicit degrees"))
+    elif deg in ("natural", "infty", "trivial"):
+        return GrassmannSpec(n, deg)
+    elif deg == "kstar":
+        raise ParseError('the kstar grading needs k: {"kstar": k}, inline k=<k>')
+    elif deg == "degk":
+        raise UnsupportedFeatureError(
+            "unsupported grading 'degk': its defining generator polynomials "
+            "are not in the supported catalogue"
+        )
+    raise ParseError(f"unknown grassmann grading {deg!r}")
+
+
+def _grassmann_descriptor(g: GrassmannSpec) -> dict:
+    if g.deg_kind == "kstar":
+        deg = {"kstar": g.k}
+    elif g.deg_kind == "explicit":
+        deg = {"explicit": list(g.explicit)}
+    else:
+        deg = g.deg_kind
+    return {
+        "kind": "grassmann",
+        "generators": g.n_generators,
+        "group": list(g.group().orders),
+        "grading": {"deg": deg},
+    }
+
+
+def _resolve(desc) -> _Resolved:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ParseError("descriptor must be an object with a 'kind' field")
     kind = desc["kind"]
     if kind == "field":
-        spec = _group_from_descriptor(desc.get("group", []))
-        return build_field(spec)
+        spec = _group(desc)
+        return _Resolved(
+            {"kind": kind, "group": list(spec.orders)}, spec, None, lambda: build_field(spec)
+        )
     if kind in ("matrix", "block_triangular"):
-        spec = _group_from_descriptor(desc.get("group", []))
-        grading = desc.get("grading", {})
-        targets = [spec.element(tuple(t)) for t in grading.get("targets", [])]
-        if not targets:
+        spec = _group(desc)
+        raw = _grading(desc).get("targets")
+        if not isinstance(raw, (list, tuple)) or not raw:
             raise ParseError(f"{kind} descriptor needs grading.targets")
+        targets = [spec.element(_ints(t, "grading targets")) for t in raw]
+        canon = {
+            "kind": kind,
+            "group": list(spec.orders),
+            "grading": {"targets": [list(t) for t in targets]},
+        }
         shape = None
         if kind == "block_triangular":
-            shape = BlockShape(tuple(int(d) for d in desc.get("shape", ())))
-        return build_matrix_algebra(targets, spec, shape)
+            shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
+            canon["shape"] = list(shape.sizes)
+        return _Resolved(canon, spec, None, lambda: build_matrix_algebra(targets, spec, shape))
     if kind == "grassmann":
-        grading = desc.get("grading", {})
-        deg = grading.get("deg", "natural")
-        n = int(desc.get("generators", 0))
-        if isinstance(deg, dict):
-            if "kstar" in deg:
-                gspec = GrassmannSpec(n, "kstar", k=int(deg["kstar"]))
-            elif "explicit" in deg:
-                gspec = GrassmannSpec(n, "explicit", explicit=tuple(int(d) for d in deg["explicit"]))
-            else:
-                raise ParseError(f"unknown grassmann grading {deg!r}")
-        elif deg in ("natural", "infty", "trivial"):
-            gspec = GrassmannSpec(n, deg)
-        elif deg == "degk":
-            raise UnsupportedFeatureError(
-                "unsupported grading 'degk': its defining generator polynomials "
-                "are not in the supported catalogue"
-            )
-        else:
-            raise ParseError(f"unknown grassmann grading {deg!r}")
-        return build_grassmann(gspec)
+        stated = "generators" in desc
+        n = _int(desc["generators"], "generators") if stated else 0
+        gspec = _grassmann_spec(_grading(desc).get("deg", "natural"), n)
+        spec = _group(desc, gspec.group())
+        canon = _grassmann_descriptor(gspec)
+        if not stated:
+            del canon["generators"]
+        return _Resolved(canon, spec, gspec, lambda: build_grassmann(gspec))
     if kind == "matrix_over":
-        shape = BlockShape(tuple(int(d) for d in desc.get("shape", ())))
-        inner = algebra_from_descriptor(desc["entries"])
-        return build_matrix_over(inner, shape)
+        shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
+        inner = _resolve(_required(desc, "entries"))
+        spec = _group(desc, inner.group)
+        canon = {"kind": kind, "shape": list(shape.sizes), "entries": inner.desc}
+        return _Resolved(
+            canon, spec, inner.exterior, lambda: build_matrix_over(inner.build(), shape)
+        )
     raise ParseError(f"unknown algebra kind {kind!r}")
+
+
+def normalize_descriptor(desc) -> dict:
+    """Check a descriptor and return its canonical form: integer fields as
+    ints, the group stated wherever the kind has one of its own."""
+    return _resolve(desc).desc
+
+
+def descriptor_group(desc) -> GroupSpec:
+    """The grading group of the algebra a descriptor names."""
+    return _resolve(desc).group
+
+
+def exterior_spec(desc) -> GrassmannSpec | None:
+    """The exterior algebra at the core of a grassmann descriptor or of a
+    matrix_over one; None for every other kind. Its n_generators is 0 when
+    the descriptor leaves the truncation to the caller."""
+    return _resolve(desc).exterior
+
+
+def with_generators(desc, n: int) -> dict:
+    """The canonical descriptor with its exterior algebra at n generators."""
+    canon = normalize_descriptor(desc)
+    if canon["kind"] == "matrix_over":
+        return dict(canon, entries=with_generators(canon["entries"], n))
+    if canon["kind"] != "grassmann":
+        raise ParseError(f"a {canon['kind']} descriptor has no exterior algebra")
+    return dict(canon, generators=n)
+
+
+def algebra_from_descriptor(desc) -> StructureConstantAlgebra:
+    """Build an algebra from its JSON descriptor object."""
+    return _resolve(desc).build()
 
 
 def descriptor_of(algebra: StructureConstantAlgebra) -> dict:
@@ -491,19 +592,7 @@ def descriptor_of(algebra: StructureConstantAlgebra) -> dict:
             out["shape"] = list(meta["shape"])
         return out
     if kind == "grassmann":
-        g: GrassmannSpec = meta["gspec"]
-        if g.deg_kind == "kstar":
-            deg = {"kstar": g.k}
-        elif g.deg_kind == "explicit":
-            deg = {"explicit": list(g.explicit)}
-        else:
-            deg = g.deg_kind
-        return {
-            "kind": "grassmann",
-            "generators": g.n_generators,
-            "group": list(g.group().orders),
-            "grading": {"deg": deg},
-        }
+        return _grassmann_descriptor(meta["gspec"])
     if kind == "matrix_over":
         inner = descriptor_of(meta["entries"])
         return {"kind": "matrix_over", "shape": list(meta["shape"]), "entries": inner}
@@ -513,47 +602,32 @@ def descriptor_of(algebra: StructureConstantAlgebra) -> dict:
 def parse_inline_descriptor(text: str) -> dict:
     """Compact command-line form, e.g. "grassmann:N=6,deg=natural" or "field".
 
-    Supported: field | grassmann:N=<n>,deg=<natural|infty|trivial|kstar|degk>[,k=<k>]
-    (N may be omitted where the caller fills a default later).
+    field | grassmann:[N=<n>][,deg=<natural|infty|trivial|kstar|degk>][,k=<k>]
+
+    The text only becomes the JSON shape (N= is "generators"; deg= is
+    grading.deg, and k= makes it {deg: k}) and is then checked like any JSON
+    descriptor. Omitting N= leaves the truncation to the caller.
     """
-    text = text.strip()
-    if ":" in text:
-        kind, _, rest = text.partition(":")
-        params = {}
-        for piece in rest.split(","):
-            if not piece.strip():
-                continue
-            key, _, val = piece.partition("=")
-            if not _:
-                raise ParseError(f"bad descriptor parameter {piece!r}")
-            params[key.strip()] = val.strip()
-    else:
-        kind, params = text, {}
+    kind, _, rest = text.strip().partition(":")
     kind = kind.strip()
-    if kind == "field":
-        return {"kind": "field", "group": []}
-    if kind == "grassmann":
-        deg = params.get("deg", "natural")
-        out = {"kind": "grassmann", "grading": {}, "group": []}
-        if deg == "kstar":
-            if "k" not in params:
-                raise ParseError("grassmann kstar grading needs k=<int>")
-            out["grading"]["deg"] = {"kstar": int(params["k"])}
-            out["group"] = [2]
-        elif deg in ("natural", "infty"):
-            out["grading"]["deg"] = deg
-            out["group"] = [2]
-        elif deg == "trivial":
-            out["grading"]["deg"] = "trivial"
-            out["group"] = []
-        elif deg == "degk":
-            raise UnsupportedFeatureError(
-                "unsupported grading 'degk': its defining generator polynomials "
-                "are not in the supported catalogue"
-            )
-        else:
-            raise ParseError(f"unknown grassmann grading {deg!r}")
-        if "N" in params:
-            out["generators"] = int(params["N"])
-        return out
-    raise ParseError(f"unknown inline algebra kind {kind!r} (use a JSON descriptor file)")
+    params = {}
+    for piece in rest.split(","):
+        if not piece.strip():
+            continue
+        key, eq, val = piece.partition("=")
+        key = key.strip()
+        if not eq or key not in ("N", "deg", "k") or key in params:
+            raise ParseError(f"bad descriptor parameter {piece!r}")
+        params[key] = val.strip()
+    if kind == "field" and not params:
+        return normalize_descriptor({"kind": "field"})
+    if kind != "grassmann":
+        raise ParseError(
+            f"unknown inline algebra {text.strip()!r} (inline forms are field and "
+            "grassmann:...; use a JSON descriptor otherwise)"
+        )
+    deg = params.get("deg", "natural")
+    desc = {"kind": kind, "grading": {"deg": {deg: params["k"]} if "k" in params else deg}}
+    if "N" in params:
+        desc["generators"] = params["N"]
+    return normalize_descriptor(desc)

@@ -14,7 +14,6 @@ agree did not), 3 resource guard tripped, 4 unsupported feature.
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import json
 import math
@@ -23,12 +22,17 @@ import sys
 
 from .algebras import (
     BlockShape,
+    GradingMap,
+    GrassmannSpec,
     algebra_from_descriptor,
     build_matrix_algebra,
     build_matrix_over,
-    GradingMap,
+    descriptor_group,
+    exterior_spec,
     is_g_regular,
+    normalize_descriptor,
     parse_inline_descriptor,
+    with_generators,
 )
 from .errors import (
     GradedPIError,
@@ -72,9 +76,19 @@ def _guard(args) -> GuardLimits:
     return GuardLimits(max_cells=args.max_cells, max_bits=args.max_bits)
 
 
+def _parse_ints(text: str, what: str) -> tuple:
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise ParseError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_group(text: str) -> GroupSpec:
-    orders = tuple(int(p) for p in text.split(",") if p.strip())
-    return GroupSpec(orders)
+    return GroupSpec(_parse_ints(text, "group orders"))
+
+
+def _parse_shape(text: str) -> BlockShape:
+    return BlockShape(_parse_ints(text, "block sizes"))
 
 
 def _parse_sig(text: str, spec: GroupSpec):
@@ -99,13 +113,14 @@ def _sig_text(sig) -> str:
 
 
 def _load_descriptor(text: str) -> dict:
+    """Canonical descriptor from a JSON file, JSON text or the inline form."""
     text = text.strip()
     try:
         if os.path.isfile(text):
             with open(text, encoding="utf-8") as fh:
-                return json.load(fh)
+                return normalize_descriptor(json.load(fh))
         if text.startswith("{"):
-            return json.loads(text)
+            return normalize_descriptor(json.loads(text))
     except ValueError as exc:
         raise ParseError(f"bad descriptor JSON: {exc}") from exc
     return parse_inline_descriptor(text)
@@ -146,35 +161,10 @@ def _json_meta(meta: dict) -> dict:
     return {k: v for k, v in meta.items() if isinstance(v, (int, str, bool))}
 
 
-def _default_truncation(n_total: int, k_extra: int) -> int:
+def _default_truncation(n_total: int, gspec: GrassmannSpec) -> int:
     # enough generators for every achievable disjoint-support pattern,
     # with two consecutive levels confirming stabilization
-    return 2 * n_total + k_extra
-
-
-def _grassmann_inner(desc: dict) -> dict | None:
-    inner = desc
-    while isinstance(inner, dict) and inner.get("kind") == "matrix_over":
-        inner = inner.get("entries")
-    if isinstance(inner, dict) and inner.get("kind") == "grassmann":
-        return inner
-    return None
-
-
-def _with_generators(desc: dict, n: int) -> dict:
-    out = copy.deepcopy(desc)
-    inner = out
-    while inner.get("kind") == "matrix_over":
-        inner = inner["entries"]
-    inner["generators"] = n
-    return out
-
-
-def _kstar_extra(inner: dict) -> int:
-    deg = inner.get("grading", {}).get("deg")
-    if isinstance(deg, dict) and "kstar" in deg:
-        return int(deg["kstar"])
-    return 0
+    return 2 * n_total + (gspec.k if gspec.deg_kind == "kstar" else 0)
 
 
 # -- regularity ---------------------------------------------------------------
@@ -219,28 +209,22 @@ def cmd_identities(args) -> int:
     if args.algebra is None and args.generators is None:
         raise ParseError("need --algebra and/or --generators")
     desc = _load_descriptor(args.algebra) if args.algebra else None
-    if desc is not None:
-        spec = GroupSpec(tuple(int(x) for x in desc.get("group", [])))
-    else:
-        spec = _parse_group(args.group)
+    spec = descriptor_group(desc) if desc is not None else _parse_group(args.group)
     sig = _parse_sig(args.sig, spec)
 
     comp_eval = scan = None
     if desc is not None:
-        inner = _grassmann_inner(desc)
-        if inner is not None:
-            n0 = inner.get("generators") or _default_truncation(
-                len(sig), _kstar_extra(inner)
-            )
-            n0 = int(n0)
+        gspec = exterior_spec(desc)
+        if gspec is not None:
+            n0 = gspec.n_generators or _default_truncation(len(sig), gspec)
             scan, comps = scan_truncations(
-                lambda nn: algebra_from_descriptor(_with_generators(desc, nn)),
+                lambda nn: algebra_from_descriptor(with_generators(desc, nn)),
                 sig,
                 [n0, n0 + 2],
                 args.method,
                 guard,
             )
-            desc = _with_generators(desc, n0)
+            desc = with_generators(desc, n0)
             comp_eval = comps[0]
         else:
             algebra = algebra_from_descriptor(desc)
@@ -354,61 +338,57 @@ def _field_setup(args, shape: BlockShape, guard: GuardLimits):
     offset = 0
     for d in shape.sizes:
         block = targets[offset : offset + d]
-        factors.append(
-            EvaluationProvider(build_matrix_algebra(block, spec), "auto", guard)
-        )
+        factors.append(EvaluationProvider(build_matrix_algebra(block, spec), guard))
         offset += d
-    run = (None, EvaluationProvider(target_alg, "auto", guard), factors)
+    run = (None, EvaluationProvider(target_alg, guard), factors)
     config = {"targets": _sig_json(targets)}
     return spec, [run], config
 
 
 def _grassmann_setup(desc, shape: BlockShape, max_n: int, guard: GuardLimits):
     """Matrices over the exterior algebra: two truncations unless pinned."""
-    spec = GroupSpec(tuple(int(x) for x in desc.get("group", [])))
-    if "generators" in desc:
-        truncations = [int(desc["generators"])]
+    gspec = exterior_spec(desc)
+    if gspec.n_generators:
+        truncations = [gspec.n_generators]
     else:
-        n0 = _default_truncation(max_n, _kstar_extra(desc))
+        n0 = _default_truncation(max_n, gspec)
         truncations = [n0, n0 + 2]
     runs = []
     for nn in truncations:
-        entry_alg = algebra_from_descriptor(_with_generators(desc, nn))
+        entry_alg = algebra_from_descriptor(with_generators(desc, nn))
         target_alg = build_matrix_over(entry_alg, shape)
         factors = [
             EvaluationProvider(
                 entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
-                "auto",
                 guard,
             )
             for d in shape.sizes
         ]
-        runs.append((nn, EvaluationProvider(target_alg, "auto", guard), factors))
-    config = {"truncations": truncations}
-    return spec, runs, config
+        runs.append((nn, EvaluationProvider(target_alg, guard), factors))
+    return runs, {"truncations": truncations}
 
 
 def cmd_factor_check(args) -> int:
     guard = _guard(args)
-    shape = BlockShape(tuple(int(p) for p in args.shape.split(",")))
+    shape = _parse_shape(args.shape)
     if len(shape.sizes) < 2:
         raise ParseError("factor checking needs at least two diagonal blocks")
     desc = _load_descriptor(args.entries)
     if args.targets and desc["kind"] != "field":
         raise ParseError("--targets applies to field entries only")
 
+    def signatures(spec):
+        if args.sig is not None:
+            return [_parse_sig(args.sig, spec)]
+        return _sweep_signatures(spec, args.sweep)
+
     if desc["kind"] == "field":
         spec, runs, extra = _field_setup(args, shape, guard)
-        sigs = (
-            [_parse_sig(args.sig, spec)] if args.sig else _sweep_signatures(spec, args.sweep)
-        )
+        sigs = signatures(spec)
     elif desc["kind"] == "grassmann":
-        spec = GroupSpec(tuple(int(x) for x in desc.get("group", [])))
-        sigs = (
-            [_parse_sig(args.sig, spec)] if args.sig else _sweep_signatures(spec, args.sweep)
-        )
-        max_n = max(len(s) for s in sigs)
-        spec, runs, extra = _grassmann_setup(desc, shape, max_n, guard)
+        spec = descriptor_group(desc)
+        sigs = signatures(spec)
+        runs, extra = _grassmann_setup(desc, shape, max(len(s) for s in sigs), guard)
     else:
         raise ParseError(
             f"entry algebra kind {desc['kind']!r} is not supported by factor-check"
@@ -482,7 +462,7 @@ def cmd_factor_check(args) -> int:
 
 def cmd_model(args) -> int:
     mode = GradingMode.parse(args.mode)
-    shape = BlockShape(tuple(int(p) for p in args.shape.split(",")))
+    shape = _parse_shape(args.shape)
     cfg = ModelConfig(shape, Z2, mode)
     f = parse_poly(_poly_text(args.poly), Z2)
     matrix = model_eval(f, cfg)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -19,20 +18,10 @@ from .errors import (
     MalformedElementError,
     ParseError,
 )
-from .groups import TRIVIAL_GROUP, Z2, GroupElement, GroupSpec
+from .groups import Z2, GroupElement, GroupSpec
 
 Word = tuple  # tuple[int, ...]
 Signature = tuple  # tuple[GroupElement, ...], one degree per variable 1..n
-
-
-@dataclass(frozen=True)
-class GradedVariable:
-    id: int
-    degree: GroupElement
-
-    def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 1:
-            raise MalformedElementError(f"variable id must be a positive int: {self.id!r}")
 
 
 def merge_universes(a: dict, b: dict) -> dict:
@@ -209,10 +198,6 @@ class NcPolynomial:
         return sorted(self.terms.items(), key=lambda item: word_key(item[0]))
 
 
-def word_degree(w: Word, universe: dict, spec: GroupSpec) -> GroupElement:
-    return spec.sum(tuple(universe[v]) for v in w)
-
-
 def commutator(f: NcPolynomial, g: NcPolynomial) -> NcPolynomial:
     return f * g - g * f
 
@@ -258,15 +243,6 @@ def validate_signature(sig, spec: GroupSpec) -> Signature:
     for g in sig:
         spec.validate(g)
     return sig
-
-
-def signatures_up_to(spec: GroupSpec, max_total: int) -> list:
-    """All signatures of length 1..max_total, ordered by length then lex."""
-    out = []
-    els = spec.elements()
-    for n in range(1, max_total + 1):
-        out.extend(itertools.product(els, repeat=n))
-    return out
 
 
 def multilinear_coordinates(f: NcPolynomial, sig, spec: GroupSpec) -> dict:

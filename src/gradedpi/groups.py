@@ -78,13 +78,5 @@ class GroupSpec:
         return list(itertools.product(*(range(n) for n in self.orders)))
 
 
-def group_op(a, b, spec: GroupSpec) -> GroupElement:
-    return spec.op(a, b)
-
-
-def group_inverse(a, spec: GroupSpec) -> GroupElement:
-    return spec.inverse(a)
-
-
 TRIVIAL_GROUP = GroupSpec(())
 Z2 = GroupSpec((2,))

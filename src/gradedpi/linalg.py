@@ -14,7 +14,7 @@ No floats anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbientMismatchError, GuardExceededError, MalformedElementError
@@ -64,69 +64,12 @@ class SparseMatrix:
             packed.append(tuple((c, Fraction(v)) for c, v in items if v != 0))
         return SparseMatrix(len(packed), n_cols, tuple(packed))
 
-    @staticmethod
-    def from_dense(rows) -> "SparseMatrix":
-        rows = [list(r) for r in rows]
-        n_cols = len(rows[0]) if rows else 0
-        sparse = []
-        for r in rows:
-            if len(r) != n_cols:
-                raise MalformedElementError("ragged dense matrix")
-            sparse.append({c: Fraction(v) for c, v in enumerate(r) if v != 0})
-        return SparseMatrix.from_rows(sparse, n_cols)
-
-    def to_dense(self):
-        out = []
-        for r in self.rows:
-            d = [Fraction(0)] * self.n_cols
-            for c, v in r:
-                d[c] = v
-            out.append(d)
-        return out
-
     def transpose(self) -> "SparseMatrix":
         cols = [dict() for _ in range(self.n_cols)]
         for i, r in enumerate(self.rows):
             for c, v in r:
                 cols[c][i] = v
         return SparseMatrix.from_rows(cols, self.n_rows)
-
-    def to_text(self) -> str:
-        """Interchange format: header "rows cols nnz", then "row col p/q" lines.
-
-        Indices are 0-based; entries appear in row-major order.
-        """
-        lines = []
-        nnz = sum(len(r) for r in self.rows)
-        lines.append(f"{self.n_rows} {self.n_cols} {nnz}")
-        for i, r in enumerate(self.rows):
-            for c, v in r:
-                lines.append(f"{i} {c} {v}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "SparseMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise MalformedElementError("empty matrix text")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise MalformedElementError("matrix header must be 'rows cols nnz'")
-        n_rows, n_cols, nnz = (int(x) for x in head)
-        if len(lines) - 1 != nnz:
-            raise MalformedElementError(f"expected {nnz} entries, found {len(lines) - 1}")
-        rows = [dict() for _ in range(n_rows)]
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise MalformedElementError(f"bad entry line {ln!r}")
-            i, c = int(parts[0]), int(parts[1])
-            if not (0 <= i < n_rows and 0 <= c < n_cols):
-                raise MalformedElementError(f"entry out of range: {ln!r}")
-            if c in rows[i]:
-                raise MalformedElementError(f"duplicate entry at ({i},{c})")
-            rows[i][c] = Fraction(parts[2])
-        return SparseMatrix.from_rows(rows, n_cols)
 
 
 @dataclass(frozen=True)
@@ -140,9 +83,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def as_matrix(self) -> SparseMatrix:
-        return SparseMatrix(len(self.rows), self.ambient_dim, self.rows)
 
 
 def _primitive_int_row(row) -> tuple:
@@ -336,7 +276,3 @@ def subspace_cmp(a: Subspace, b: Subspace) -> str:
 def zero_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, (), ())
 
-
-def full_subspace(ambient_dim: int) -> Subspace:
-    rows = tuple(((c, Fraction(1)),) for c in range(ambient_dim))
-    return Subspace(ambient_dim, rows, tuple(range(ambient_dim)))

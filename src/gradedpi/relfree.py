@@ -123,10 +123,6 @@ class RelFreeWord:
 _NF_MEMO: dict = {}
 
 
-def clear_normal_form_cache():
-    _NF_MEMO.clear()
-
-
 def _sorted_tail(tail):
     """(sign, tail sorted by id) for letter tuples; None on a repeated id."""
     ids = [l[1] for l in tail]

@@ -366,6 +366,8 @@ def identities_by_evaluation(
         _cells_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
         reducer = RowReducer(n_cols, guard)
         for r in rows:
+            if reducer.rank == n_cols:
+                break  # the rows span everything; the rest add nothing
             reducer.add(r)
         space = kernel_basis(reducer.finish(), guard)
     else:
@@ -501,13 +503,11 @@ def identities_by_consequences(
 # -- providers and T-ideal products ------------------------------------------
 
 
-class EvaluationProvider:
-    """Identity components of one algebra, cached per signature."""
+class _ComponentCache:
+    """component(sig): a subclass's _compute(sig), run once per signature."""
 
-    def __init__(self, algebra, method="auto", guard: GuardLimits = DEFAULT_GUARD):
-        self.algebra = algebra
-        self.spec = algebra.group
-        self.method = method
+    def __init__(self, spec: GroupSpec, guard: GuardLimits):
+        self.spec = spec
         self.guard = guard
         self._cache = {}
 
@@ -515,27 +515,30 @@ class EvaluationProvider:
         key = validate_signature(sig, self.spec)
         out = self._cache.get(key)
         if out is None:
-            out = identities_by_evaluation(self.algebra, key, self.method, self.guard)
-            self._cache[key] = out
+            out = self._cache[key] = self._compute(key)
         return out
 
 
-class ConsequenceProvider:
+class EvaluationProvider(_ComponentCache):
+    """Identity components of one algebra, cached per signature."""
+
+    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD):
+        super().__init__(algebra.group, guard)
+        self.algebra = algebra
+
+    def _compute(self, sig) -> IdentitySubspace:
+        return identities_by_evaluation(self.algebra, sig, guard=self.guard)
+
+
+class ConsequenceProvider(_ComponentCache):
     """Components of a finitely generated T-ideal, cached per signature."""
 
     def __init__(self, presentation: TIdealPresentation, guard: GuardLimits = DEFAULT_GUARD):
+        super().__init__(presentation.spec, guard)
         self.presentation = presentation
-        self.spec = presentation.spec
-        self.guard = guard
-        self._cache = {}
 
-    def component(self, sig) -> IdentitySubspace:
-        key = validate_signature(sig, self.spec)
-        out = self._cache.get(key)
-        if out is None:
-            out = identities_by_consequences(self.presentation, key, self.guard)
-            self._cache[key] = out
-        return out
+    def _compute(self, sig) -> IdentitySubspace:
+        return identities_by_consequences(self.presentation, sig, self.guard)
 
 
 def _component_polynomials(provider, positions, sig, spec):
@@ -614,7 +617,7 @@ def tideal_product(
     return IdentitySubspace(sig, spec, space, meta)
 
 
-class ProductProvider:
+class ProductProvider(_ComponentCache):
     """Left-associated iterated T-ideal product of component providers."""
 
     def __init__(
@@ -627,25 +630,16 @@ class ProductProvider:
         factors = list(factors)
         if len(factors) < 2:
             raise MalformedElementError("a product needs at least two factors")
-        self.spec = spec
+        super().__init__(spec, guard)
         self.bordered = bordered
-        self.guard = guard
         if len(factors) == 2:
             self.left, self.right = factors
         else:
             self.left = ProductProvider(factors[:-1], spec, bordered, guard)
             self.right = factors[-1]
-        self._cache = {}
 
-    def component(self, sig) -> IdentitySubspace:
-        key = validate_signature(sig, self.spec)
-        out = self._cache.get(key)
-        if out is None:
-            out = tideal_product(
-                self.left, self.right, key, self.spec, self.bordered, self.guard
-            )
-            self._cache[key] = out
-        return out
+    def _compute(self, sig) -> IdentitySubspace:
+        return tideal_product(self.left, self.right, sig, self.spec, self.bordered, self.guard)
 
 
 # -- factoring ----------------------------------------------------------------
@@ -670,7 +664,6 @@ def check_factoring(
     factor_providers,
     sig,
     spec: GroupSpec | None = None,
-    method: str = "auto",
     bordered_crosscheck: bool = False,
     guard: GuardLimits = DEFAULT_GUARD,
 ) -> FactoringVerdict:
@@ -685,7 +678,7 @@ def check_factoring(
         target_provider = target
         spec = spec or target.spec
     else:
-        target_provider = EvaluationProvider(target, method, guard)
+        target_provider = EvaluationProvider(target, guard)
         spec = spec or target.group
     sig = validate_signature(sig, spec)
     product = ProductProvider(list(factor_providers), spec, False, guard)
@@ -757,18 +750,6 @@ def scan_truncations(
         "stabilized_at": stabilized_at,
     }
     return report, comps
-
-
-def stabilization_scan(
-    family,
-    sig,
-    n_list,
-    method: str = "auto",
-    guard: GuardLimits = DEFAULT_GUARD,
-) -> dict:
-    """The report of scan_truncations: identity dimensions along a family
-    of truncations, flagged stabilized when two consecutive values agree."""
-    return scan_truncations(family, sig, n_list, method, guard)[0]
 
 
 def membership(f: NcPolynomial, component: IdentitySubspace) -> bool:
@@ -856,7 +837,6 @@ class TruncatedQuotientBackend:
         self,
         algebra: StructureConstantAlgebra,
         max_degree: int,
-        method: str = "auto",
         guard: GuardLimits = DEFAULT_GUARD,
     ):
         if max_degree < 1:
@@ -864,17 +844,10 @@ class TruncatedQuotientBackend:
         self.algebra = algebra
         self.spec = algebra.group
         self.max_degree = max_degree
-        self.method = method
-        self.guard = guard
-        self._components = {}
+        self._identities = EvaluationProvider(algebra, guard)
 
     def multilinear_identities(self, sig) -> IdentitySubspace:
-        key = validate_signature(sig, self.spec)
-        out = self._components.get(key)
-        if out is None:
-            out = identities_by_evaluation(self.algebra, key, self.method, self.guard)
-            self._components[key] = out
-        return out
+        return self._identities.component(sig)
 
     def residue(self, f: NcPolynomial) -> dict:
         """Canonical residue profile {multidegree key: reduced coordinates}."""

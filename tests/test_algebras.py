@@ -14,11 +14,15 @@ from gradedpi.algebras import (
     build_grassmann,
     build_matrix_algebra,
     build_matrix_over,
+    descriptor_group,
     descriptor_of,
     evaluate,
+    exterior_spec,
     homogeneous_indices,
     is_g_regular,
+    normalize_descriptor,
     parse_inline_descriptor,
+    with_generators,
 )
 from gradedpi.errors import (
     GradedEvaluationError,
@@ -270,6 +274,89 @@ def test_inline_descriptors():
         parse_inline_descriptor("grassmann:N=3,deg=degk")
     with pytest.raises(ParseError):
         parse_inline_descriptor("grassmann:N=4,deg=kstar")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("field", {"kind": "field", "group": []}),
+        ("grassmann:deg=natural", {"kind": "grassmann", "grading": {"deg": "natural"}, "group": [2]}),
+        ("grassmann:deg=infty", {"kind": "grassmann", "grading": {"deg": "infty"}, "group": [2]}),
+        ("grassmann:deg=trivial", {"kind": "grassmann", "grading": {"deg": "trivial"}, "group": []}),
+        (
+            "grassmann:deg=kstar,k=2",
+            {"kind": "grassmann", "grading": {"deg": {"kstar": 2}}, "group": [2]},
+        ),
+        (
+            "grassmann:N=3",
+            {"kind": "grassmann", "grading": {"deg": "natural"}, "group": [2], "generators": 3},
+        ),
+    ],
+)
+def test_inline_descriptor_shapes(text, want):
+    assert parse_inline_descriptor(text) == want
+    assert normalize_descriptor(want) == want
+
+
+def test_descriptor_group_is_derived_and_checked():
+    natural = {"kind": "grassmann", "generators": 2, "grading": {"deg": "natural"}}
+    assert descriptor_group(natural) == Z2
+    assert normalize_descriptor(natural)["group"] == [2]
+    with pytest.raises(ParseError, match="states group"):
+        descriptor_group(dict(natural, group=[3]))
+    with pytest.raises(ParseError, match="states group"):
+        descriptor_group(dict(natural, group=[]))
+    # matrices over E take the group of their entries
+    M = build_matrix_over(build_grassmann(GrassmannSpec(2, "infty")), BlockShape((1, 1)))
+    d = descriptor_of(M)
+    assert "group" not in d and descriptor_group(d) == Z2
+    assert descriptor_group(dict(d, group=[2])) == Z2
+    with pytest.raises(ParseError, match="states group"):
+        descriptor_group(dict(d, group=[]))
+    assert descriptor_group({"kind": "field"}) == TRIVIAL_GROUP
+
+
+def test_exterior_spec_and_truncation():
+    inline = parse_inline_descriptor("grassmann:deg=kstar,k=1")
+    assert exterior_spec(inline) == GrassmannSpec(0, "kstar", k=1)
+    at5 = with_generators(inline, 5)
+    assert at5["generators"] == 5 and "generators" not in inline
+    assert exterior_spec(at5) == GrassmannSpec(5, "kstar", k=1)
+    nested = {"kind": "matrix_over", "shape": [1, 1], "entries": inline}
+    assert exterior_spec(nested) == GrassmannSpec(0, "kstar", k=1)
+    assert with_generators(nested, 3)["entries"]["generators"] == 3
+    assert algebra_from_descriptor(with_generators(nested, 3)).dim == 3 * 8
+    assert exterior_spec({"kind": "field"}) is None
+    with pytest.raises(ParseError):
+        with_generators({"kind": "field"}, 3)
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        {"kind": "grassmann", "generators": "abc"},
+        {"kind": "grassmann", "generators": True},
+        {"kind": "grassmann", "generators": 2.0},
+        {"kind": "grassmann", "group": 2},
+        {"kind": "grassmann", "group": ["two"]},
+        {"kind": "grassmann", "grading": "natural"},
+        {"kind": "grassmann", "grading": {"deg": {"kstar": "k"}}},
+        {"kind": "grassmann", "grading": {"deg": {"kstar": 1, "explicit": [1]}}},
+        {"kind": "grassmann", "grading": {"deg": "kstar"}},
+        {"kind": "grassmann", "generators": 2, "grading": {"deg": {"explicit": [1, "x"]}}},
+        {"kind": "matrix_over", "group": [2], "shape": [1, 1]},
+        {"kind": "matrix_over", "entries": {"kind": "field"}},
+        {"kind": "matrix_over", "shape": "1,1", "entries": {"kind": "field"}},
+        {"kind": "block_triangular", "group": [2], "grading": {"targets": [[0], [1]]}},
+        {"kind": "matrix", "group": [2], "grading": {"targets": [["a"]]}},
+        {"kind": "matrix", "group": [2]},
+        {"kind": "nonsense"},
+        [1],
+    ],
+)
+def test_malformed_descriptors_are_parse_errors(desc):
+    with pytest.raises(ParseError):
+        normalize_descriptor(desc)
 
 
 def test_evaluate_products_and_degrees():

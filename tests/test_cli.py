@@ -1,9 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradedpi.algebras import (
+    BlockShape,
+    GrassmannSpec,
+    build_grassmann,
+    build_matrix_over,
+    descriptor_of,
+)
 from gradedpi.cli import main
 
 
@@ -152,6 +163,118 @@ def test_identities_guard_exits_3(capsys):
     assert "guard of 10 cells" in err and "max_cells 10" in err
 
 
+MALFORMED_DESCRIPTORS = [
+    ("grassmann:N=x", 1),
+    ('{"kind":"grassmann","group":[2],"generators":"abc"}', 1),
+    ('{"kind":"matrix_over","group":[2],"shape":[1,1]}', 1),
+    ('{"kind":"grassmann","group":[3]}', 1),
+    ("grassmann:deg=kstar,k=y", 1),
+    ('{"kind":"grassmann","group":2}', 1),
+    ('{"kind":"grassmann","grading":{"deg":{"kstar":"two"}}}', 1),
+    ('{"kind":"grassmann","grading":{"deg":{"kstar":1.5}}}', 1),
+    ('{"kind":"matrix_over","entries":{"kind":"grassmann"}}', 1),
+    ('{"kind":"grassmann",', 1),
+    ("grassmann:N=2,size=3", 1),
+    ("grassmann:deg=degk", 4),
+]
+
+
+@pytest.mark.parametrize("desc, want", MALFORMED_DESCRIPTORS)
+def test_malformed_descriptor_exits_with_one_line(capsys, desc, want):
+    for argv in (
+        ["identities", "--algebra", desc, "--sig", "1,1"],
+        ["factor-check", "--shape", "1,1", "--entries", desc, "--sig", "1,1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want, (argv, err)
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_identities_accepts_descriptor_of_matrix_over(capsys):
+    M = build_matrix_over(build_grassmann(GrassmannSpec(2, "natural")), BlockShape((1, 1)))
+    desc = json.dumps(descriptor_of(M))
+    code, out, err = run_cli(capsys, "identities", "--algebra", desc, "--sig", "1,1")
+    assert code == 0, err
+    cert = cert_from(out)
+    assert cert["config"]["group"] == [2]
+    assert cert["config"]["algebra"] == descriptor_of(M)
+    assert cert["result"]["stabilization"]["n_values"] == [2, 4]
+
+
+# descriptors within three generators, so every run stays cheap
+_ints = st.one_of(st.integers(-1, 3), st.sampled_from(["2", "x", True, 1.5, None, [1]]))
+_degs = st.one_of(
+    st.sampled_from(["natural", "infty", "trivial", "kstar", "degk", "other", 1]),
+    st.fixed_dictionaries({"kstar": _ints}),
+    st.fixed_dictionaries({"explicit": st.lists(_ints, max_size=3)}),
+)
+_grassmann = st.fixed_dictionaries(
+    {
+        "kind": st.just("grassmann"),
+        "generators": st.one_of(st.integers(1, 3), _ints.filter(lambda v: v not in (0, "0"))),
+    },
+    optional={
+        "grading": st.one_of(st.fixed_dictionaries({"deg": _degs}), st.just("natural")),
+        "group": st.one_of(st.lists(_ints, max_size=2), _ints),
+    },
+)
+_shapes = st.one_of(st.lists(st.integers(0, 2), max_size=2), _ints)
+_descriptors = st.one_of(
+    _grassmann,
+    st.fixed_dictionaries(
+        {"kind": st.just("matrix_over")},
+        optional={"shape": _shapes, "entries": _grassmann, "group": st.lists(_ints, max_size=2)},
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["field", "matrix", "block_triangular", "bogus"])},
+        optional={
+            "group": st.lists(st.integers(0, 3), max_size=2),
+            "grading": st.fixed_dictionaries(
+                {"targets": st.lists(st.lists(_ints, max_size=2), max_size=3)}
+            ),
+            "shape": _shapes,
+        },
+    ),
+)
+_inline = st.builds(
+    lambda kind, pieces: kind + ":" + ",".join(pieces),
+    st.sampled_from(["grassmann", "field", "bogus"]),
+    st.lists(
+        st.sampled_from(
+            ["N=1", "N=3", "N=x", "N=-1", "deg=natural", "deg=infty", "deg=kstar",
+             "deg=trivial", "deg=degk", "k=1", "k=y", "junk"]
+        ),
+        max_size=3,
+    ),
+    # grassmann text without a valid N= would scan larger truncations
+).filter(lambda text: "N=1" in text or "N=3" in text or not text.startswith("grassmann"))
+_sigs = st.lists(
+    st.sampled_from(["0", "1", "0", "1", "2", "a", "0.1", ""]), min_size=1, max_size=2
+).map(",".join)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    desc=st.one_of(_descriptors.map(json.dumps), _inline),
+    sig=_sigs,
+    command=st.sampled_from(["identities", "factor-check"]),
+    shape=st.sampled_from(["1,1", "1", "1,a", "0,1"]),
+)
+def test_fuzzed_input_never_escapes(desc, sig, command, shape):
+    """Generated descriptors and signatures end in an exit code, never in
+    an exception."""
+    if command == "identities":
+        argv = ["identities", "--algebra", desc, "--sig", sig]
+    else:
+        argv = ["factor-check", "--shape", shape, "--entries", desc, "--sig", sig]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["identities", "--algebra", "grassmann:deg=natural"])  # no --sig
@@ -169,6 +292,13 @@ def test_bad_signature_exits_1(capsys):
         "identities", "--algebra", "grassmann:deg=natural", "--sig", "1,a",
     )
     assert code == 1
+    for argv in (
+        ["factor-check", "--shape", "1,1", "--sig", ""],
+        ["factor-check", "--shape", "1,a", "--sig", "0"],
+        ["regularity", "--group", "x", "--targets", "0"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:"), argv
 
 
 def test_factor_check_kstar_witness(capsys):

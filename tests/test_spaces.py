@@ -20,7 +20,7 @@ from gradedpi.errors import (
     TruncationError,
 )
 from gradedpi.freealg import format_poly, parse_poly, zvar
-from gradedpi.linalg import GuardLimits, Subspace, subspace_cmp
+from gradedpi.linalg import GuardLimits, RowReducer, Subspace, kernel_basis, subspace_cmp
 from gradedpi.relfree import GradingMode
 from gradedpi.spaces import (
     ConsequenceProvider,
@@ -40,7 +40,6 @@ from gradedpi.spaces import (
     presentation_natural,
     presentation_trivial_grassmann,
     scan_truncations,
-    stabilization_scan,
     tideal_product,
     triple_commutator_generators,
 )
@@ -112,6 +111,25 @@ def test_fast_rows_match_direct_enumeration():
                         got = _fast_rows_outcome(grassmann_fast_rows, M, sig, limit)
                         want = _fast_rows_outcome(reference_fast_rows, M, sig, limit)
                         assert got == want, (n_gens, shape, kind, sig, limit)
+
+
+def test_fast_route_stops_at_full_rank():
+    """Rows after the rank reaches n! are in the span: skipping them gives
+    the same space as feeding every row."""
+    M = build_matrix_over(E(4, "infty"), BlockShape((2, 1)))
+    sig = ((1,), (0,), (1,), (0,))
+    rows, _ = grassmann_fast_rows(M, sig)
+    reducer = RowReducer(24)
+    full_at = None
+    for i, r in enumerate(rows):
+        reducer.add(r)
+        if full_at is None and reducer.rank == 24:
+            full_at = i
+    assert full_at is not None and full_at < len(rows) - 1
+    fed_all = kernel_basis(reducer.finish())
+    comp = identities_by_evaluation(M, sig)
+    assert comp.space == fed_all and comp.dim == 0
+    assert comp.meta["rows"] == len(rows)
 
 
 def test_ungraded_grassmann_dims_small():
@@ -279,7 +297,6 @@ def test_provider_caching():
 def test_scan_truncations_returns_components():
     fam = lambda n: E(n, "infty")
     report, comps = scan_truncations(fam, ((1,), (0,), (1,)), [4, 6])
-    assert report == stabilization_scan(fam, ((1,), (0,), (1,)), [4, 6])
     assert [c.dim for c in comps] == report["dims"]
     direct = identities_by_evaluation(E(4, "infty"), ((1,), (0,), (1,)))
     assert comps[0].space == direct.space and comps[0].meta == direct.meta
@@ -287,12 +304,12 @@ def test_scan_truncations_returns_components():
 
 def test_stabilization_scan():
     fam = lambda n: E(n, "natural")
-    out = stabilization_scan(fam, ((1,), (1,)), [4, 6, 8])
+    out = scan_truncations(fam, ((1,), (1,)), [4, 6, 8])[0]
     assert out["n_values"] == [4, 6, 8]
     assert out["dims"] == [1, 1, 1]
     assert out["stabilized"] and out["stabilized_at"] == 4
     with pytest.raises(MalformedElementError):
-        stabilization_scan(fam, ((1,), (1,)), [6, 4])
+        scan_truncations(fam, ((1,), (1,)), [6, 4])
 
 
 def test_limit_method_untruncated_semantics():
