@@ -1,0 +1,112 @@
+"""Compare the CLI of the working tree with the CLI at a git revision.
+
+    python scripts/compare_cli.py REV
+
+Unpacks src/ at REV (git archive) into a temporary directory, then runs a
+fixed list of gradedpi commands once on that copy and once on the working
+tree's src/, each in a fresh process. Every difference in stdout, stderr or
+exit code is reported. Exit status: 0 if every command matches, 1 if any
+differs, 2 on a usage or git error.
+
+The list is criterion 11's acceptance commands (tests/_support.py) plus
+the factor-check command shapes of the benchmark's factor-cli workload.
+"""
+
+from __future__ import annotations
+
+import difflib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "tests"))
+
+from _support import ACCEPTANCE_GENERATORS, acceptance_commands  # noqa: E402
+
+GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
+
+_UT11 = ["factor-check", "--shape", "1,1", "--entries"]
+FACTOR_CLI_COMMANDS = [
+    _UT11 + ["grassmann:deg=natural", "--sweep", "4"],
+    _UT11 + ["grassmann:deg=kstar,k=1", "--sweep", "3"],
+    _UT11 + ["grassmann:deg=kstar,k=2", "--sweep", "3"],
+    ["factor-check", "--shape", "2,2", "--entries", "field",
+     "--targets", "0,1,0,1", "--group", "2", "--sweep", "3"],
+    _UT11 + ["grassmann:deg=infty", "--sig", "0,1,0,1,1"],
+    ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=infty", "--sig", "1,0,1"],
+]
+
+
+def commands() -> list:
+    return acceptance_commands(GENERATORS_FILE) + FACTOR_CLI_COMMANDS
+
+
+def _unpack_src(rev: str, dest: str) -> str:
+    """src/ of the revision, unpacked under dest; returns its path."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev, "src"],
+        capture_output=True,
+        check=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return os.path.join(dest, "src")
+
+
+def _run(src: str, argv: list, cwd: str):
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradedpi"] + argv,
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+    )
+    return {"exit code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
+
+def _report(name: str, old, new) -> None:
+    if name == "exit code":
+        print(f"  exit code: {old} at REV, {new} here")
+        return
+    diff = difflib.unified_diff(
+        old.splitlines(), new.splitlines(), f"{name} at REV", f"{name} here", lineterm="", n=1
+    )
+    for line in list(diff)[:40]:
+        print(f"  {line}")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python scripts/compare_cli.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            old_src = _unpack_src(rev, tmp)
+        except subprocess.CalledProcessError as exc:
+            print(f"git archive failed: {exc.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        with open(os.path.join(tmp, GENERATORS_FILE), "w", encoding="utf-8") as fh:
+            fh.write(ACCEPTANCE_GENERATORS)
+        new_src = os.path.join(ROOT, "src")
+        differing = 0
+        cmds = commands()
+        for cmd in cmds:
+            old, new = _run(old_src, cmd, tmp), _run(new_src, cmd, tmp)
+            changed = [name for name in old if old[name] != new[name]]
+            print(f"{'DIFFERS' if changed else 'same   '} gradedpi {' '.join(cmd)}", flush=True)
+            for name in changed:
+                _report(name, old[name], new[name])
+            differing += bool(changed)
+    print(f"{differing} of {len(cmds)} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

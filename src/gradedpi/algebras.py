@@ -21,8 +21,9 @@ from .errors import (
     ParseError,
     UnsupportedFeatureError,
 )
-from .freealg import NcPolynomial
+from .freealg import NcPolynomial, sort_sign
 from .groups import TRIVIAL_GROUP, Z2, GroupElement, GroupSpec
+from .linalg import add_scaled
 
 CHECK_ASSOC_EXHAUSTIVE_DIM = 32
 CHECK_PAIR_EXHAUSTIVE_DIM = 300
@@ -128,18 +129,6 @@ class GrassmannSpec:
         return (sum(self.generator_parity(i) for i in label) % 2,)
 
 
-def _merge_sign(s: tuple, t: tuple):
-    """Sign and merged tuple of two disjoint ascending generator tuples."""
-    inv = 0
-    i = 0
-    for x in t:
-        while i < len(s) and s[i] < x:
-            i += 1
-        inv += len(s) - i
-    merged = tuple(sorted(s + t))
-    return (-1) ** inv, merged
-
-
 class StructureConstantAlgebra:
     """Unital graded algebra given by basis labels and a product rule.
 
@@ -178,13 +167,7 @@ class StructureConstantAlgebra:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                ab = a * b
-                for k, c in self.product_basis(i, j).items():
-                    nv = out.get(k, Fraction(0)) + ab * c
-                    if nv:
-                        out[k] = nv
-                    else:
-                        out.pop(k, None)
+                add_scaled(out, self.product_basis(i, j), a * b)
         return out
 
     def basis_vector(self, i: int) -> dict:
@@ -252,12 +235,7 @@ def evaluate(f: NcPolynomial, assignment: dict, algebra: StructureConstantAlgebr
         cur = dict(algebra.unit)
         for vid in w:
             cur = algebra.mul_vectors(cur, assignment[vid])
-        for k, c in cur.items():
-            nv = out.get(k, Fraction(0)) + coeff * c
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        add_scaled(out, cur, coeff)
     return out
 
 
@@ -348,11 +326,9 @@ def build_grassmann(gspec: GrassmannSpec) -> StructureConstantAlgebra:
     index = {lab: i for i, lab in enumerate(labels)}
 
     def product(a: int, b: int) -> dict:
-        s, t = labels[a], labels[b]
-        if set(s) & set(t):
-            return {}
-        sign, merged = _merge_sign(s, t)
-        return {index[merged]: Fraction(sign)}
+        word = labels[a] + labels[b]
+        sign = sort_sign(word)
+        return {index[tuple(sorted(word))]: Fraction(sign)} if sign else {}
 
     unit = {index[()]: Fraction(1)}
     meta = {"kind": "grassmann", "gspec": gspec, "group": spec}
@@ -512,7 +488,7 @@ def _resolve(desc) -> _Resolved:
         raw = _grading(desc).get("targets")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ParseError(f"{kind} descriptor needs grading.targets")
-        targets = [spec.element(_ints(t, "grading targets")) for t in raw]
+        targets = [spec.validate(_ints(t, "grading targets")) for t in raw]
         canon = {
             "kind": kind,
             "group": list(spec.orders),

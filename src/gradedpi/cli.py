@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedFeatureError,
 )
 from .freealg import format_poly, parse_poly, parse_signature
-from .groups import GroupSpec, Z2
+from .groups import TRIVIAL_GROUP, GroupSpec, Z2
 from .linalg import GuardLimits
 from .model import ModelConfig, model_eval
 from .relfree import (
@@ -321,17 +321,31 @@ def _sweep_signatures(spec: GroupSpec, bound: int):
     return out
 
 
-def _field_setup(args, shape: BlockShape, guard: GuardLimits):
-    """Elementary grading over the field: one run, no truncation."""
+def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
+    """Elementary grading over the field: one run, no truncation.
+
+    The group is --group if given, else the descriptor's group if it is
+    non-trivial, else the group of order 2 with --targets and the trivial
+    group without.
+    """
+    stated = descriptor_group(desc)
+    if args.group:
+        spec = _parse_group(args.group)
+        if not stated.is_trivial() and spec != stated:
+            raise ParseError(
+                f"--group {args.group} disagrees with the entries' group {list(stated.orders)}"
+            )
+    elif not stated.is_trivial():
+        spec = stated
+    else:
+        spec = Z2 if args.targets else TRIVIAL_GROUP
     if args.targets:
-        spec = _parse_group(args.group if args.group else "2")
         targets = _parse_sig(args.targets, spec)
         if len(targets) != shape.n:
             raise ParseError(
                 f"{len(targets)} grading targets for {shape.n} matrix rows"
             )
     else:
-        spec = _parse_group(args.group) if args.group else GroupSpec(())
         targets = tuple(spec.identity() for _ in range(shape.n))
     target_alg = build_matrix_algebra(targets, spec, shape)
     factors = []
@@ -383,7 +397,7 @@ def cmd_factor_check(args) -> int:
         return _sweep_signatures(spec, args.sweep)
 
     if desc["kind"] == "field":
-        spec, runs, extra = _field_setup(args, shape, guard)
+        spec, runs, extra = _field_setup(args, desc, shape, guard)
         sigs = signatures(spec)
     elif desc["kind"] == "grassmann":
         spec = descriptor_group(desc)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     ParseError,
 )
 from .groups import Z2, GroupElement, GroupSpec
+from .linalg import add_scaled
 
 Word = tuple  # tuple[int, ...]
 Signature = tuple  # tuple[GroupElement, ...], one degree per variable 1..n
@@ -36,6 +38,19 @@ def merge_universes(a: dict, b: dict) -> dict:
 
 def word_key(w: Word):
     return (len(w), w)
+
+
+def sort_sign(keys) -> int:
+    """Sign of the permutation that sorts keys ascending; 0 if a key repeats."""
+    seen = []  # keys so far, ascending
+    inversions = 0
+    for i, k in enumerate(keys):
+        pos = bisect_left(seen, k)
+        if pos < i and seen[pos] == k:
+            return 0
+        inversions += i - pos  # keys seen so far that are larger than k
+        seen.insert(pos, k)
+    return -1 if inversions & 1 else 1
 
 
 class NcPolynomial:
@@ -90,10 +105,7 @@ class NcPolynomial:
         if isinstance(other, (int, Fraction)):
             other = NcPolynomial.constant(other)
         uni = merge_universes(self.universe, other.universe)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return NcPolynomial(terms, uni)
+        return NcPolynomial(add_scaled(dict(self.terms), other.terms), uni)
 
     __radd__ = __add__
 
@@ -114,9 +126,7 @@ class NcPolynomial:
         uni = merge_universes(self.universe, other.universe)
         terms = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                terms[w] = terms.get(w, Fraction(0)) + c1 * c2
+            add_scaled(terms, ((w1 + w2, c2) for w2, c2 in other.terms.items()), c1)
         return NcPolynomial(terms, uni)
 
     def __rmul__(self, other):
@@ -382,7 +392,7 @@ class _Parser:
         letter, vid, residues = m.group(1), int(m.group(2)), m.group(3)
         if residues is not None:
             parts = [p for p in residues.replace(",", " ").split() if p]
-            degree = self.spec.element(tuple(int(p) for p in parts))
+            degree = self.spec.validate(int(p) for p in parts)
         elif letter == "y":
             if self.spec != Z2:
                 raise ParseError("y/z shorthand needs the group of order 2")
@@ -465,5 +475,5 @@ def parse_signature(text: str, spec: GroupSpec) -> Signature:
             residues = [int(q) for q in p.split(".")]
         except ValueError as exc:
             raise ParseError(f"bad signature entry {p!r}") from exc
-        out.append(spec.element(residues))
+        out.append(spec.validate(residues))
     return tuple(out)

@@ -40,22 +40,13 @@ class GroupSpec:
     def identity(self) -> GroupElement:
         return (0,) * len(self.orders)
 
-    def element(self, residues) -> GroupElement:
-        """Reduce a residue sequence into this group."""
-        residues = tuple(residues)
-        if len(residues) != len(self.orders):
-            raise MalformedElementError(
-                f"element {residues!r} has {len(residues)} components, group has {len(self.orders)}"
-            )
-        return tuple(r % n for r, n in zip(residues, self.orders))
-
     def validate(self, a) -> GroupElement:
         a = tuple(a)
         if len(a) != len(self.orders):
             raise MalformedElementError(f"element {a!r} does not fit group {self.orders!r}")
         for r, n in zip(a, self.orders):
             if not isinstance(r, int) or not 0 <= r < n:
-                raise MalformedElementError(f"residue {r!r} not reduced modulo {n}")
+                raise MalformedElementError(f"residue {r!r} must lie in 0..{n - 1} (modulo {n})")
         return a
 
     def op(self, a, b) -> GroupElement:

@@ -85,50 +85,62 @@ class Subspace:
         return len(self.rows)
 
 
-def _primitive_int_row(row) -> tuple:
+def add_scaled(out: dict, items, c=1) -> dict:
+    """Add c * items into the sparse map out, in place, and return out.
+
+    items is a dict or (key, value) pairs with nonzero values; a zero c
+    adds nothing. A key whose sum cancels is dropped; a new key takes
+    c * value as it is, with no zero to add it to.
+    """
+    if not c:
+        return out
+    if isinstance(items, dict):
+        items = items.items()
+    scaled = c != 1
+    for k, v in items:
+        if scaled:
+            v = c * v
+        old = out.get(k)
+        if old is not None:
+            v += old
+            if not v:
+                del out[k]
+                continue
+        out[k] = v
+    return out
+
+
+def _primitive(items, guard: GuardLimits) -> tuple:
+    """Divide sorted nonzero (col, int) pairs by their content, leading
+    entry positive. The largest entry must fit the guard's max_bits."""
+    if not items:
+        return ()
+    vals = [v for _, v in items]
+    bits = max(max(vals), -min(vals)).bit_length()
+    if bits > guard.max_bits:
+        raise GuardExceededError(
+            f"a coefficient exceeded {guard.max_bits} bits during elimination",
+            bits=bits,
+        )
+    g = math.gcd(*vals)
+    if vals[0] < 0:
+        g = -g
+    return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
+
+
+def _primitive_int_row(row, guard: GuardLimits) -> tuple:
     """Convert a sparse Fraction row to a primitive integer row, sign-normalized."""
     items = sorted(row.items()) if isinstance(row, dict) else sorted(row)
     items = [(c, Fraction(v)) for c, v in items if v != 0]
-    if not items:
-        return ()
-    denom_lcm = 1
-    for _, v in items:
-        denom_lcm = denom_lcm * v.denominator // math.gcd(denom_lcm, v.denominator)
-    ints = [(c, int(v * denom_lcm)) for c, v in items]
-    g = 0
-    for _, v in ints:
-        g = math.gcd(g, v)
-    if ints[0][1] < 0:
-        g = -g
-    return tuple((c, v // g) for c, v in ints)
+    denom_lcm = math.lcm(*(v.denominator for _, v in items))
+    return _primitive([(c, int(v * denom_lcm)) for c, v in items], guard)
 
 
 def _int_row_reduce(row, pivot_row, guard: GuardLimits) -> tuple:
     """Eliminate row's leading entry against pivot_row (same leading column)."""
-    a = row[0][1]
-    b = pivot_row[0][1]
-    merged = {}
-    for c, v in row:
-        merged[c] = b * v
-    for c, v in pivot_row:
-        merged[c] = merged.get(c, 0) - a * v
-    items = sorted((c, v) for c, v in merged.items() if v != 0)
-    if not items:
-        return ()
-    g = 0
-    biggest = 0
-    for _, v in items:
-        g = math.gcd(g, v)
-        if abs(v) > biggest:
-            biggest = abs(v)
-    if biggest.bit_length() > guard.max_bits:
-        raise GuardExceededError(
-            f"coefficient growth exceeded {guard.max_bits} bits during elimination",
-            bits=biggest.bit_length(),
-        )
-    if items[0][1] < 0:
-        g = -g
-    return tuple((c, v // g) for c, v in items)
+    a, b = row[0][1], pivot_row[0][1]
+    merged = add_scaled({c: b * v for c, v in row}, pivot_row, -a)
+    return _primitive(sorted(merged.items()), guard)
 
 
 class RowReducer:
@@ -149,7 +161,7 @@ class RowReducer:
 
     def add(self, row) -> bool:
         """Insert one row (dict or (col, value) pairs); True if rank grew."""
-        r = _primitive_int_row(row)
+        r = _primitive_int_row(row, self.guard)
         while r:
             lead = r[0][0]
             if lead >= self.n_cols:
@@ -170,13 +182,7 @@ class RowReducer:
             row = {c: v / lead for c, v in row.items()}
             for q in list(row):
                 if q != p and q in reduced:
-                    coef = row[q]
-                    for c, v in reduced[q].items():
-                        nv = row.get(c, Fraction(0)) - coef * v
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
+                    add_scaled(row, reduced[q], -row[q])
             reduced[p] = row
         rows = tuple(tuple(sorted(reduced[p].items())) for p in pivots)
         return Subspace(self.n_cols, rows, tuple(pivots))
@@ -206,16 +212,14 @@ def kernel_basis(m: SparseMatrix, guard: GuardLimits = DEFAULT_GUARD) -> Subspac
     space = m if isinstance(m, Subspace) else rref(m, guard)
     pivots = list(space.pivots)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(space.ambient_dim) if c not in pivot_set]
-    gens = []
-    for f in free_cols:
-        v = {f: Fraction(1)}
-        for prow, p in zip(space.rows, pivots):
-            entry = dict(prow).get(f)
-            if entry:
-                v[p] = -entry
-        gens.append(v)
-    return row_space(gens, space.ambient_dim, guard)
+    gens = {f: {f: Fraction(1)} for f in range(space.ambient_dim) if f not in pivot_set}
+    # an RREF row is zero on every other pivot column: its entries off its
+    # own pivot all sit in free columns
+    for prow, p in zip(space.rows, pivots):
+        for f, entry in prow:
+            if f != p:
+                gens[f][p] = -entry
+    return row_space(gens.values(), space.ambient_dim, guard)
 
 
 def reduce_vector(vec, space: Subspace):
@@ -224,14 +228,8 @@ def reduce_vector(vec, space: Subspace):
     v = {c: Fraction(x) for c, x in v.items() if x != 0}
     for row, p in zip(space.rows, space.pivots):
         coef = v.get(p)
-        if not coef:
-            continue
-        for c, x in row:
-            nv = v.get(c, Fraction(0)) - coef * x
-            if nv:
-                v[c] = nv
-            else:
-                v.pop(c, None)
+        if coef:
+            add_scaled(v, row, -coef)
     return v
 
 
@@ -242,12 +240,7 @@ def contains(space: Subspace, vec) -> bool:
 def subspace_sum(a: Subspace, b: Subspace, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatchError("subspace sum needs equal ambient dimensions")
-    red = RowReducer(a.ambient_dim, guard)
-    for r in a.rows:
-        red.add(r)
-    for r in b.rows:
-        red.add(r)
-    return red.finish()
+    return row_space(a.rows + b.rows, a.ambient_dim, guard)
 
 
 EQUAL = "equal"

@@ -363,62 +363,53 @@ def column_projection(M: GenericMatrix, k: int):
     return tuple(M.entry(i, k) for i in range(1, n + 1))
 
 
-def _stack_rank(vectors, sort_key, guard: GuardLimits) -> int:
-    """Rank of keyed sparse vectors over a shared sorted column order."""
-    keys = sorted({k for vec in vectors for k in vec}, key=sort_key)
+def _independent(matrices, positions, guard: GuardLimits) -> bool:
+    """Linear independence over the rationals of matrices of one model,
+    decided on the entries at positions(n) for the model's size n."""
+    matrices = list(matrices)
+    if not matrices:
+        return True
+    first = matrices[0]
+    for m in matrices[1:]:
+        first._require_same(m)
+    ad = first._adapter
+    cells = positions(first.cfg.n)
+    vectors = [
+        {
+            (i, j, key): val
+            for i, j in cells
+            for key, val in ad.keyed_vector(m.entry(i, j)).items()
+        }
+        for m in matrices
+    ]
+    keys = sorted(
+        {k for vec in vectors for k in vec}, key=lambda t: (t[0], t[1], ad.sort_key(t[2]))
+    )
     index = {k: c for c, k in enumerate(keys)}
     red = RowReducer(max(len(keys), 1), guard)
-    rank = 0
     for vec in vectors:
-        if red.add({index[k]: v for k, v in vec.items()}):
-            rank += 1
-    return rank
-
-
-def _matrices_rank(matrices, positions, guard: GuardLimits) -> int:
-    ad = matrices[0]._adapter
-    vectors = []
-    for m in matrices:
-        vec = {}
-        for i, j in positions:
-            for key, val in ad.keyed_vector(m.entry(i, j)).items():
-                vec[(i, j, key)] = val
-        vectors.append(vec)
-    return _stack_rank(
-        vectors, lambda t: (t[0], t[1], ad.sort_key(t[2])), guard
-    )
+        red.add({index[k]: v for k, v in vec.items()})
+    return red.rank == len(matrices)
 
 
 def independent_by_columns(
     matrices, k: int, guard: GuardLimits = DEFAULT_GUARD
 ) -> bool:
     """Linear independence over the rationals of the k-th columns."""
-    matrices = list(matrices)
-    if not matrices:
-        return True
-    first = matrices[0]
-    for m in matrices[1:]:
-        if not first.same_model(m):
-            raise MalformedElementError("matrices come from different models")
-    n = first.cfg.n
-    if not (1 <= k <= n):
-        raise MalformedElementError(f"column {k} outside 1..{n}")
-    positions = [(i, k) for i in range(1, n + 1)]
-    return _matrices_rank(matrices, positions, guard) == len(matrices)
+
+    def column(n):
+        if not (1 <= k <= n):
+            raise MalformedElementError(f"column {k} outside 1..{n}")
+        return [(i, k) for i in range(1, n + 1)]
+
+    return _independent(matrices, column, guard)
 
 
 def independent_full(matrices, guard: GuardLimits = DEFAULT_GUARD) -> bool:
     """Independence decided on all matrix entries at once."""
-    matrices = list(matrices)
-    if not matrices:
-        return True
-    first = matrices[0]
-    for m in matrices[1:]:
-        if not first.same_model(m):
-            raise MalformedElementError("matrices come from different models")
-    n = first.cfg.n
-    positions = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    return _matrices_rank(matrices, positions, guard) == len(matrices)
+    return _independent(
+        matrices, lambda n: [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], guard
+    )
 
 
 @dataclass(frozen=True)

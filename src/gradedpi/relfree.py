@@ -31,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebras import GrassmannSpec, build_grassmann, evaluate, homogeneous_indices
 from .errors import (
@@ -38,9 +39,9 @@ from .errors import (
     MalformedElementError,
     UnsupportedFeatureError,
 )
-from .freealg import NcPolynomial, validate_signature
+from .freealg import NcPolynomial, sort_sign, validate_signature
 from .groups import Z2
-from .linalg import SparseMatrix, kernel_basis, row_space
+from .linalg import SparseMatrix, add_scaled, kernel_basis, row_space
 
 
 @dataclass(frozen=True)
@@ -124,19 +125,8 @@ _NF_MEMO: dict = {}
 
 
 def _sorted_tail(tail):
-    """(sign, tail sorted by id) for letter tuples; None on a repeated id."""
-    ids = [l[1] for l in tail]
-    if len(set(ids)) < len(ids):
-        return None
-    arr = list(tail)
-    sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1][1] > arr[j][1]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(arr)
+    """(sign, tail sorted by id) for letter tuples; sign 0 on a repeated id."""
+    return sort_sign(l[1] for l in tail), tuple(sorted(tail, key=itemgetter(1)))
 
 
 def _nf_core(prefix, tail):
@@ -160,33 +150,11 @@ def _nf_core(prefix, tail):
     else:
         u, v = prefix[pos], prefix[pos + 1]
         out = dict(_nf_core(prefix[:pos] + (v, u) + prefix[pos + 2 :], tail))
-        st = _sorted_tail(tail + (u, v))
-        if st is not None:
-            sign, tail2 = st
-            for w, c in _nf_core(prefix[:pos] + prefix[pos + 2 :], tail2).items():
-                nv = out.get(w, Fraction(0)) + sign * c
-                if nv:
-                    out[w] = nv
-                else:
-                    out.pop(w, None)
+        sign, tail2 = _sorted_tail(tail + (u, v))
+        if sign:
+            add_scaled(out, _nf_core(prefix[:pos] + prefix[pos + 2 :], tail2), sign)
     _NF_MEMO[key] = out
     return out
-
-
-def _nf_natural(prefix):
-    """Supercommutative straightening: evens central, odds anticommute."""
-    evens = tuple(sorted(l[1] for l in prefix if l[0] == 0))
-    odds = [l[1] for l in prefix if l[0] == 1]
-    if len(set(odds)) < len(odds):
-        return None
-    sign = 1
-    for i in range(1, len(odds)):
-        j = i
-        while j > 0 and odds[j - 1] > odds[j]:
-            odds[j - 1], odds[j] = odds[j], odds[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, RelFreeWord(evens, tuple(odds), ())
 
 
 def _odd_count(prefix, tail) -> int:
@@ -198,22 +166,18 @@ def _straighten(prefix, tail, mode: GradingMode):
     if mode.kind == "kstar" and _odd_count(prefix, tail) > mode.k:
         return {}
     if mode.kind == "natural":
+        # supercommutative: evens central, odds anticommute
         if tail:
             raise MalformedElementError("natural mode words carry no commutator tail")
-        res = _nf_natural(prefix)
-        if res is None:
-            return {}
-        sign, word = res
-        return {word: Fraction(sign)}
-    out = {}
-    for (evens, odds, tl), c in _nf_core(prefix, tail).items():
-        word = RelFreeWord(evens, odds, tuple(l[1] for l in tl))
-        nv = out.get(word, Fraction(0)) + c
-        if nv:
-            out[word] = nv
-        else:
-            out.pop(word, None)
-    return out
+        evens = tuple(sorted(l[1] for l in prefix if l[0] == 0))
+        odds = [l[1] for l in prefix if l[0] == 1]
+        sign = sort_sign(odds)
+        return {RelFreeWord(evens, tuple(sorted(odds)), ()): Fraction(sign)} if sign else {}
+    # a letter's parity is fixed by its id, so distinct core words stay distinct
+    return {
+        RelFreeWord(evens, odds, tuple(l[1] for l in tl)): c
+        for (evens, odds, tl), c in _nf_core(prefix, tail).items()
+    }
 
 
 class RelFreeElement:
@@ -263,15 +227,8 @@ class RelFreeElement:
             return self
         if self.mode != other.mode:
             raise MalformedElementError("cannot add elements of different modes")
-        parities = dict(self.parities)
-        for v, p in other.parities.items():
-            if parities.get(v, p) != p:
-                raise DegreeConflictError(f"x{v} declared with both parities")
-            parities[v] = p
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return RelFreeElement(self.mode, terms, parities)
+        terms = add_scaled(dict(self.terms), other.terms)
+        return RelFreeElement(self.mode, terms, _merged_parities(self, other))
 
     __radd__ = __add__
 
@@ -317,18 +274,21 @@ def _parities_of_poly(f: NcPolynomial) -> dict:
     return out
 
 
+def _merged_parities(a: RelFreeElement, b: RelFreeElement) -> dict:
+    parities = dict(a.parities)
+    for v, p in b.parities.items():
+        if parities.setdefault(v, p) != p:
+            raise DegreeConflictError(f"x{v} declared with both parities")
+    return parities
+
+
 def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
     """Class of a free polynomial in the relatively free algebra of the mode."""
     parities = _parities_of_poly(f)
     terms = {}
     for w, coeff in f.terms.items():
         prefix = tuple((parities[v], v) for v in w)
-        for word, c in _straighten(prefix, (), mode).items():
-            nv = terms.get(word, Fraction(0)) + coeff * c
-            if nv:
-                terms[word] = nv
-            else:
-                terms.pop(word, None)
+        add_scaled(terms, _straighten(prefix, (), mode), coeff)
     return RelFreeElement(mode, terms, parities)
 
 
@@ -341,11 +301,7 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
     if a.mode != b.mode:
         raise MalformedElementError("cannot multiply elements of different modes")
     mode = a.mode
-    parities = dict(a.parities)
-    for v, p in b.parities.items():
-        if parities.get(v, p) != p:
-            raise DegreeConflictError(f"x{v} declared with both parities")
-        parities[v] = p
+    parities = _merged_parities(a, b)
     terms = {}
     for wa, ca in a.terms.items():
         prefix_a = tuple((0, v) for v in wa.evens) + tuple((1, v) for v in wa.odds)
@@ -356,17 +312,9 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
                 + tuple((0, v) for v in wb.evens)
                 + tuple((1, v) for v in wb.odds)
             )
-            st = _sorted_tail(tail_a + tuple((parities[v], v) for v in wb.comms))
-            if st is None:
-                continue
-            sign, tail = st
-            coeff = ca * cb * sign
-            for word, c in _straighten(prefix, tail, mode).items():
-                nv = terms.get(word, Fraction(0)) + coeff * c
-                if nv:
-                    terms[word] = nv
-                else:
-                    terms.pop(word, None)
+            sign, tail = _sorted_tail(tail_a + tuple((parities[v], v) for v in wb.comms))
+            if sign:
+                add_scaled(terms, _straighten(prefix, tail, mode), ca * cb * sign)
     return RelFreeElement(mode, terms, parities)
 
 
@@ -528,9 +476,8 @@ def soundness_probe(
             vec = {}
             for _ in range(2):
                 idx = rng.choice(pool)
-                coeff = Fraction(rng.choice([-2, -1, 1, 2]))
-                vec[idx] = vec.get(idx, Fraction(0)) + coeff
-            assignment[vid] = {i: c for i, c in vec.items() if c}
+                add_scaled(vec, {idx: Fraction(rng.choice([-2, -1, 1, 2]))})
+            assignment[vid] = vec
         value = evaluate(g, assignment, algebra)
         if value:
             failures += 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .freealg import (
     multilinear_coordinates,
     multilinear_monomials,
     poly_from_coordinates,
+    sort_sign,
     validate_signature,
     yvar,
     zvar,
@@ -57,6 +59,7 @@ from .linalg import (
     GuardLimits,
     RowReducer,
     Subspace,
+    add_scaled,
     contains,
     kernel_basis,
     reduce_vector,
@@ -164,15 +167,6 @@ def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
             reducer.add(row)
     space = reducer.finish()
     return kernel_basis(space, guard), {"rows": n_rows, "tuples": n_tuples}
-
-
-def _pattern_sign(perm, pattern) -> int:
-    """Sign of sorting the odd-parity blocks back to ascending order."""
-    seq = [v for v in perm if pattern[v - 1] == 1]
-    inv = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inv % 2 else 1
 
 
 def _pool_sizes(gspec: GrassmannSpec, limit: bool):
@@ -324,7 +318,8 @@ def grassmann_fast_rows(
             skipped.append({"pattern": pattern, "reason": "not realizable here"})
             continue
         used_patterns.append(pattern)
-        signs = [Fraction(_pattern_sign(perm, pattern)) for perm in perms]
+        # the sign of sorting the odd-parity blocks back to ascending order
+        signs = [Fraction(sort_sign(v for v in perm if pattern[v - 1])) for perm in perms]
         for cols in column_sets:
             row = {col: signs[col] for col in cols}
             key = tuple(row.items())
@@ -761,15 +756,16 @@ def membership(f: NcPolynomial, component: IdentitySubspace) -> bool:
 # -- congruence modulo identities (truncated quotient) ------------------------
 
 
+def _multidegree(w) -> tuple:
+    """((vid, multiplicity)...) of a word, ascending in vid."""
+    return tuple(sorted(Counter(w).items()))
+
+
 def multidegree_components(f: NcPolynomial) -> dict:
     """Split into multihomogeneous parts, keyed by ((vid, multiplicity)...)."""
     parts = {}
     for w, c in f.terms.items():
-        counts = {}
-        for v in w:
-            counts[v] = counts.get(v, 0) + 1
-        key = tuple(sorted(counts.items()))
-        parts.setdefault(key, {})[w] = c
+        parts.setdefault(_multidegree(w), {})[w] = c
     return {
         key: NcPolynomial(terms, {v: f.universe[v] for v, _ in key})
         for key, terms in parts.items()
@@ -786,16 +782,10 @@ def full_multilinearization(f: NcPolynomial, spec: GroupSpec):
     """
     if f.is_zero():
         raise MalformedElementError("cannot polarize the zero polynomial")
-    base = None
-    for w in f.terms:
-        counts = {}
-        for v in w:
-            counts[v] = counts.get(v, 0) + 1
-        key = tuple(sorted(counts.items()))
-        if base is None:
-            base = key
-        elif key != base:
-            raise MalformedElementError("polarization needs a multihomogeneous input")
+    keys = {_multidegree(w) for w in f.terms}
+    if len(keys) > 1:
+        raise MalformedElementError("polarization needs a multihomogeneous input")
+    (base,) = keys
     if base == ():
         raise MalformedElementError("cannot polarize a constant")
     blocks = {}
@@ -818,8 +808,7 @@ def full_multilinearization(f: NcPolynomial, spec: GroupSpec):
             for v, perm in zip(ordered_vars, assignment):
                 for slot, nid in zip(occ[v], perm):
                     new_w[slot] = nid
-            key = tuple(new_w)
-            terms[key] = terms.get(key, Fraction(0)) + c
+            add_scaled(terms, {tuple(new_w): c})
     universe = {i + 1: sig[i] for i in range(len(sig))}
     return NcPolynomial(terms, universe), tuple(sig)
 

@@ -81,6 +81,12 @@ def row_dict(row):
 # -- evaluation-row oracle ------------------------------------------------------
 
 
+def inversion_sign(seq):
+    """(-1)^(inversions of seq), by counting every out-of-order pair."""
+    inv = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+    return -1 if inv % 2 else 1
+
+
 def reference_fast_rows(algebra, sig, limit=False):
     """grassmann_fast_rows by the direct enumeration: for every used parity
     pattern, every tuple of matrix units and every permutation monomial,
@@ -88,13 +94,14 @@ def reference_fast_rows(algebra, sig, limit=False):
     end column). |positions|^n * n! chain tests per pattern; the library
     finds the same column sets once from the composable walks.
 
-    Pattern selection reuses the library's helpers; only the row
-    enumeration is independent.
+    Pattern selection reuses the library's helpers; the row enumeration
+    and the pattern signs (an inversion count, not freealg.sort_sign) are
+    independent.
     """
     from gradedpi.algebras import BlockShape
     from gradedpi.errors import TruncationError
     from gradedpi.freealg import multilinear_monomials, validate_signature
-    from gradedpi.spaces import _block_cost, _fits, _pattern_sign, _pool_sizes
+    from gradedpi.spaces import _block_cost, _fits, _pool_sizes
 
     meta = algebra.meta
     if meta["kind"] == "grassmann":
@@ -127,7 +134,7 @@ def reference_fast_rows(algebra, sig, limit=False):
             skipped.append({"pattern": pattern, "reason": "not realizable here"})
             continue
         used.append(pattern)
-        signs = [_pattern_sign(perm, pattern) for perm in perms]
+        signs = [inversion_sign([v for v in perm if pattern[v - 1]]) for perm in perms]
         if positions is None:
             candidates = [{col: Fraction(s) for col, s in enumerate(signs)}]
         else:
@@ -152,6 +159,34 @@ def reference_fast_rows(algebra, sig, limit=False):
         "semantics": "limit" if limit else "truncated",
     }
     return rows, report
+
+
+# -- acceptance commands ---------------------------------------------------------
+
+# the generator file read by one of the acceptance commands
+ACCEPTANCE_GENERATORS = "[[x1, x2], x3]\n"
+
+
+def acceptance_commands(generators_path):
+    """Criterion 11's command lines (argv after "gradedpi"); the one that
+    reads T-ideal generators takes them from generators_path."""
+    return [
+        ["identities", "--algebra", "grassmann:N=10,deg=infty",
+         "--sig", "0,1,1,0", "--method", "limit", "--basis"],
+        ["identities", "--generators", generators_path, "--group", "1", "--sig", "0,0,0,0"],
+        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=natural",
+         "--sweep", "2", "--bordered"],
+        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=kstar,k=1",
+         "--sig", "1,1"],
+        ["factor-check", "--shape", "2,2", "--entries", "field",
+         "--targets", "0,1,0,1", "--group", "2", "--sweep", "2"],
+        ["model", "eval", "--shape", "1,1", "--mode", "natural",
+         "--poly", "[y1, y2]*[y3, y4]"],
+        ["relfree", "nf", "--mode", "infty", "--poly", "z1*z2 + z2*z1"],
+        ["relfree", "multbasis", "--mode", "kstar:1",
+         "--bound", "4", "--samples", "60", "--seed", "7"],
+        ["regularity", "--group", "2", "--targets", "0,1"],
+    ]
 
 
 # -- acceptance reporting ------------------------------------------------------

@@ -54,7 +54,12 @@ from gradedpi.spaces import (
     presentation_trivial_grassmann,
 )
 
-from _support import acceptance_pass, acceptance_start
+from _support import (
+    ACCEPTANCE_GENERATORS,
+    acceptance_commands,
+    acceptance_pass,
+    acceptance_start,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -348,24 +353,8 @@ def test_criterion_11_certificates_are_deterministic(tmp_path, capsys):
     acceptance_start(11, label)
     t0 = time.monotonic()
     gens = tmp_path / "gens.txt"
-    gens.write_text("[[x1, x2], x3]\n", encoding="utf-8")
-    commands = [
-        ["identities", "--algebra", "grassmann:N=10,deg=infty",
-         "--sig", "0,1,1,0", "--method", "limit", "--basis"],
-        ["identities", "--generators", str(gens), "--group", "1", "--sig", "0,0,0,0"],
-        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=natural",
-         "--sweep", "2", "--bordered"],
-        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=kstar,k=1",
-         "--sig", "1,1"],
-        ["factor-check", "--shape", "2,2", "--entries", "field",
-         "--targets", "0,1,0,1", "--group", "2", "--sweep", "2"],
-        ["model", "eval", "--shape", "1,1", "--mode", "natural",
-         "--poly", "[y1, y2]*[y3, y4]"],
-        ["relfree", "nf", "--mode", "infty", "--poly", "z1*z2 + z2*z1"],
-        ["relfree", "multbasis", "--mode", "kstar:1",
-         "--bound", "4", "--samples", "60", "--seed", "7"],
-        ["regularity", "--group", "2", "--targets", "0,1"],
-    ]
+    gens.write_text(ACCEPTANCE_GENERATORS, encoding="utf-8")
+    commands = acceptance_commands(str(gens))
     for idx, argv in enumerate(commands):
         p1 = tmp_path / f"cert_{idx}_a.json"
         p2 = tmp_path / f"cert_{idx}_b.json"

@@ -176,6 +176,7 @@ MALFORMED_DESCRIPTORS = [
     ('{"kind":"grassmann",', 1),
     ("grassmann:N=2,size=3", 1),
     ("grassmann:deg=degk", 4),
+    ('{"kind":"matrix","group":[2],"grading":{"targets":[[0],[7]]}}', 1),
 ]
 
 
@@ -296,9 +297,35 @@ def test_bad_signature_exits_1(capsys):
         ["factor-check", "--shape", "1,1", "--sig", ""],
         ["factor-check", "--shape", "1,a", "--sig", "0"],
         ["regularity", "--group", "x", "--targets", "0"],
+        # residues must lie in 0..n-1; none is reduced
+        ["identities", "--algebra", "grassmann:deg=natural", "--sig", "3,1"],
+        ["model", "eval", "--shape", "1,1", "--mode", "natural", "--poly", "x1^(3)*y2"],
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+
+
+def test_factor_check_field_takes_the_descriptor_group(capsys):
+    field_z2 = '{"kind":"field","group":[2]}'
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", field_z2, "--sig", "1,1"
+    )
+    assert code == 0, err
+    cert = cert_from(out)
+    assert cert["config"]["group"] == [2]
+    assert cert["config"]["targets"] == [[0], [0]]
+    # a --group that agrees is accepted; one that disagrees is one error line
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", field_z2,
+        "--group", "2", "--sig", "1,1",
+    )
+    assert code == 0, err
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", field_z2,
+        "--group", "3", "--sig", "1,1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_factor_check_kstar_witness(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedpi import Z2, TRIVIAL_GROUP, GroupSpec
 from gradedpi.errors import DegreeConflictError, MalformedElementError, ParseError
@@ -14,6 +16,7 @@ from gradedpi.freealg import (
     parse_poly,
     parse_signature,
     poly_from_coordinates,
+    sort_sign,
     validate_signature,
     yvar,
     zvar,
@@ -159,8 +162,11 @@ def test_signature_parsing_and_validation():
     assert validate_signature([(1,), (0,)], Z2) == ((1,), (0,))
     with pytest.raises(MalformedElementError):
         validate_signature([(2,)], Z2)
-    # residues are reduced into the group
-    assert parse_signature("0,5", Z2) == ((0,), (1,))
+    # residues must already lie in 0..n-1; none is reduced
+    with pytest.raises(MalformedElementError):
+        parse_signature("0,5", Z2)
+    with pytest.raises(MalformedElementError):
+        parse_signature("0,-1", Z2)
     with pytest.raises(ParseError):
         parse_signature("", Z2)
     with pytest.raises(ParseError):
@@ -215,3 +221,40 @@ def test_word_degree_and_homogeneity():
     g = parse_poly("z1 + y2", Z2)
     assert g.homogeneous_degree(Z2) is None
     assert f.max_degree() == 2
+
+
+def _cycle_sign(keys):
+    """(-1)^(n - cycles) of the permutation that sorts distinct keys."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    seen, cycles = set(), 0
+    for start in range(len(keys)):
+        if start not in seen:
+            cycles += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = order[j]
+    return -1 if (len(keys) - cycles) % 2 else 1
+
+
+def test_sort_sign_small_cases():
+    assert sort_sign(()) == 1
+    assert sort_sign((1, 2, 3)) == 1
+    assert sort_sign((2, 1)) == -1
+    assert sort_sign(iter((3, 1, 2))) == 1
+    assert sort_sign(((1, 4), (0, 2))) == -1
+    assert sort_sign((1, 2, 1)) == 0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=9, unique=True))
+def test_sort_sign_is_the_parity_of_the_cycle_count(keys):
+    assert sort_sign(keys) == _cycle_sign(keys)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=9), st.data())
+def test_sort_sign_is_zero_on_a_repeated_key(keys, data):
+    twin = keys[data.draw(st.integers(0, len(keys) - 1))]
+    at = data.draw(st.integers(0, len(keys)))
+    assert sort_sign(keys[:at] + [twin] + keys[at:]) == 0

@@ -35,12 +35,6 @@ def test_product_group():
             assert g.op(a, b) in set(els)
 
 
-def test_element_reduces_residues():
-    g = GroupSpec((2, 3))
-    assert g.element((3, 7)) == (1, 1)
-    assert g.element((-1, -1)) == (1, 2)
-
-
 def test_sum_of_degrees():
     g = GroupSpec((2, 2))
     assert g.sum([(1, 0), (0, 1), (1, 1)]) == (0, 0)

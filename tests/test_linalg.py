@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedpi.errors import AmbientMismatchError, GuardExceededError
 from gradedpi.linalg import (
@@ -10,6 +12,7 @@ from gradedpi.linalg import (
     RowReducer,
     SparseMatrix,
     Subspace,
+    add_scaled,
     contains,
     kernel_basis,
     reduce_vector,
@@ -205,6 +208,50 @@ def test_guard_max_bits():
     rows = [{0: 1, 1: big, 2: 1}, {0: 1, 1: 1, 2: big}, {1: 1, 2: big * big}]
     with pytest.raises(GuardExceededError):
         row_space(rows, 3, GuardLimits(max_cells=8_000_000, max_bits=64))
+
+
+def test_guard_max_bits_bounds_input_rows():
+    red = RowReducer(2, GuardLimits(max_bits=100))
+    with pytest.raises(GuardExceededError) as exc:
+        red.add({0: 2**3000 + 1, 1: 3})
+    assert exc.value.bits == 3001
+    assert red.rank == 0
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_sparse = st.dictionaries(st.integers(0, 7), _fractions.filter(bool), max_size=8)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    out=_sparse,
+    items=_sparse,
+    c=st.one_of(st.just(1), _fractions),
+    as_pairs=st.booleans(),
+)
+def test_add_scaled_matches_dense_accumulation(out, items, c, as_pairs):
+    dense = [out.get(k, 0) + c * items.get(k, 0) for k in range(8)]
+    got = add_scaled(out, list(items.items()) if as_pairs else items, c)
+    assert got is out
+    assert got == {k: v for k, v in enumerate(dense) if v}
+
+
+_matrices = st.integers(1, 6).flatmap(
+    lambda n_cols: st.tuples(
+        st.just(n_cols),
+        st.lists(st.lists(_fractions, min_size=n_cols, max_size=n_cols), min_size=1, max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_matrices)
+def test_sparse_rref_and_kernel_match_dense_oracle(matrix):
+    n_cols, dense = matrix
+    m = SparseMatrix.from_rows([dict(enumerate(r)) for r in dense], n_cols)
+    assert subspace_dense(rref(m)) == dense_rows(dense, n_cols)
+    kernel = dense_kernel(dense, n_cols)
+    assert subspace_dense(kernel_basis(m)) == dense_rows(kernel, n_cols)
 
 
 def test_sparse_matrix_validation():
