@@ -8,8 +8,9 @@ tree's src/, each in a fresh process. Every difference in stdout, stderr or
 exit code is reported. Exit status: 0 if every command matches, 1 if any
 differs, 2 on a usage or git error.
 
-The list is criterion 11's acceptance commands (tests/_support.py) plus
-the factor-check command shapes of the benchmark's factor-cli workload.
+The list is criterion 11's acceptance commands (tests/_support.py), the
+factor-check command shapes of the benchmark's factor-cli workload, and one
+factor-check over the non-square shape (2,1).
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ FACTOR_CLI_COMMANDS = [
      "--targets", "0,1,0,1", "--group", "2", "--sweep", "3"],
     _UT11 + ["grassmann:deg=infty", "--sig", "0,1,0,1,1"],
     ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=infty", "--sig", "1,0,1"],
+    # a non-square shape: index arithmetic over unequal blocks
+    ["factor-check", "--shape", "2,1", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
 ]
 
 

@@ -4,7 +4,8 @@ Covers matrix algebras with elementary gradings, truncated exterior
 algebras with several gradings on the generators, block-triangular matrix
 algebras, and (block-triangular) matrices over another graded algebra with
 the entry-degree grading. Elements are sparse coordinate vectors
-(index -> Fraction) over the basis labels.
+(index -> exact int or Fraction) over the basis labels; structure constants
+stay int wherever the product rule yields integers.
 """
 
 from __future__ import annotations
@@ -12,22 +13,24 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import (
     GradedEvaluationError,
+    GuardExceededError,
     MalformedElementError,
     ParseError,
     UnsupportedFeatureError,
 )
-from .freealg import NcPolynomial, sort_sign
+from .freealg import NcPolynomial
 from .groups import TRIVIAL_GROUP, Z2, GroupElement, GroupSpec
-from .linalg import add_scaled
+from .linalg import GuardLimits, add_scaled
 
 CHECK_ASSOC_EXHAUSTIVE_DIM = 32
 CHECK_PAIR_EXHAUSTIVE_DIM = 300
 CHECK_SAMPLES = 10_000
+# far beyond any buildable truncation; keeps size estimates (2^n) printable
+MAX_GENERATORS = 4096
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ class GrassmannSpec:
     explicit: tuple | None = None
 
     def __post_init__(self):
-        if self.n_generators < 0:
-            raise MalformedElementError("n_generators must be >= 0")
+        if not 0 <= self.n_generators <= MAX_GENERATORS:
+            raise MalformedElementError(f"n_generators must lie in 0..{MAX_GENERATORS}")
         if self.deg_kind not in ("natural", "infty", "kstar", "explicit", "trivial"):
             raise UnsupportedFeatureError(f"unknown Grassmann deg kind {self.deg_kind!r}")
         if self.deg_kind == "kstar" and (self.k is None or self.k < 0):
@@ -133,7 +136,7 @@ class StructureConstantAlgebra:
     """Unital graded algebra given by basis labels and a product rule.
 
     The product rule maps a pair of basis indices to a sparse linear
-    combination {index: Fraction}; results are memoized. Construction
+    combination {index: int or Fraction}; results are memoized. Construction
     checks unit laws everywhere, degree compatibility and associativity
     exhaustively for small dimensions and on 10^4 seeded samples above
     the bounds.
@@ -145,13 +148,15 @@ class StructureConstantAlgebra:
         if len(set(self.labels)) != self.dim:
             raise MalformedElementError("duplicate basis labels")
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.degrees = tuple(group.validate(d) for d in degrees)
+        degrees = [tuple(d) for d in degrees]
+        valid = {d: group.validate(d) for d in dict.fromkeys(degrees)}  # once each
+        self.degrees = tuple(valid[d] for d in degrees)
         if len(self.degrees) != self.dim:
             raise MalformedElementError("need one degree per basis label")
         self.group = group
         self._product_fn = product_fn
         self._cache = {}
-        self.unit = {i: Fraction(c) for i, c in unit.items() if c != 0}
+        self.unit = {i: c for i, c in unit.items() if c != 0}
         self.meta = dict(meta or {})
         self._check()
 
@@ -159,7 +164,9 @@ class StructureConstantAlgebra:
         key = (i, j)
         out = self._cache.get(key)
         if out is None:
-            out = {k: Fraction(c) for k, c in self._product_fn(i, j).items() if c != 0}
+            out = self._product_fn(i, j)
+            if 0 in out.values():
+                out = {k: c for k, c in out.items() if c != 0}
             self._cache[key] = out
         return out
 
@@ -171,7 +178,7 @@ class StructureConstantAlgebra:
         return out
 
     def basis_vector(self, i: int) -> dict:
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def is_homogeneous(self, vec: dict, degree) -> bool:
         degree = tuple(degree)
@@ -185,15 +192,20 @@ class StructureConstantAlgebra:
             e = self.basis_vector(i)
             if self.mul_vectors(self.unit, e) != e or self.mul_vectors(e, self.unit) != e:
                 raise MalformedElementError(f"unit law fails at basis element {self.labels[i]!r}")
-        # degree compatibility of all (sampled) products
+        # degree compatibility of all (sampled) products; the expected degree
+        # is computed once per pair of degrees
+        distinct = sorted(set(self.degrees))
+        deg_id = {d: t for t, d in enumerate(distinct)}
+        ids = [deg_id[d] for d in self.degrees]
+        want_id = [[deg_id.get(self.group.op(a, b)) for b in distinct] for a in distinct]
         if n <= CHECK_PAIR_EXHAUSTIVE_DIM:
             pairs = itertools.product(range(n), repeat=2)
         else:
             pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(CHECK_SAMPLES))
         for i, j in pairs:
-            want = self.group.op(self.degrees[i], self.degrees[j])
-            for k, c in self.product_basis(i, j).items():
-                if c and self.degrees[k] != want:
+            want = want_id[ids[i]][ids[j]]
+            for k in self.product_basis(i, j):
+                if ids[k] != want:
                     raise MalformedElementError(
                         f"product {self.labels[i]!r}*{self.labels[j]!r} leaves its degree"
                     )
@@ -284,9 +296,9 @@ def build_matrix_algebra(
         k, l = positions[b]
         if j != k:
             return {}
-        return {index_of_pos[(i, l)]: Fraction(1)}
+        return {index_of_pos[(i, l)]: 1}
 
-    unit = {index_of_pos[(i, i)]: Fraction(1) for i in range(1, n + 1)}
+    unit = {index_of_pos[(i, i)]: 1 for i in range(1, n + 1)}
     kind = "matrix" if len(shape.sizes) == 1 else "block_triangular"
     meta = {
         "kind": kind,
@@ -305,8 +317,8 @@ def build_field(spec: GroupSpec = TRIVIAL_GROUP) -> StructureConstantAlgebra:
         ("1",),
         (spec.identity(),),
         spec,
-        lambda i, j: {0: Fraction(1)},
-        {0: Fraction(1)},
+        lambda i, j: {0: 1},
+        {0: 1},
         meta={"kind": "field", "group": spec},
     )
 
@@ -323,14 +335,31 @@ def build_grassmann(gspec: GrassmannSpec) -> StructureConstantAlgebra:
         labels.extend(itertools.combinations(range(1, n + 1), size))
     spec = gspec.group()
     degrees = [gspec.monomial_degree(lab) for lab in labels]
-    index = {lab: i for i, lab in enumerate(labels)}
+    # generator g is bit g-1. Moving b's generators past a's larger ones
+    # takes sum over g in b of popcount(mask_a >> g) swaps; its parity is
+    # popcount(mask_a & above[b]), where above[b] holds the bits lying above
+    # an odd number of b's generators.
+    full = (1 << n) - 1
+    masks = []
+    above = []
+    for lab in labels:
+        mask = flips = 0
+        for g in lab:
+            mask |= 1 << (g - 1)
+            flips ^= full & ~((1 << g) - 1)
+        masks.append(mask)
+        above.append(flips)
+    index_of_mask = [0] * (1 << n)
+    for i, mask in enumerate(masks):
+        index_of_mask[mask] = i
 
     def product(a: int, b: int) -> dict:
-        word = labels[a] + labels[b]
-        sign = sort_sign(word)
-        return {index[tuple(sorted(word))]: Fraction(sign)} if sign else {}
+        ma, mb = masks[a], masks[b]
+        if ma & mb:
+            return {}
+        return {index_of_mask[ma | mb]: -1 if (ma & above[b]).bit_count() & 1 else 1}
 
-    unit = {index[()]: Fraction(1)}
+    unit = {0: 1}
     meta = {"kind": "grassmann", "gspec": gspec, "group": spec}
     return StructureConstantAlgebra(labels, degrees, spec, product, unit, meta)
 
@@ -341,32 +370,35 @@ def build_matrix_over(
     """(Block-triangular) matrices over a graded algebra, entry-degree grading.
 
     Matrix positions carry no degree of their own: (i,j,b) has the degree of
-    the entry basis element b.
+    the entry basis element b. Label (i,j,b) has index p*dim_E + b, where p
+    is the index of position (i,j).
     """
     positions = shape.positions()
-    labels = []
-    degrees = []
-    for i, j in positions:
-        for b, lab in enumerate(entries.labels):
-            labels.append((i, j, lab))
-            degrees.append(entries.degrees[b])
-    index = {lab: idx for idx, lab in enumerate(labels)}
+    dim_e = entries.dim
+    labels = [(i, j, lab) for i, j in positions for lab in entries.labels]
+    degrees = entries.degrees * len(positions)
+    pos_index = {ij: p for p, ij in enumerate(positions)}
+    # compose[p][q]: the position of unit(p) * unit(q), or None if it is zero
+    compose = [
+        [pos_index[(i, l)] if j == k else None for k, l in positions]
+        for i, j in positions
+    ]
+    entry_product = entries.product_basis
 
     def product(a: int, b: int) -> dict:
-        i, j, lab1 = labels[a]
-        k, l, lab2 = labels[b]
-        if j != k:
+        p, x = divmod(a, dim_e)
+        q, y = divmod(b, dim_e)
+        r = compose[p][q]
+        if r is None:
             return {}
-        out = {}
-        inner = entries.product_basis(entries.index[lab1], entries.index[lab2])
-        for t, c in inner.items():
-            out[index[(i, l, entries.labels[t])]] = c
-        return out
+        base = r * dim_e
+        return {base + t: c for t, c in entry_product(x, y).items()}
 
-    unit = {}
-    for i in range(1, shape.n + 1):
-        for t, c in entries.unit.items():
-            unit[index[(i, i, entries.labels[t])]] = c
+    unit = {
+        pos_index[(i, i)] * dim_e + t: c
+        for i in range(1, shape.n + 1)
+        for t, c in entries.unit.items()
+    }
     meta = {
         "kind": "matrix_over",
         "shape": shape.sizes,
@@ -391,6 +423,8 @@ class _Resolved(NamedTuple):
     group: GroupSpec
     exterior: GrassmannSpec | None  # the exterior algebra at the core, if any
     build: Callable[[], StructureConstantAlgebra]
+    dim: int  # of the algebra the builder makes
+    unit_terms: int  # basis elements in its unit
 
 
 def _int(value, what: str) -> int:
@@ -481,7 +515,7 @@ def _resolve(desc) -> _Resolved:
     if kind == "field":
         spec = _group(desc)
         return _Resolved(
-            {"kind": kind, "group": list(spec.orders)}, spec, None, lambda: build_field(spec)
+            {"kind": kind, "group": list(spec.orders)}, spec, None, lambda: build_field(spec), 1, 1
         )
     if kind in ("matrix", "block_triangular"):
         spec = _group(desc)
@@ -494,11 +528,18 @@ def _resolve(desc) -> _Resolved:
             "group": list(spec.orders),
             "grading": {"targets": [list(t) for t in targets]},
         }
-        shape = None
+        shape = BlockShape((len(targets),))
         if kind == "block_triangular":
             shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
             canon["shape"] = list(shape.sizes)
-        return _Resolved(canon, spec, None, lambda: build_matrix_algebra(targets, spec, shape))
+        return _Resolved(
+            canon,
+            spec,
+            None,
+            lambda: build_matrix_algebra(targets, spec, shape),
+            len(shape.positions()),
+            shape.n,
+        )
     if kind == "grassmann":
         stated = "generators" in desc
         n = _int(desc["generators"], "generators") if stated else 0
@@ -507,14 +548,19 @@ def _resolve(desc) -> _Resolved:
         canon = _grassmann_descriptor(gspec)
         if not stated:
             del canon["generators"]
-        return _Resolved(canon, spec, gspec, lambda: build_grassmann(gspec))
+        return _Resolved(canon, spec, gspec, lambda: build_grassmann(gspec), 2**n, 1)
     if kind == "matrix_over":
         shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
         inner = _resolve(_required(desc, "entries"))
         spec = _group(desc, inner.group)
         canon = {"kind": kind, "shape": list(shape.sizes), "entries": inner.desc}
         return _Resolved(
-            canon, spec, inner.exterior, lambda: build_matrix_over(inner.build(), shape)
+            canon,
+            spec,
+            inner.exterior,
+            lambda: build_matrix_over(inner.build(), shape),
+            inner.dim * len(shape.positions()),
+            inner.unit_terms * shape.n,
         )
     raise ParseError(f"unknown algebra kind {kind!r}")
 
@@ -545,6 +591,23 @@ def with_generators(desc, n: int) -> dict:
     if canon["kind"] != "grassmann":
         raise ParseError(f"a {canon['kind']} descriptor has no exterior algebra")
     return dict(canon, generators=n)
+
+
+def guard_construction(desc, guard: GuardLimits) -> int:
+    """Bound the construction of the algebra a descriptor names, before any
+    of it runs: the unit-law pass of its self-check computes
+    2 x dim x |unit| basis products, read from the descriptor alone. Returns
+    that estimate; raises GuardExceededError if it exceeds max_cells."""
+    r = _resolve(desc)
+    products = 2 * r.dim * r.unit_terms
+    if products > guard.max_cells:
+        raise GuardExceededError(
+            f"building the {r.dim}-dimensional {r.desc['kind']} algebra: its unit-law "
+            f"check computes {products} basis products, which exceeds the guard of "
+            f"{guard.max_cells} cells",
+            cells=products,
+        )
+    return products
 
 
 def algebra_from_descriptor(desc) -> StructureConstantAlgebra:

@@ -29,6 +29,7 @@ from .algebras import (
     build_matrix_over,
     descriptor_group,
     exterior_spec,
+    guard_construction,
     is_g_regular,
     normalize_descriptor,
     parse_inline_descriptor,
@@ -85,6 +86,14 @@ def _parse_ints(text: str, what: str) -> tuple:
 
 def _parse_group(text: str) -> GroupSpec:
     return GroupSpec(_parse_ints(text, "group orders"))
+
+
+def _own_group(args, spec: GroupSpec, whose: str) -> GroupSpec:
+    """The group an algebra fixes for itself; a --group that disagrees with
+    it is an error, not ignored."""
+    if args.group is not None and _parse_group(args.group) != spec:
+        raise ParseError(f"--group {args.group} disagrees with {whose} group {list(spec.orders)}")
+    return spec
 
 
 def _parse_shape(text: str) -> BlockShape:
@@ -209,7 +218,10 @@ def cmd_identities(args) -> int:
     if args.algebra is None and args.generators is None:
         raise ParseError("need --algebra and/or --generators")
     desc = _load_descriptor(args.algebra) if args.algebra else None
-    spec = descriptor_group(desc) if desc is not None else _parse_group(args.group)
+    if desc is not None:
+        spec = _own_group(args, descriptor_group(desc), "the algebra's")
+    else:
+        spec = _parse_group("2" if args.group is None else args.group)
     sig = _parse_sig(args.sig, spec)
 
     comp_eval = scan = None
@@ -217,16 +229,20 @@ def cmd_identities(args) -> int:
         gspec = exterior_spec(desc)
         if gspec is not None:
             n0 = gspec.n_generators or _default_truncation(len(sig), gspec)
+            truncations = [n0, n0 + 2]
+            for nn in truncations:
+                guard_construction(with_generators(desc, nn), guard)
             scan, comps = scan_truncations(
                 lambda nn: algebra_from_descriptor(with_generators(desc, nn)),
                 sig,
-                [n0, n0 + 2],
+                truncations,
                 args.method,
                 guard,
             )
             desc = with_generators(desc, n0)
             comp_eval = comps[0]
         else:
+            guard_construction(desc, guard)
             algebra = algebra_from_descriptor(desc)
             comp_eval = identities_by_evaluation(algebra, sig, args.method, guard)
 
@@ -329,14 +345,10 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
     group without.
     """
     stated = descriptor_group(desc)
-    if args.group:
+    if not stated.is_trivial():
+        spec = _own_group(args, stated, "the entries'")
+    elif args.group:
         spec = _parse_group(args.group)
-        if not stated.is_trivial() and spec != stated:
-            raise ParseError(
-                f"--group {args.group} disagrees with the entries' group {list(stated.orders)}"
-            )
-    elif not stated.is_trivial():
-        spec = stated
     else:
         spec = Z2 if args.targets else TRIVIAL_GROUP
     if args.targets:
@@ -367,6 +379,9 @@ def _grassmann_setup(desc, shape: BlockShape, max_n: int, guard: GuardLimits):
     else:
         n0 = _default_truncation(max_n, gspec)
         truncations = [n0, n0 + 2]
+    target = {"kind": "matrix_over", "shape": list(shape.sizes)}
+    for nn in truncations:
+        guard_construction(dict(target, entries=with_generators(desc, nn)), guard)
     runs = []
     for nn in truncations:
         entry_alg = algebra_from_descriptor(with_generators(desc, nn))
@@ -400,7 +415,7 @@ def cmd_factor_check(args) -> int:
         spec, runs, extra = _field_setup(args, desc, shape, guard)
         sigs = signatures(spec)
     elif desc["kind"] == "grassmann":
-        spec = descriptor_group(desc)
+        spec = _own_group(args, descriptor_group(desc), "the entries'")
         sigs = signatures(spec)
         runs, extra = _grassmann_setup(desc, shape, max(len(s) for s in sigs), guard)
     else:
@@ -547,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", help="inline descriptor or JSON file")
     p.add_argument("--generators", help="file of T-ideal generator polynomials")
     p.add_argument("--sig", required=True, help="signature, e.g. 0,1,1")
-    p.add_argument("--group", default="2", help="orders for --generators input")
+    p.add_argument("--group", help="orders for --generators input (default 2)")
     p.add_argument(
         "--method", default="auto", choices=["auto", "fast", "full", "limit"]
     )

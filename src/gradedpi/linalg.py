@@ -110,6 +110,12 @@ def add_scaled(out: dict, items, c=1) -> dict:
     return out
 
 
+def _bits_exceeded(bits: int, guard: GuardLimits) -> GuardExceededError:
+    return GuardExceededError(
+        f"a coefficient exceeded {guard.max_bits} bits during elimination", bits=bits
+    )
+
+
 def _primitive(items, guard: GuardLimits) -> tuple:
     """Divide sorted nonzero (col, int) pairs by their content, leading
     entry positive. The largest entry must fit the guard's max_bits."""
@@ -118,10 +124,7 @@ def _primitive(items, guard: GuardLimits) -> tuple:
     vals = [v for _, v in items]
     bits = max(max(vals), -min(vals)).bit_length()
     if bits > guard.max_bits:
-        raise GuardExceededError(
-            f"a coefficient exceeded {guard.max_bits} bits during elimination",
-            bits=bits,
-        )
+        raise _bits_exceeded(bits, guard)
     g = math.gcd(*vals)
     if vals[0] < 0:
         g = -g
@@ -183,6 +186,10 @@ class RowReducer:
             for q in list(row):
                 if q != p and q in reduced:
                     add_scaled(row, reduced[q], -row[q])
+            # a Fraction's size is that of its larger part
+            bits = max(max(abs(v.numerator), v.denominator) for v in row.values()).bit_length()
+            if bits > self.guard.max_bits:
+                raise _bits_exceeded(bits, self.guard)
             reduced[p] = row
         rows = tuple(tuple(sorted(reduced[p].items())) for p in pivots)
         return Subspace(self.n_cols, rows, tuple(pivots))

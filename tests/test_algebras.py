@@ -6,9 +6,12 @@ import pytest
 
 from gradedpi import Z2, TRIVIAL_GROUP, GroupSpec
 from gradedpi.algebras import (
+    CHECK_ASSOC_EXHAUSTIVE_DIM,
+    CHECK_PAIR_EXHAUSTIVE_DIM,
     BlockShape,
     GradingMap,
     GrassmannSpec,
+    StructureConstantAlgebra,
     algebra_from_descriptor,
     build_field,
     build_grassmann,
@@ -18,6 +21,7 @@ from gradedpi.algebras import (
     descriptor_of,
     evaluate,
     exterior_spec,
+    guard_construction,
     homogeneous_indices,
     is_g_regular,
     normalize_descriptor,
@@ -26,11 +30,13 @@ from gradedpi.algebras import (
 )
 from gradedpi.errors import (
     GradedEvaluationError,
+    GuardExceededError,
     MalformedElementError,
     ParseError,
     UnsupportedFeatureError,
 )
-from gradedpi.freealg import parse_poly
+from gradedpi.freealg import parse_poly, sort_sign
+from gradedpi.linalg import GuardLimits
 
 
 ALL_KINDS = [
@@ -385,3 +391,105 @@ def test_homogeneous_indices():
     assert all(E.degrees[i] == (1,) for i in odd)
     assert all(E.degrees[i] == (0,) for i in even)
     assert len(odd) == 4 and len(even) == 4
+
+
+def _kind_spec(kind: str, n: int) -> GrassmannSpec:
+    if kind == "kstar":
+        return GrassmannSpec(n, kind, k=2)
+    if kind == "explicit":
+        return GrassmannSpec(n, kind, explicit=tuple(i % 2 for i in range(n)))
+    return GrassmannSpec(n, kind)
+
+
+def _sorting_product(E, a: int, b: int) -> dict:
+    """The product of two exterior monomials by concatenating and sorting."""
+    word = E.labels[a] + E.labels[b]
+    sign = sort_sign(word)
+    return {E.index[tuple(sorted(word))]: sign} if sign else {}
+
+
+@pytest.mark.parametrize("kind", ["natural", "infty", "kstar", "explicit", "trivial"])
+def test_bitmask_product_matches_sorting_sign(kind):
+    E = build_grassmann(_kind_spec(kind, 6))
+    for a, b in itertools.product(range(E.dim), repeat=2):
+        assert E.product_basis(a, b) == _sorting_product(E, a, b), (a, b)
+    E = build_grassmann(_kind_spec(kind, 10))
+    rng = random.Random(10)
+    for _ in range(3000):
+        a, b = rng.randrange(E.dim), rng.randrange(E.dim)
+        assert E.product_basis(a, b) == _sorting_product(E, a, b), (a, b)
+    gspec = E.meta["gspec"]
+    assert E.degrees == tuple(gspec.monomial_degree(lab) for lab in E.labels)
+
+
+def test_structure_constants_stay_integers():
+    E = build_grassmann(GrassmannSpec(4, "infty"))
+    for A in (
+        E,
+        build_matrix_over(E, BlockShape((2, 1))),
+        build_matrix_algebra(((0,), (1,)), Z2),
+        build_field(),
+    ):
+        assert all(type(c) is int for c in A.unit.values())
+        assert all(type(c) is int for c in A.basis_vector(A.dim - 1).values())
+        for i, j in itertools.product(range(A.dim), repeat=2):
+            assert all(type(c) is int for c in A.product_basis(i, j).values())
+
+
+def _defective(n: int, defect: str) -> StructureConstantAlgebra:
+    """The table of E_n (natural grading) with one defect."""
+    E = build_grassmann(GrassmannSpec(n, "natural"))
+    last = E.dim - 1
+
+    def rule(i, j):
+        out = E.product_basis(i, j)
+        if defect == "unit" and (i, j) == (0, last):
+            return {}
+        if defect == "degree" and i and j and out:
+            # toggling generator 1 in the result flips its parity
+            ((k, c),) = out.items()
+            return {E.index[tuple(sorted(set(E.labels[k]) ^ {1}))]: c}
+        if defect == "sign" and i and j and 1 in E.labels[i] + E.labels[j]:
+            # (e1 e2) e3 is flipped twice, e1 (e2 e3) once
+            return {k: -c for k, c in out.items()}
+        return out
+
+    return StructureConstantAlgebra(E.labels, E.degrees, E.group, rule, E.unit)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+@pytest.mark.parametrize(
+    "defect, message",
+    [("unit", "unit law fails"), ("degree", "leaves its degree"), ("sign", "associativity fails")],
+)
+def test_self_check_rejects_defective_tables(n, defect, message):
+    """E_4 is checked exhaustively, E_9 on the seeded samples."""
+    dim = 2**n
+    assert (dim <= CHECK_ASSOC_EXHAUSTIVE_DIM) == (dim <= CHECK_PAIR_EXHAUSTIVE_DIM) == (n == 4)
+    with pytest.raises(MalformedElementError, match=message):
+        _defective(n, defect)
+
+
+def test_guard_construction_estimates_unit_law_products():
+    descriptors = [
+        {"kind": "field"},
+        {"kind": "matrix", "group": [2], "grading": {"targets": [[0], [1], [0]]}},
+        {"kind": "block_triangular", "group": [2], "grading": {"targets": [[0], [1], [0]]},
+         "shape": [2, 1]},
+        {"kind": "grassmann", "generators": 4, "grading": {"deg": "infty"}},
+        {"kind": "matrix_over", "shape": [2, 1],
+         "entries": {"kind": "grassmann", "generators": 3}},
+    ]
+    for desc in descriptors:
+        A = algebra_from_descriptor(desc)
+        assert guard_construction(desc, GuardLimits()) == 2 * A.dim * len(A.unit), desc
+    # E_14 over (1,1), the largest construction in use, stays far below the default
+    e14 = {"kind": "matrix_over", "shape": [1, 1],
+           "entries": {"kind": "grassmann", "generators": 14}}
+    assert guard_construction(e14, GuardLimits()) == 2 * (3 * 2**14) * 2
+    # read from the descriptor alone: E_40 is never enumerated
+    with pytest.raises(GuardExceededError, match="exceeds the guard of 8000000 cells") as exc:
+        guard_construction({"kind": "grassmann", "generators": 40}, GuardLimits())
+    assert exc.value.cells == 2 * 2**40
+    with pytest.raises(MalformedElementError):
+        GrassmannSpec(5000, "natural")

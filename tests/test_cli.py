@@ -163,6 +163,32 @@ def test_identities_guard_exits_3(capsys):
     assert "guard of 10 cells" in err and "max_cells 10" in err
 
 
+def test_evaluation_guard_exits_3(capsys):
+    # the field builds within any guard, so the evaluation guard trips first
+    code, out, err = run_cli(
+        capsys, "identities", "--algebra", "field", "--sig", "0,0,0,0", "--max-cells", "10"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: evaluation kernel") and err.count("\n") == 1
+    assert "cells 24 > max_cells 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [
+        (["identities", "--algebra", "grassmann:N=40"], 2 * 2**40),
+        (["factor-check", "--shape", "1,1", "--entries", "grassmann:N=40"], 2 * 3 * 2**40 * 2),
+    ],
+)
+def test_construction_guard_exits_3_before_building(capsys, argv, cells):
+    """The estimate 2 x dim x |unit| is read from the descriptor: E_40 is
+    never enumerated."""
+    code, out, err = run_cli(capsys, *argv, "--sig", "1,1")
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: building") and err.count("\n") == 1
+    assert f"[cells {cells} > max_cells 8000000]" in err
+
+
 MALFORMED_DESCRIPTORS = [
     ("grassmann:N=x", 1),
     ('{"kind":"grassmann","group":[2],"generators":"abc"}', 1),
@@ -326,6 +352,24 @@ def test_factor_check_field_takes_the_descriptor_group(capsys):
     )
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_group_must_agree_with_the_algebras_own(capsys):
+    for argv in (
+        ["identities", "--algebra", "grassmann:deg=natural"],
+        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=natural"],
+        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=trivial"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--group", "3", "--sig", "0,0")
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: --group 3 disagrees") and err.count("\n") == 1
+    for argv in (
+        ["identities", "--algebra", "grassmann:deg=natural"],
+        ["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=natural"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--group", "2", "--sig", "1,1")
+        assert code == 0, (argv, err)
+        assert cert_from(out)["config"]["group"] == [2]
 
 
 def test_factor_check_kstar_witness(capsys):

@@ -218,6 +218,21 @@ def test_guard_max_bits_bounds_input_rows():
     assert red.rank == 0
 
 
+def test_guard_max_bits_bounds_back_substitution():
+    # both forward rows fit in 61 bits; clearing column 1 from the first row
+    # during back-substitution makes a 120-bit numerator
+    def reducer(max_bits):
+        red = RowReducer(3, GuardLimits(max_bits=max_bits))
+        assert red.add({0: 1, 1: 2**60 + 1, 2: 1})
+        assert red.add({1: 2**60 + 3, 2: 2**60 - 1})
+        return red
+
+    with pytest.raises(GuardExceededError, match="exceeded 100 bits during elimination") as exc:
+        reducer(100).finish()
+    assert exc.value.bits == 120
+    assert reducer(120).finish().dim == 2
+
+
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _sparse = st.dictionaries(st.integers(0, 7), _fractions.filter(bool), max_size=8)
 
