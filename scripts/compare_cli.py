@@ -9,8 +9,9 @@ exit code is reported. Exit status: 0 if every command matches, 1 if any
 differs, 2 on a usage or git error.
 
 The list is criterion 11's acceptance commands (tests/_support.py), the
-factor-check command shapes of the benchmark's factor-cli workload, and one
-factor-check over the non-square shape (2,1).
+factor-check command shapes of the benchmark's factor-cli workload, one
+factor-check over the non-square shape (2,1) and one length-5 natural
+factor-check, whose T-ideal product streams consequence rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ FACTOR_CLI_COMMANDS = [
     ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=infty", "--sig", "1,0,1"],
     # a non-square shape: index arithmetic over unequal blocks
     ["factor-check", "--shape", "2,1", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
+    # a length-5 T-ideal product over streamed consequence rows
+    _UT11 + ["grassmann:deg=natural", "--sig", "0,0,1,1,1"],
 ]
 
 

@@ -139,7 +139,7 @@ class StructureConstantAlgebra:
     combination {index: int or Fraction}; results are memoized. Construction
     checks unit laws everywhere, degree compatibility and associativity
     exhaustively for small dimensions and on 10^4 seeded samples above
-    the bounds.
+    the bounds, then releases the memo the check filled.
     """
 
     def __init__(self, labels, degrees, group: GroupSpec, product_fn, unit, meta=None):
@@ -159,6 +159,7 @@ class StructureConstantAlgebra:
         self.unit = {i: c for i, c in unit.items() if c != 0}
         self.meta = dict(meta or {})
         self._check()
+        self._cache = {}
 
     def product_basis(self, i: int, j: int) -> dict:
         key = (i, j)
@@ -406,7 +407,9 @@ def build_matrix_over(
         "entries": entries,
         "group": entries.group,
     }
-    return StructureConstantAlgebra(labels, degrees, entries.group, product, unit, meta)
+    algebra = StructureConstantAlgebra(labels, degrees, entries.group, product, unit, meta)
+    entries._cache = {}  # the check refilled the entries' memo; release it too
+    return algebra
 
 
 # -- descriptors -----------------------------------------------------------

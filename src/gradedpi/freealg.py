@@ -8,10 +8,12 @@ it uses. Canonical word order is (length, then lexicographic on ids).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import (
     DegreeConflictError,
@@ -235,15 +237,21 @@ def zvar(i: int) -> NcPolynomial:
 # -- multilinear structure ----------------------------------------------
 
 
-def multilinear_monomials(n: int) -> list:
-    """The n! words x_{s(1)}...x_{s(n)}, lexicographic on s as a sequence."""
+@functools.cache
+def multilinear_monomials(n: int) -> tuple:
+    """The n! words x_{s(1)}...x_{s(n)}, lexicographic on s as a sequence.
+
+    Built once per n and shared, hence a tuple."""
     if n < 1:
         raise MalformedElementError("need at least one variable")
-    return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    return tuple(itertools.permutations(range(1, n + 1)))
 
 
-def monomial_index(n: int) -> dict:
-    return {w: i for i, w in enumerate(multilinear_monomials(n))}
+@functools.cache
+def monomial_index(n: int) -> MappingProxyType:
+    """Column of each word of multilinear_monomials(n); built once per n,
+    shared read-only."""
+    return MappingProxyType({w: i for i, w in enumerate(multilinear_monomials(n))})
 
 
 def validate_signature(sig, spec: GroupSpec) -> Signature:

@@ -1,12 +1,15 @@
 """Exact sparse rational linear algebra.
 
-Rows are kept fraction-free during elimination: each working row is a
-primitive integer vector (content divided out, leading entry positive) and
-updates are integer cross-multiplications followed by a gcd reduction.
-Back-substitution at the end normalizes to the canonical reduced row
-echelon form over Fraction. RREF is unique per row space, so pivot
-selection order cannot change results, only intermediate growth; the batch
-entry point feeds rows sparsest-first with lowest-index tie-break.
+Elimination is incremental Gauss-Jordan over primitive integer rows (content
+divided out, leading entry positive). Each stored row starts at its pivot
+and is zero on every other pivot column. An incoming row clears the pivot
+columns it meets in one pass of fraction-free integer updates; when it
+raises the rank, its new pivot column is cleared from the rows already
+stored, so they stay fully reduced. finish() only divides each row by its
+leading entry to give the canonical reduced row echelon form over
+Fraction. RREF is unique per row space, so the order rows arrive in cannot
+change results, only intermediate growth; the batch entry point feeds rows
+sparsest-first with lowest-index tie-break.
 
 No floats anywhere.
 """
@@ -132,31 +135,56 @@ def _primitive(items, guard: GuardLimits) -> tuple:
 
 
 def _primitive_int_row(row, guard: GuardLimits) -> tuple:
-    """Convert a sparse Fraction row to a primitive integer row, sign-normalized."""
+    """Convert a sparse rational row to a primitive integer row, sign-normalized."""
     items = sorted(row.items()) if isinstance(row, dict) else sorted(row)
-    items = [(c, Fraction(v)) for c, v in items if v != 0]
-    denom_lcm = math.lcm(*(v.denominator for _, v in items))
-    return _primitive([(c, int(v * denom_lcm)) for c, v in items], guard)
+    items = [(c, v) for c, v in items if v]
+    if not all(type(v) is int for _, v in items):
+        # scale by the denominators' lcm without building a Fraction per entry
+        items = [(c, v if isinstance(v, (int, Fraction)) else Fraction(v)) for c, v in items]
+        denom_lcm = math.lcm(*(v.denominator for _, v in items))
+        items = [(c, v.numerator * (denom_lcm // v.denominator)) for c, v in items]
+    return _primitive(items, guard)
 
 
-def _int_row_reduce(row, pivot_row, guard: GuardLimits) -> tuple:
-    """Eliminate row's leading entry against pivot_row (same leading column)."""
-    a, b = row[0][1], pivot_row[0][1]
-    merged = add_scaled({c: b * v for c, v in row}, pivot_row, -a)
-    return _primitive(sorted(merged.items()), guard)
+def cells_guard(n_rows: int, n_cols: int, guard: GuardLimits, what: str):
+    """Bound rows x columns by the guard's max_cells, before the work."""
+    cells = n_rows * n_cols
+    if cells > guard.max_cells:
+        raise GuardExceededError(
+            f"{what}: {n_rows} rows of {n_cols} columns ({cells} cells) "
+            f"exceeds the guard of {guard.max_cells} cells",
+            cells=cells,
+        )
+
+
+def _clear(row: dict, col: int, pivot_row: tuple) -> None:
+    """Cancel row's entry at col, in place, with pivot_row (leading at col):
+    row <- (a/g) row - (b/g) pivot_row, a and b the two entries at col."""
+    a, b = pivot_row[0][1], row[col]
+    if a != 1:
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for c in row:
+                row[c] *= a
+    add_scaled(row, pivot_row, -b)
 
 
 class RowReducer:
-    """Incremental echelon builder over primitive integer rows.
+    """Incremental Gauss-Jordan over primitive integer rows.
 
-    add() forward-reduces one row against the current pivots and stores it
-    if independent; finish() back-substitutes to the canonical RREF.
+    pivot_rows maps each pivot column to its stored row, a sorted tuple of
+    (col, int) pairs that starts at that column and is zero on every other
+    pivot column. add() keeps that invariant; finish() gives the canonical
+    RREF. A row is stored only while (rank + 1) x n_cols stays within the
+    guard's max_cells, and every input or updated row within its max_bits.
     """
 
     def __init__(self, n_cols: int, guard: GuardLimits = DEFAULT_GUARD):
         self.n_cols = n_cols
         self.guard = guard
-        self.pivot_rows = {}  # leading col -> primitive int row
+        self.pivot_rows = {}  # pivot col -> primitive int row
+        self._holders = {}  # non-pivot col -> pivots whose stored row uses it
 
     @property
     def rank(self) -> int:
@@ -165,34 +193,57 @@ class RowReducer:
     def add(self, row) -> bool:
         """Insert one row (dict or (col, value) pairs); True if rank grew."""
         r = _primitive_int_row(row, self.guard)
-        while r:
-            lead = r[0][0]
-            if lead >= self.n_cols:
-                raise AmbientMismatchError(f"column {lead} outside ambient {self.n_cols}")
-            piv = self.pivot_rows.get(lead)
-            if piv is None:
-                self.pivot_rows[lead] = r
-                return True
-            r = _int_row_reduce(r, piv, self.guard)
-        return False
+        if not r:
+            return False
+        if r[-1][0] >= self.n_cols:
+            raise AmbientMismatchError(f"column {r[-1][0]} outside ambient {self.n_cols}")
+        pivots = self.pivot_rows
+        hits = [c for c, _ in r if c in pivots]
+        if hits:
+            # clearing one pivot column touches no other pivot column
+            acc = dict(r)
+            for p in hits:
+                _clear(acc, p, pivots[p])
+            if not acc:
+                return False
+            r = _primitive(sorted(acc.items()), self.guard)
+        cells_guard(len(pivots) + 1, self.n_cols, self.guard, "elimination, kept")
+        lead = r[0][0]
+        holders = self._holders
+        # clear the new pivot column from the stored rows; every update is
+        # made before any is stored, so a guard trip leaves the state as it was
+        updates = []
+        for q in holders.get(lead, ()):
+            acc = dict(pivots[q])
+            _clear(acc, lead, r)
+            updates.append((q, acc, _primitive(sorted(acc.items()), self.guard)))
+        holders.pop(lead, None)
+        for q, acc, updated in updates:
+            pivots[q] = updated
+            for c, _ in r[1:]:
+                if c in acc:
+                    holders.setdefault(c, set()).add(q)
+                else:
+                    holders[c].discard(q)
+        pivots[lead] = r
+        for c, _ in r[1:]:
+            holders.setdefault(c, set()).add(lead)
+        return True
 
     def finish(self) -> Subspace:
+        """The canonical RREF: each stored row divided by its leading entry."""
         pivots = sorted(self.pivot_rows)
-        reduced = {}
-        for p in reversed(pivots):
-            row = {c: Fraction(v) for c, v in self.pivot_rows[p]}
-            lead = row[p]
-            row = {c: v / lead for c, v in row.items()}
-            for q in list(row):
-                if q != p and q in reduced:
-                    add_scaled(row, reduced[q], -row[q])
+        rows = []
+        for p in pivots:
+            stored = self.pivot_rows[p]
+            lead = stored[0][1]
+            row = tuple((c, Fraction(v, lead)) for c, v in stored)
             # a Fraction's size is that of its larger part
-            bits = max(max(abs(v.numerator), v.denominator) for v in row.values()).bit_length()
+            bits = max(max(abs(v.numerator), v.denominator) for _, v in row).bit_length()
             if bits > self.guard.max_bits:
                 raise _bits_exceeded(bits, self.guard)
-            reduced[p] = row
-        rows = tuple(tuple(sorted(reduced[p].items())) for p in pivots)
-        return Subspace(self.n_cols, rows, tuple(pivots))
+            rows.append(row)
+        return Subspace(self.n_cols, tuple(rows), tuple(pivots))
 
 
 def row_space(rows, n_cols: int, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
@@ -226,7 +277,8 @@ def kernel_basis(m: SparseMatrix, guard: GuardLimits = DEFAULT_GUARD) -> Subspac
         for f, entry in prow:
             if f != p:
                 gens[f][p] = -entry
-    return row_space(gens.values(), space.ambient_dim, guard)
+    # highest free column first: each new pivot then meets few stored rows
+    return row_space(reversed(gens.values()), space.ambient_dim, guard)
 
 
 def reduce_vector(vec, space: Subspace):

@@ -33,7 +33,6 @@ from .algebras import (
     homogeneous_indices,
 )
 from .errors import (
-    GuardExceededError,
     InternalInconsistencyError,
     MalformedElementError,
     TruncationError,
@@ -60,6 +59,7 @@ from .linalg import (
     RowReducer,
     Subspace,
     add_scaled,
+    cells_guard,
     contains,
     kernel_basis,
     reduce_vector,
@@ -126,17 +126,6 @@ class TIdealPresentation:
 # -- evaluation route --------------------------------------------------------
 
 
-def _cells_guard(n_rows: int, n_cols: int, guard: GuardLimits, what: str):
-    """Bound rows x columns by the guard's max_cells, before the work."""
-    cells = n_rows * n_cols
-    if cells > guard.max_cells:
-        raise GuardExceededError(
-            f"{what}: {n_rows} rows of {n_cols} columns ({cells} cells) "
-            f"exceeds the guard of {guard.max_cells} cells",
-            cells=cells,
-        )
-
-
 def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
     """Evaluation rows from every tuple of homogeneous basis elements."""
     n = len(sig)
@@ -144,7 +133,7 @@ def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
     perms = multilinear_monomials(n)
     n_cols = len(perms)
     n_tuples = math.prod(len(c) for c in comps)
-    _cells_guard(n_tuples, n_cols, guard, "evaluation kernel, estimated")
+    cells_guard(n_tuples, n_cols, guard, "evaluation kernel, estimated")
     reducer = RowReducer(n_cols, guard)
     seen = set()
     n_rows = 0
@@ -230,7 +219,7 @@ def _unit_chain_columns(positions, perms, guard: GuardLimits) -> list:
     ends = {p: 1 for p in positions}  # walks of the current length, by last unit
     for _ in range(n - 1):
         ends = {q: sum(c for p, c in ends.items() if p[1] == q[0]) for q in positions}
-    _cells_guard(sum(ends.values()), len(perms), guard, "unit walks by monomials")
+    cells_guard(sum(ends.values()), len(perms), guard, "unit walks by monomials")
     index = {p: i for i, p in enumerate(positions)}
     walks = [(p,) for p in positions]
     for _ in range(n - 1):
@@ -319,14 +308,14 @@ def grassmann_fast_rows(
             continue
         used_patterns.append(pattern)
         # the sign of sorting the odd-parity blocks back to ascending order
-        signs = [Fraction(sort_sign(v for v in perm if pattern[v - 1])) for perm in perms]
+        signs = [sort_sign(v for v in perm if pattern[v - 1]) for perm in perms]
         for cols in column_sets:
             row = {col: signs[col] for col in cols}
             key = tuple(row.items())
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
-                _cells_guard(len(rows), len(perms), guard, "evaluation kernel")
+                cells_guard(len(rows), len(perms), guard, "evaluation kernel")
     report = {
         "patterns_used": used_patterns,
         "patterns_skipped": skipped,
@@ -358,7 +347,7 @@ def identities_by_evaluation(
     elif method in ("fast", "limit"):
         rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
         n_cols = math.factorial(len(sig))
-        _cells_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
+        cells_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
         reducer = RowReducer(n_cols, guard)
         for r in rows:
             if reducer.rank == n_cols:
@@ -488,7 +477,6 @@ def identities_by_consequences(
                         u0, u1 = border[:cut], border[cut:]
                         row = {idx[u0 + w + u1]: c for w, c in gterms}
                         n_rows += 1
-                        _cells_guard(n_rows, n_cols, guard, "consequence span")
                         reducer.add(row)
     space = reducer.finish()
     meta = {"route": "consequences", "rows": n_rows, "presentation": presentation.name}
@@ -605,7 +593,6 @@ def tideal_product(
                     prod = prod * g
                     row = multilinear_coordinates(prod, sig, spec)
                     n_rows += 1
-                    _cells_guard(n_rows, n_cols, guard, "T-ideal product")
                     reducer.add(row)
     space = reducer.finish()
     meta = {"route": "product", "bordered": bordered, "rows": n_rows}

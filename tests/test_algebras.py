@@ -436,6 +436,17 @@ def test_structure_constants_stay_integers():
             assert all(type(c) is int for c in A.product_basis(i, j).values())
 
 
+def test_self_check_products_are_released():
+    E = build_grassmann(GrassmannSpec(6, "infty"))
+    M = build_matrix_over(E, BlockShape((1, 1)))
+    assert not E._cache and not M._cache
+    # products are memoized again on demand
+    last = E.dim - 1
+    assert E.product_basis(last, 0) == {last: 1}
+    assert M.mul_vectors(M.unit, {last: 1}) == {last: 1}
+    assert len(E._cache) == 2 and M._cache
+
+
 def _defective(n: int, defect: str) -> StructureConstantAlgebra:
     """The table of E_n (natural grading) with one defect."""
     E = build_grassmann(GrassmannSpec(n, "natural"))

@@ -12,6 +12,7 @@ from gradedpi.freealg import (
     format_poly,
     left_normed_commutator,
     multilinear_coordinates,
+    monomial_index,
     multilinear_monomials,
     parse_poly,
     parse_signature,
@@ -149,11 +150,20 @@ def test_rename_variables():
 
 
 def test_multilinear_monomials_order():
-    assert multilinear_monomials(1) == [(1,)]
-    assert multilinear_monomials(3) == [
+    assert multilinear_monomials(1) == ((1,),)
+    assert multilinear_monomials(3) == (
         (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
-    ]
+    )
     assert len(multilinear_monomials(4)) == 24
+
+
+def test_monomial_index_is_built_once_and_read_only():
+    assert multilinear_monomials(4) is multilinear_monomials(4)
+    idx = monomial_index(4)
+    assert idx is monomial_index(4)
+    assert [idx[w] for w in multilinear_monomials(4)] == list(range(24))
+    with pytest.raises(TypeError):
+        idx[(1, 2, 3, 4)] = 0
 
 
 def test_signature_parsing_and_validation():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -233,6 +234,17 @@ def test_guard_max_bits_bounds_back_substitution():
     assert reducer(120).finish().dim == 2
 
 
+def test_guard_trip_on_a_stored_row_leaves_the_reducer_unchanged():
+    red = RowReducer(3, GuardLimits(max_bits=100))
+    assert red.add({0: 1, 1: 2**60 + 1, 2: 1})
+    stored = dict(red.pivot_rows)
+    with pytest.raises(GuardExceededError):
+        red.add({1: 2**60 + 3, 2: 2**60 - 1})
+    assert red.pivot_rows == stored
+    assert red.add({1: 1})
+    assert red.finish() == row_space([{0: 1, 2: 1}, {1: 1}], 3)
+
+
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _sparse = st.dictionaries(st.integers(0, 7), _fractions.filter(bool), max_size=8)
 
@@ -267,6 +279,47 @@ def test_sparse_rref_and_kernel_match_dense_oracle(matrix):
     assert subspace_dense(rref(m)) == dense_rows(dense, n_cols)
     kernel = dense_kernel(dense, n_cols)
     assert subspace_dense(kernel_basis(m)) == dense_rows(kernel, n_cols)
+
+
+_entries = st.one_of(st.integers(-4, 4), _fractions).filter(bool)
+_row_sets = st.integers(1, 7).flatmap(
+    lambda n_cols: st.tuples(
+        st.just(n_cols),
+        st.lists(st.dictionaries(st.integers(0, n_cols - 1), _entries, max_size=4), max_size=9),
+    )
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_row_sets, st.data())
+def test_reducer_keeps_rows_fully_reduced(row_set, data):
+    n_cols, rows = row_set
+    red = RowReducer(n_cols)
+    for r in rows:
+        red.add(r)
+        for lead, stored in red.pivot_rows.items():
+            cols = [c for c, _ in stored]
+            vals = [v for _, v in stored]
+            assert cols == sorted(cols) and cols[0] == lead
+            assert all(type(v) is int for v in vals) and vals[0] > 0
+            assert math.gcd(*vals) == 1
+            assert not set(cols[1:]) & set(red.pivot_rows)
+    space = red.finish()
+    assert subspace_dense(space) == dense_rows(rows, n_cols)
+    order = data.draw(st.permutations(range(len(rows))))
+    assert row_space([rows[i] for i in order], n_cols) == space
+
+
+def test_reducer_guard_bounds_kept_rows():
+    # dependent rows cost nothing; the third kept row would make 3 x 4 cells
+    red = RowReducer(4, GuardLimits(max_cells=8))
+    for r in ({0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}, {0: 3, 1: 5}, {0: 1}):
+        red.add(r)
+    assert red.rank == 2
+    with pytest.raises(GuardExceededError, match="guard of 8 cells") as exc:
+        red.add({2: 1})
+    assert exc.value.cells == 12
+    assert red.rank == 2
 
 
 def test_sparse_matrix_validation():

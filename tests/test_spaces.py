@@ -20,7 +20,14 @@ from gradedpi.errors import (
     TruncationError,
 )
 from gradedpi.freealg import format_poly, parse_poly, zvar
-from gradedpi.linalg import GuardLimits, RowReducer, Subspace, kernel_basis, subspace_cmp
+from gradedpi.linalg import (
+    DEFAULT_GUARD,
+    GuardLimits,
+    RowReducer,
+    Subspace,
+    kernel_basis,
+    subspace_cmp,
+)
 from gradedpi.relfree import GradingMode
 from gradedpi.spaces import (
     ConsequenceProvider,
@@ -390,6 +397,15 @@ def test_streaming_guards_name_their_limit():
     with pytest.raises(GuardExceededError, match="guard of 100 cells") as info:
         tideal_product(prov, prov, sig, Z2, guard=guard)
     assert info.value.cells > 100
+
+
+def test_consequence_guard_counts_kept_rows_not_streamed_rows():
+    # 18,144 streamed rows x 720 columns exceed the default 8,000,000 cells;
+    # the 719 kept rows do not
+    sig = ((0,), (0,), (0,), (1,), (1,), (1,))
+    comp = identities_by_consequences(presentation_natural(), sig, DEFAULT_GUARD)
+    assert comp.space.dim == 719
+    assert comp.meta["rows"] * 720 > DEFAULT_GUARD.max_cells
 
 
 def test_multidegree_components_split():
