@@ -10,8 +10,10 @@ differs, 2 on a usage or git error.
 
 The list is criterion 11's acceptance commands (tests/_support.py), the
 factor-check command shapes of the benchmark's factor-cli workload, one
-factor-check over the non-square shape (2,1) and one length-5 natural
-factor-check, whose T-ideal product streams consequence rows.
+factor-check over the non-square shape (2,1), one length-5 natural
+factor-check, whose T-ideal product streams consequence rows, and two
+model evaluations of products of commutators, in (1,1,1) infty and (2,1)
+kstar:1, whose left quotients repeat up to a scalar.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ FACTOR_CLI_COMMANDS = [
     ["factor-check", "--shape", "2,1", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
     # a length-5 T-ideal product over streamed consequence rows
     _UT11 + ["grassmann:deg=natural", "--sig", "0,0,1,1,1"],
+    # generic-model evaluations whose left quotients repeat up to a scalar
+    ["model", "eval", "--shape", "1,1,1", "--mode", "infty",
+     "--poly", "[[z1,z2],z3]*[[y4,y5],y6]"],
+    ["model", "eval", "--shape", "2,1", "--mode", "kstar:1",
+     "--poly", "[[y1,y2],z3]*[y4,y5]*z6"],
 ]
 
 

@@ -310,18 +310,54 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
     The result is the zero matrix exactly when f is a graded identity of
     the block-triangular matrices over the backend's algebra (for the
     normal-form backend; the truncated backend is exact up to its bound).
+
+    Horner over left quotients: f = c + sum_x x*q_x gives
+    eval(f) = c*1 + sum_x xi_x*eval(q_x), and each q_x splits again. A
+    memo local to the call keys every quotient by its sorted terms divided
+    by the leading coefficient; that coefficient is put back on the
+    letter's generator. So the call does one matrix product per distinct
+    quotient (up to a scalar) and letter, not one per letter of every
+    word: in a product of commutators most quotients repeat up to sign.
     """
-    gens = {}
-    for vid, deg in f.universe.items():
-        gens[vid] = make_generator(vid, deg, cfg)
-    acc = zero_matrix(cfg)
+    if not f.terms:
+        return zero_matrix(cfg)
+    gens = {vid: make_generator(vid, deg, cfg) for vid, deg in f.universe.items()}
     ident = identity_matrix(cfg)
-    for w, c in f.terms.items():
-        m = ident
-        for vid in w:
-            m = m * gens[vid]
-        acc = acc + m.scale(c)
-    return acc
+
+    def normalized(terms: dict):
+        """(leading coefficient, sorted terms divided by it)."""
+        items = sorted(terms.items())
+        lead = items[0][1]
+        return lead, tuple((w, c / lead) for w, c in items)
+
+    def split(key):
+        """Constant term, and the normalized left quotient by each first letter."""
+        const, quotients = 0, {}
+        for w, c in key:
+            if w:
+                quotients.setdefault(w[0], {})[w[1:]] = c
+            else:
+                const = c
+        return const, {x: normalized(q) for x, q in quotients.items()}
+
+    memo = {}  # normalized quotient -> its evaluation
+    lead, root = normalized(f.terms)
+    stack = [root]  # depth first without recursion: words may be long
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        const, quotients = split(key)
+        todo = [q for _, q in quotients.values() if q not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        acc = ident.scale(const) if const else zero_matrix(cfg)
+        for x, (c, q) in quotients.items():
+            acc = acc + gens[x].scale(c) * memo[q]
+        memo[stack.pop()] = acc
+    return memo[root] if lead == 1 else memo[root].scale(lead)
 
 
 def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:

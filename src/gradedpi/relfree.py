@@ -37,6 +37,7 @@ from .algebras import GrassmannSpec, build_grassmann, evaluate, homogeneous_indi
 from .errors import (
     DegreeConflictError,
     MalformedElementError,
+    ParseError,
     UnsupportedFeatureError,
 )
 from .freealg import NcPolynomial, sort_sign, validate_signature
@@ -77,7 +78,12 @@ class GradingMode:
         if text == "infty":
             return GradingMode.infty()
         if text.startswith("kstar:"):
-            return GradingMode.kstar(int(text.split(":", 1)[1]))
+            level = text.split(":", 1)[1]
+            try:
+                k = int(level)
+            except ValueError:
+                raise ParseError(f"kstar level must be an integer, got {level!r}") from None
+            return GradingMode.kstar(k)
         if text == "degk" or text.startswith("degk:"):
             raise UnsupportedFeatureError(
                 "unsupported mode 'degk': its defining generator polynomials "

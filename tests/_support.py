@@ -204,3 +204,22 @@ def acceptance_start(num, label):
 def acceptance_pass(num, label, elapsed, budget=None):
     timing = f"{elapsed:.1f}s" + (f" of {budget:.0f}s allowed" if budget else "")
     ACCEPTANCE_STATUS[num] = f"PASS {num:>2}  {label} ({timing})"
+
+
+# -- generic-model oracle ----------------------------------------------------------
+
+
+def word_by_word_model_eval(f, cfg):
+    """model_eval by the definition: 1 * xi_{v1} * ... * xi_{vn} for every
+    word of f, scaled by its coefficient and summed; one matrix product per
+    letter of every word, nothing shared between words."""
+    from gradedpi.model import identity_matrix, make_generator, zero_matrix
+
+    gens = {vid: make_generator(vid, deg, cfg) for vid, deg in f.universe.items()}
+    acc = zero_matrix(cfg)
+    for w, c in f.terms.items():
+        m = identity_matrix(cfg)
+        for vid in w:
+            m = m * gens[vid]
+        acc = acc + m.scale(c)
+    return acc

@@ -302,6 +302,43 @@ def test_fuzzed_input_never_escapes(desc, sig, command, shape):
     assert code in (0, 1, 2, 3, 4)
 
 
+_MODE_TEXTS = ["natural", "infty", "kstar:1", "kstar:x", "kstar:", "degk", "bogus"]
+_POLY_TEXTS = ["[y1, y2]", "z1*z2 + z2*z1", "3", "0", "", "[y1", "y1*z1", "x1^(3)", "2*[z1,y2]*z3"]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(["model", "relfree"]),
+    mode=st.sampled_from(_MODE_TEXTS),
+    poly=st.sampled_from(_POLY_TEXTS),
+    shape=st.sampled_from(["1,1", "2,1", "1", "1,a", "0,1"]),
+)
+def test_fuzzed_mode_and_poly_never_escape(command, mode, poly, shape):
+    """Generated --mode and --poly texts for model eval and relfree nf end
+    in an exit code, never in an exception."""
+    if command == "model":
+        argv = ["model", "eval", "--shape", shape, "--mode", mode, "--poly", poly]
+    else:
+        argv = ["relfree", "nf", "--mode", mode, "--poly", poly]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)
+
+
+def test_bad_kstar_level_exits_1(capsys):
+    for level in ["kstar:x", "kstar:", "kstar:1.5"]:
+        for argv in (
+            ["model", "eval", "--shape", "1,1", "--mode", level, "--poly", "z1"],
+            ["relfree", "nf", "--mode", level, "--poly", "z1"],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["identities", "--algebra", "grassmann:deg=natural"])  # no --sig

@@ -53,6 +53,29 @@ def test_parse_and_format_round_trip():
         assert f == again, text
 
 
+# Z2 polynomials: up to five terms in up to four variables, words of length
+# 0..4 (the empty word is a constant term), coefficients any small fraction
+_z2_polys = st.dictionaries(
+    st.integers(1, 12), st.sampled_from([(0,), (1,)]), min_size=1, max_size=4
+).flatmap(
+    lambda uni: st.dictionaries(
+        st.lists(st.sampled_from(sorted(uni)), max_size=4).map(tuple),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+        max_size=5,
+    ).map(lambda terms: NcPolynomial(terms, uni))
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_z2_polys, st.sampled_from(["explicit", "yz"]))
+def test_format_then_parse_is_the_identity(f, style):
+    """format_poly's promise parse(format(f)) == f, in both styles: x<id>^(r)
+    letters, y/z shorthand, fraction coefficients and constant terms."""
+    again = parse_poly(format_poly(f, style), Z2)
+    assert again.terms == f.terms
+    assert again.universe == f.universe
+
+
 def test_parse_yz_notation():
     f = parse_poly("[y1, z2]*z3 - 2*y1*z2*z3", Z2)
     assert f.universe == {1: (0,), 2: (1,), 3: (1,)}

@@ -1,12 +1,16 @@
+import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradedpi import Z2, TRIVIAL_GROUP
 from gradedpi.algebras import BlockShape, GrassmannSpec, build_grassmann
 from gradedpi.errors import MalformedElementError, UnsupportedFeatureError
-from gradedpi.freealg import parse_poly
+from gradedpi.freealg import NcPolynomial, left_normed_commutator, parse_poly
 from gradedpi.model import (
     GenericMatrix,
     ModelConfig,
@@ -26,6 +30,8 @@ from gradedpi.model import (
 )
 from gradedpi.relfree import GradingMode
 from gradedpi.spaces import TruncatedQuotientBackend
+
+from _support import word_by_word_model_eval
 
 NAT = GradingMode.natural()
 
@@ -301,3 +307,68 @@ def test_truncated_backend_group_must_match():
     cfg = ModelConfig(BlockShape((1,)), TRIVIAL_GROUP, backend)
     assert model_eval(parse_poly("[[x1, x2], x3]", TRIVIAL_GROUP), cfg).is_zero()
     assert not model_eval(parse_poly("[x1, x2]", TRIVIAL_GROUP), cfg).is_zero()
+
+
+# -- model_eval against the word-by-word oracle ----------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _truncated_backend():
+    return TruncatedQuotientBackend(build_grassmann(GrassmannSpec(6, "natural")), max_degree=4)
+
+
+@st.composite
+def _commutator_polys(draw, max_degree=5):
+    """(L1 + L2) * (R1 + R2) + c: scaled products of letters and left-normed
+    commutators over four variables. Every word of L_i * R shares its left
+    quotients with the others up to a scalar (as in 2*A*B - A*C), letters
+    may repeat, so terms cancel, and a zero coefficient drops a summand."""
+    degrees = draw(st.lists(st.sampled_from([(0,), (1,)]), min_size=4, max_size=4))
+    xs = [NcPolynomial.variable(v, d) for v, d in enumerate(degrees, 1)]
+    coeffs = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3)])
+
+    def product(room):
+        """A product of at most `room` letters; returns it and its degree."""
+        out, used = NcPolynomial.constant(1), 0
+        while used < room and (used == 0 or draw(st.booleans())):
+            size = draw(st.integers(1, min(3, room - used)))
+            letters = [draw(st.sampled_from(xs)) for _ in range(size)]
+            factor = letters[0] if size == 1 else left_normed_commutator(letters)
+            out, used = out * factor, used + size
+        return out, used
+
+    def combination(room):
+        p1, d1 = product(room)
+        p2, d2 = product(room)
+        return draw(coeffs) * p1 + draw(coeffs) * p2, max(d1, d2)
+
+    left, used = combination(max_degree - 1)
+    right = combination(max_degree - used)[0] if draw(st.booleans()) else NcPolynomial.constant(1)
+    return left * right + draw(coeffs)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    f=_commutator_polys(),
+    backend=st.sampled_from(["natural", "infty", "kstar:1", "kstar:2", "truncated"]),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 1, 1)]),
+)
+@example(f=NcPolynomial.zero(), backend="infty", shape=(1, 1, 1))
+@example(f=NcPolynomial.constant(Fraction(-3, 2)), backend="natural", shape=(2, 1))
+@example(f=parse_poly("2*[z1,z2]*[y3,z4] - [z1,z2]*z4*y3 + 5", Z2), backend="infty", shape=(1, 1, 1))
+@example(f=parse_poly("[z1,z2]*y3 - [z1,z2]*y3 + z1*y3 - z1*y3", Z2), backend="truncated", shape=(1, 1))
+def test_model_eval_matches_the_word_by_word_oracle(f, backend, shape):
+    """Memoized Horner gives the same printed entries as multiplying out
+    every word, on both backends."""
+    entries = _truncated_backend() if backend == "truncated" else GradingMode.parse(backend)
+    cfg = ModelConfig(BlockShape(shape), Z2, entries)
+    got = model_eval(f, cfg).entry_strings()
+    assert got == word_by_word_model_eval(f, cfg).entry_strings()
+
+
+def test_model_eval_of_a_long_word():
+    """Quotients are evaluated without recursion, so word length is not
+    bounded by the interpreter's stack."""
+    cfg = cfg_nat((1,))
+    f = NcPolynomial({(1,) * 1200: Fraction(2)}, {1: (0,)})
+    assert model_eval(f, cfg).entry_strings() == word_by_word_model_eval(f, cfg).entry_strings()
