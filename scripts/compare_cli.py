@@ -11,8 +11,10 @@ differs, 2 on a usage or git error.
 The list is criterion 11's acceptance commands (tests/_support.py), the
 factor-check command shapes of the benchmark's factor-cli workload, one
 factor-check over the non-square shape (2,1), one length-5 natural
-factor-check, whose T-ideal product streams consequence rows, and two
-model evaluations of products of commutators, in (1,1,1) infty and (2,1)
+factor-check, whose T-ideal product multiplies evaluation components, one
+graded length-5 identities command that runs both the evaluation and the
+consequence route on the natural grading's presentation, and two model
+evaluations of products of commutators, in (1,1,1) infty and (2,1)
 kstar:1, whose left quotients repeat up to a scalar.
 """
 
@@ -32,6 +34,9 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from _support import ACCEPTANCE_GENERATORS, acceptance_commands  # noqa: E402
 
 GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
+# the natural grading's presentation (spaces.presentation_natural)
+NATURAL_GENERATORS_FILE = "natural.txt"
+NATURAL_GENERATORS = "[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n"
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
 FACTOR_CLI_COMMANDS = [
@@ -44,8 +49,11 @@ FACTOR_CLI_COMMANDS = [
     ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=infty", "--sig", "1,0,1"],
     # a non-square shape: index arithmetic over unequal blocks
     ["factor-check", "--shape", "2,1", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
-    # a length-5 T-ideal product over streamed consequence rows
+    # a length-5 T-ideal product of evaluation components
     _UT11 + ["grassmann:deg=natural", "--sig", "0,0,1,1,1"],
+    # graded consequence rows against the evaluation route, at length 5
+    ["identities", "--algebra", "grassmann:deg=natural",
+     "--generators", NATURAL_GENERATORS_FILE, "--sig", "0,1,0,1,1"],
     # generic-model evaluations whose left quotients repeat up to a scalar
     ["model", "eval", "--shape", "1,1,1", "--mode", "infty",
      "--poly", "[[z1,z2],z3]*[[y4,y5],y6]"],
@@ -105,8 +113,12 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"git archive failed: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        with open(os.path.join(tmp, GENERATORS_FILE), "w", encoding="utf-8") as fh:
-            fh.write(ACCEPTANCE_GENERATORS)
+        for name, text in [
+            (GENERATORS_FILE, ACCEPTANCE_GENERATORS),
+            (NATURAL_GENERATORS_FILE, NATURAL_GENERATORS),
+        ]:
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         new_src = os.path.join(ROOT, "src")
         differing = 0
         cmds = commands()

@@ -126,8 +126,11 @@ class RelFreeWord:
 
 
 # memo shared by infty and kstar: the rules preserve the letter multiset,
-# so the kstar cutoff can be applied at entry and the core reused.
+# so the kstar cutoff can be applied at entry and the core reused. It is
+# emptied when it reaches _NF_MEMO_MAX entries, well above what one batch of
+# evaluations fills, so a long-lived process stays bounded.
 _NF_MEMO: dict = {}
+_NF_MEMO_MAX = 1 << 18
 
 
 def _sorted_tail(tail):
@@ -159,6 +162,8 @@ def _nf_core(prefix, tail):
         sign, tail2 = _sorted_tail(tail + (u, v))
         if sign:
             add_scaled(out, _nf_core(prefix[:pos] + prefix[pos + 2 :], tail2), sign)
+    if len(_NF_MEMO) >= _NF_MEMO_MAX:
+        _NF_MEMO.clear()
     _NF_MEMO[key] = out
     return out
 

@@ -452,7 +452,15 @@ def identities_by_consequences(
     for f in presentation.generators:
         fvars = sorted(f.universe)
         fdegs = [tuple(f.universe[v]) for v in fvars]
+        slot = {v: j for j, v in enumerate(fvars)}
+        # each term as (variable slots, coefficient), an int when integral
+        fterms = [
+            (tuple(slot[v] for v in w), c.numerator if c.denominator == 1 else c)
+            for w, c in f.terms.items()
+        ]
         for subsets, rest in _disjoint_subset_tuples(positions, len(fvars)):
+            # each image is one word whose degree is its variable's, so the
+            # substitution is graded
             ok = all(
                 spec.sum(sig[p - 1] for p in subsets[j]) == fdegs[j]
                 for j in range(len(fvars))
@@ -462,16 +470,12 @@ def identities_by_consequences(
             for orders in itertools.product(
                 *(itertools.permutations(s) for s in subsets)
             ):
-                images = {
-                    fvars[j]: NcPolynomial.word(
-                        orders[j], {p: sig[p - 1] for p in orders[j]}
-                    )
-                    for j in range(len(fvars))
-                }
-                g = f.substitute(images, spec)
-                if g.is_zero():
+                g = add_scaled(
+                    {}, ((sum((orders[j] for j in slots), ()), c) for slots, c in fterms)
+                )
+                if not g:
                     continue
-                gterms = list(g.terms.items())
+                gterms = list(g.items())
                 for border in itertools.permutations(rest):
                     for cut in range(len(rest) + 1):
                         u0, u1 = border[:cut], border[cut:]

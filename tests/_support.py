@@ -1,6 +1,7 @@
 """Shared test helpers: a dense rational Gauss-Jordan oracle used to
 cross-check the sparse row reduction, the direct evaluation-row
-enumeration used to cross-check grassmann_fast_rows, plus small
+enumeration used to cross-check grassmann_fast_rows, the substitution-based
+consequence rows used to cross-check identities_by_consequences, plus small
 conversion utilities."""
 
 import itertools
@@ -223,3 +224,62 @@ def word_by_word_model_eval(f, cfg):
             m = m * gens[vid]
         acc = acc + m.scale(c)
     return acc
+
+
+# -- consequence-row oracle -------------------------------------------------------
+
+
+def reference_consequence_rows(presentation, sig):
+    """The rows identities_by_consequences streams, in order, by substituting
+    one NcPolynomial word per generator variable with NcPolynomial.substitute
+    and reading off the terms of the result."""
+    import math
+
+    from gradedpi.freealg import NcPolynomial, monomial_index, validate_signature
+    from gradedpi.spaces import _disjoint_subset_tuples
+
+    spec = presentation.spec
+    sig = validate_signature(sig, spec)
+    n = len(sig)
+    idx = monomial_index(n)
+    positions = tuple(range(1, n + 1))
+    rows = []
+    for f in presentation.generators:
+        fvars = sorted(f.universe)
+        fdegs = [tuple(f.universe[v]) for v in fvars]
+        for subsets, rest in _disjoint_subset_tuples(positions, len(fvars)):
+            ok = all(
+                spec.sum(sig[p - 1] for p in subsets[j]) == fdegs[j]
+                for j in range(len(fvars))
+            )
+            if not ok:
+                continue
+            for orders in itertools.product(*(itertools.permutations(s) for s in subsets)):
+                images = {
+                    fvars[j]: NcPolynomial.word(orders[j], {p: sig[p - 1] for p in orders[j]})
+                    for j in range(len(fvars))
+                }
+                g = f.substitute(images, spec)
+                if g.is_zero():
+                    continue
+                for border in itertools.permutations(rest):
+                    for cut in range(len(rest) + 1):
+                        u0, u1 = border[:cut], border[cut:]
+                        rows.append({idx[u0 + w + u1]: c for w, c in g.terms.items()})
+    return rows
+
+
+def primitive_int_row(row):
+    """A sparse rational row as a sorted tuple of (col, int): scaled to
+    coprime integers with a positive leading entry."""
+    import math
+
+    items = sorted((c, Fraction(v)) for c, v in row.items() if v)
+    if not items:
+        return ()
+    denom = math.lcm(*(v.denominator for _, v in items))
+    ints = [(c, int(v * denom)) for c, v in items]
+    g = math.gcd(*(v for _, v in ints))
+    if ints[0][1] < 0:
+        g = -g
+    return tuple((c, v // g) for c, v in ints)

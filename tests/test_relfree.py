@@ -5,6 +5,7 @@ import pytest
 
 from gradedpi import Z2
 from gradedpi.errors import MalformedElementError, UnsupportedFeatureError
+from gradedpi import relfree
 from gradedpi.freealg import parse_poly
 from gradedpi.relfree import (
     GradingMode,
@@ -170,6 +171,44 @@ def test_basis_words_are_independent_normal_forms():
             assert back == el
             seen.add(tuple(sorted(back.terms.items(), key=lambda kv: kv[0].sort_key())))
         assert len(seen) == len(words)
+
+
+class _SizeRecordingMemo(dict):
+    """A dict that remembers the largest size it reached."""
+
+    peak = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.peak = max(self.peak, len(self))
+
+
+class _NoMemo(dict):
+    """A memo that never hits."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_nf_memo_is_bounded(monkeypatch):
+    polys = [
+        "z5*z4*y3*z2*y1",
+        "[z1, z2]*[y3, z4]*z5*y6",
+        "y6*z5*[z4, y3]*[z2, z1]",
+        "[[z1, y2], z3]*z4*z5",
+        "z6*y5*z4*z3*z2*y1 - y1*z2*z3*z4*y5*z6",
+    ]
+    modes = [INF, K2]
+    monkeypatch.setattr(relfree, "_NF_MEMO", _NoMemo())
+    uncached = [format_relfree(nf(p, m)) for m in modes for p in polys]
+    bound = 16
+    memo = _SizeRecordingMemo()
+    monkeypatch.setattr(relfree, "_NF_MEMO", memo)
+    monkeypatch.setattr(relfree, "_NF_MEMO_MAX", bound)
+    # twice: the second pass meets a memo emptied and refilled on the way
+    for _ in range(2):
+        assert [format_relfree(nf(p, m)) for m in modes for p in polys] == uncached
+    assert memo.peak == bound
 
 
 def test_relfree_word_validation():

@@ -1,10 +1,13 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradedpi import Z2, TRIVIAL_GROUP
+from gradedpi import Z2, TRIVIAL_GROUP, spaces
 from gradedpi.algebras import (
     BlockShape,
     GrassmannSpec,
@@ -28,7 +31,7 @@ from gradedpi.linalg import (
     kernel_basis,
     subspace_cmp,
 )
-from gradedpi.relfree import GradingMode
+from gradedpi.relfree import GradingMode, count_multilinear_basis_words
 from gradedpi.spaces import (
     ConsequenceProvider,
     EvaluationProvider,
@@ -51,7 +54,7 @@ from gradedpi.spaces import (
     triple_commutator_generators,
 )
 
-from _support import reference_fast_rows
+from _support import primitive_int_row, reference_consequence_rows, reference_fast_rows
 
 
 def E(n, kind, k=None):
@@ -204,6 +207,80 @@ def test_consequences_of_commutator_only():
     comp3 = identities_by_consequences(pres, ((), (), ()))
     # commutative algebra: all of the n!-dim component except symmetric part
     assert comp3.dim == math.factorial(3) - 1
+
+
+def _streamed_consequence_rows(monkeypatch, pres, sig):
+    """The rows identities_by_consequences hands to its RowReducer, in order."""
+    rows = []
+
+    class Recording(RowReducer):
+        def add(self, row):
+            rows.append(dict(row))
+            return super().add(row)
+
+    monkeypatch.setattr(spaces, "RowReducer", Recording)
+    comp = identities_by_consequences(pres, sig)
+    assert comp.meta["rows"] == len(rows)
+    return rows
+
+
+def test_consequence_rows_match_substitution_oracle(monkeypatch):
+    """Rows built by word concatenation equal the substitution oracle's: the
+    same count, order and values, and integer rows for integral generators."""
+    z2_sigs = [s for n in range(1, 5) for s in all_z2_sigs(n)]
+    cases = [(presentation_trivial_grassmann(), [((),) * n for n in range(1, 6)])]
+    for mode, sig5 in [
+        ("natural", (0, 0, 1, 1, 1)),
+        ("infty", (1, 0, 1, 0, 1)),
+        ("kstar:1", (0, 1, 0, 0, 1)),
+        ("kstar:2", (1, 1, 0, 1, 1)),
+    ]:
+        pres = presentation_for_mode(GradingMode.parse(mode))
+        cases.append((pres, z2_sigs + [tuple((d,) for d in sig5)]))
+    user = TIdealPresentation(
+        (
+            parse_poly("[y1, z2]", Z2),
+            parse_poly("1/2*y1*z2*z3 - 3/4*z3*y1*z2 + 5*z2*z3*y1", Z2),
+        ),
+        Z2,
+        name="user",
+    )
+    cases.append((user, z2_sigs + [((0,), (1,), (0,), (1,), (1,))]))
+    for pres, sigs in cases:
+        integral = all(c.denominator == 1 for f in pres.generators for c in f.terms.values())
+        for sig in sigs:
+            got = _streamed_consequence_rows(monkeypatch, pres, sig)
+            want = reference_consequence_rows(pres, sig)
+            assert [primitive_int_row(r) for r in got] == [
+                primitive_int_row(r) for r in want
+            ], (pres.name, sig)
+            if integral:
+                assert all(type(v) is int for r in got for v in r.values())
+        if pres is user:
+            assert any(type(v) is Fraction for r in got for v in r.values())
+
+
+@functools.cache
+def _limit_algebra(mode_token):
+    mode = GradingMode.parse(mode_token)
+    return E(12, mode.kind, k=mode.k)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["natural", "infty", "kstar:1", "kstar:2"]),
+    st.lists(st.sampled_from([(0,), (1,)]), min_size=1, max_size=4),
+)
+def test_evaluation_equals_consequences_equals_normal_form_count(mode_token, sig):
+    """Three routes to one component: the evaluation kernel in E_12 (limit
+    semantics), the consequence span of the mode's presentation, and the
+    complement of the relatively free normal-form basis count."""
+    mode = GradingMode.parse(mode_token)
+    sig = tuple(sig)
+    ev = identities_by_evaluation(_limit_algebra(mode_token), sig, method="limit")
+    cons = identities_by_consequences(presentation_for_mode(mode), sig)
+    assert ev.space == cons.space
+    assert cons.dim == math.factorial(len(sig)) - count_multilinear_basis_words(mode, sig)
 
 
 def test_presentations_are_multilinear():
