@@ -13,9 +13,12 @@ factor-check command shapes of the benchmark's factor-cli workload, one
 factor-check over the non-square shape (2,1), one length-5 natural
 factor-check, whose T-ideal product multiplies evaluation components, one
 graded length-5 identities command that runs both the evaluation and the
-consequence route on the natural grading's presentation, and two model
+consequence route on the natural grading's presentation, two model
 evaluations of products of commutators, in (1,1,1) infty and (2,1)
-kstar:1, whose left quotients repeat up to a scalar.
+kstar:1, whose left quotients repeat up to a scalar, and two bordered
+factor-checks: (1,1) natural up to length 4, and (1,1,1) over the field
+with targets 0,1,0, whose three-factor product nests a ProductProvider and
+is non-zero.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ FACTOR_CLI_COMMANDS = [
      "--poly", "[[z1,z2],z3]*[[y4,y5],y6]"],
     ["model", "eval", "--shape", "2,1", "--mode", "kstar:1",
      "--poly", "[[y1,y2],z3]*[y4,y5]*z6"],
+    # bordered T-ideal products, two factors and a nested three-factor one
+    _UT11 + ["grassmann:deg=natural", "--sweep", "4", "--bordered"],
+    ["factor-check", "--shape", "1,1,1", "--entries", "field",
+     "--targets", "0,1,0", "--group", "2", "--sweep", "4", "--bordered"],
 ]
 
 

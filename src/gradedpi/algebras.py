@@ -136,10 +136,10 @@ class StructureConstantAlgebra:
     """Unital graded algebra given by basis labels and a product rule.
 
     The product rule maps a pair of basis indices to a sparse linear
-    combination {index: int or Fraction}; results are memoized. Construction
-    checks unit laws everywhere, degree compatibility and associativity
-    exhaustively for small dimensions and on 10^4 seeded samples above
-    the bounds, then releases the memo the check filled.
+    combination {index: int or Fraction}; product_basis calls it on every
+    use and keeps nothing. Construction checks unit laws everywhere, degree
+    compatibility and associativity exhaustively for small dimensions and
+    on 10^4 seeded samples above the bounds.
     """
 
     def __init__(self, labels, degrees, group: GroupSpec, product_fn, unit, meta=None):
@@ -155,20 +155,14 @@ class StructureConstantAlgebra:
             raise MalformedElementError("need one degree per basis label")
         self.group = group
         self._product_fn = product_fn
-        self._cache = {}
         self.unit = {i: c for i, c in unit.items() if c != 0}
         self.meta = dict(meta or {})
         self._check()
-        self._cache = {}
 
     def product_basis(self, i: int, j: int) -> dict:
-        key = (i, j)
-        out = self._cache.get(key)
-        if out is None:
-            out = self._product_fn(i, j)
-            if 0 in out.values():
-                out = {k: c for k, c in out.items() if c != 0}
-            self._cache[key] = out
+        out = self._product_fn(i, j)
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c != 0}
         return out
 
     def mul_vectors(self, u: dict, v: dict) -> dict:
@@ -407,9 +401,7 @@ def build_matrix_over(
         "entries": entries,
         "group": entries.group,
     }
-    algebra = StructureConstantAlgebra(labels, degrees, entries.group, product, unit, meta)
-    entries._cache = {}  # the check refilled the entries' memo; release it too
-    return algebra
+    return StructureConstantAlgebra(labels, degrees, entries.group, product, unit, meta)
 
 
 # -- descriptors -----------------------------------------------------------

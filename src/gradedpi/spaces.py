@@ -448,6 +448,13 @@ def identities_by_consequences(
     n_cols = math.factorial(n)
     reducer = RowReducer(n_cols, guard)
     positions = tuple(range(1, n + 1))
+    # the degree of every position subset, keyed as _disjoint_subset_tuples
+    # yields the subsets (ascending tuples)
+    subset_degree = {
+        s: spec.sum(sig[p - 1] for p in s)
+        for size in range(1, n + 1)
+        for s in itertools.combinations(positions, size)
+    }
     n_rows = 0
     for f in presentation.generators:
         fvars = sorted(f.universe)
@@ -461,11 +468,7 @@ def identities_by_consequences(
         for subsets, rest in _disjoint_subset_tuples(positions, len(fvars)):
             # each image is one word whose degree is its variable's, so the
             # substitution is graded
-            ok = all(
-                spec.sum(sig[p - 1] for p in subsets[j]) == fdegs[j]
-                for j in range(len(fvars))
-            )
-            if not ok:
+            if any(subset_degree[sub] != d for sub, d in zip(subsets, fdegs)):
                 continue
             for orders in itertools.product(
                 *(itertools.permutations(s) for s in subsets)
@@ -528,13 +531,13 @@ class ConsequenceProvider(_ComponentCache):
         return identities_by_consequences(self.presentation, sig, self.guard)
 
 
-def _component_polynomials(provider, positions, sig, spec):
-    """Basis of the provider's component on a position subset, relabeled."""
-    sub_sig = tuple(sig[p - 1] for p in positions)
-    comp = provider.component(sub_sig)
-    rename = {t + 1: positions[t] for t in range(len(positions))}
+def _component_terms(provider, positions, sig):
+    """Basis of the provider's component on a position subset: per row, its
+    (word over those positions, coefficient) pairs."""
+    comp = provider.component(tuple(sig[p - 1] for p in positions))
+    mons = multilinear_monomials(len(positions))
     return [
-        poly_from_coordinates(dict(row), sub_sig, spec).rename_variables(rename)
+        [(tuple(positions[v - 1] for v in mons[col]), c) for col, c in row]
         for row in comp.space.rows
     ]
 
@@ -553,51 +556,33 @@ def tideal_product(
     subsets S of (T1's component on S)*(T2's component on the complement);
     plain two-sided products suffice since T1 is a right ideal and T2 a
     left one. bordered=True recomputes the same space from the redundant
-    spanning set f*(middle monomial)*g as a cross-check.
+    spanning set f*(middle monomial)*g as a cross-check. Each row is built
+    by concatenating words: f, the middle and g sit on disjoint positions,
+    so no two terms of a product share a word.
     """
     sig = validate_signature(sig, spec)
     n = len(sig)
-    n_cols = math.factorial(n)
+    idx = monomial_index(n)
     positions = tuple(range(1, n + 1))
-    reducer = RowReducer(n_cols, guard)
+    reducer = RowReducer(math.factorial(n), guard)
     n_rows = 0
-    if not bordered:
-        splits = (
-            (s, tuple(p for p in positions if p not in s), ())
-            for size in range(1, n)
-            for s in itertools.combinations(positions, size)
-        )
-    else:
-        def _bordered_splits():
-            for size_l in range(1, n):
-                for s in itertools.combinations(positions, size_l):
-                    rest = tuple(p for p in positions if p not in s)
-                    for size_r in range(1, len(rest) + 1):
-                        for s2 in itertools.combinations(rest, size_r):
-                            mid = tuple(p for p in rest if p not in s2)
-                            yield s, s2, mid
-
-        splits = _bordered_splits()
-    for s, s2, mid in splits:
-        polys_l = _component_polynomials(left, s, sig, spec)
-        if not polys_l:
-            continue
-        polys_r = _component_polynomials(right, s2, sig, spec)
-        if not polys_r:
-            continue
-        middles = list(itertools.permutations(mid)) if mid else [()]
-        for f in polys_l:
-            for g in polys_r:
-                for m in middles:
-                    prod = f
-                    if m:
-                        prod = prod * NcPolynomial.word(
-                            m, {p: sig[p - 1] for p in m}
-                        )
-                    prod = prod * g
-                    row = multilinear_coordinates(prod, sig, spec)
-                    n_rows += 1
-                    reducer.add(row)
+    for size in range(1, n):
+        for s in itertools.combinations(positions, size):
+            rows_l = _component_terms(left, s, sig)
+            if not rows_l:
+                continue
+            rest = tuple(p for p in positions if p not in s)
+            # plain: g on all the rest; bordered: g on any nonempty part of
+            # it, the other positions in every order between f and g
+            for size_r in range(1, len(rest) + 1) if bordered else (len(rest),):
+                for s2 in itertools.combinations(rest, size_r):
+                    rows_r = _component_terms(right, s2, sig)
+                    if not rows_r:
+                        continue
+                    middles = list(itertools.permutations(p for p in rest if p not in s2))
+                    for f, g, m in itertools.product(rows_l, rows_r, middles):
+                        n_rows += 1
+                        reducer.add({idx[wf + m + wg]: cf * cg for wf, cf in f for wg, cg in g})
     space = reducer.finish()
     meta = {"route": "product", "bordered": bordered, "rows": n_rows}
     return IdentitySubspace(sig, spec, space, meta)

@@ -1,7 +1,8 @@
 """Shared test helpers: a dense rational Gauss-Jordan oracle used to
 cross-check the sparse row reduction, the direct evaluation-row
 enumeration used to cross-check grassmann_fast_rows, the substitution-based
-consequence rows used to cross-check identities_by_consequences, plus small
+consequence rows used to cross-check identities_by_consequences, the
+polynomial-product rows used to cross-check tideal_product, plus small
 conversion utilities."""
 
 import itertools
@@ -266,6 +267,64 @@ def reference_consequence_rows(presentation, sig):
                     for cut in range(len(rest) + 1):
                         u0, u1 = border[:cut], border[cut:]
                         rows.append({idx[u0 + w + u1]: c for w, c in g.terms.items()})
+    return rows
+
+
+# -- product-row oracle -----------------------------------------------------------
+
+
+def reference_product_rows(left, right, sig, spec, bordered=False):
+    """The rows tideal_product streams, in order, by polynomial arithmetic:
+    each basis row of a factor's component becomes an NcPolynomial on its
+    positions, f * (middle word) * g is multiplied out as NcPolynomials, and
+    the row is read back with multilinear_coordinates."""
+    from gradedpi.freealg import (
+        NcPolynomial,
+        multilinear_coordinates,
+        poly_from_coordinates,
+        validate_signature,
+    )
+
+    sig = validate_signature(sig, spec)
+    n = len(sig)
+    positions = tuple(range(1, n + 1))
+
+    def polys(provider, subset):
+        sub_sig = tuple(sig[p - 1] for p in subset)
+        rename = {t + 1: subset[t] for t in range(len(subset))}
+        return [
+            poly_from_coordinates(dict(row), sub_sig, spec).rename_variables(rename)
+            for row in provider.component(sub_sig).space.rows
+        ]
+
+    def splits():
+        for size_l in range(1, n):
+            for s in itertools.combinations(positions, size_l):
+                rest = tuple(p for p in positions if p not in s)
+                if not bordered:
+                    yield s, rest, ()
+                    continue
+                for size_r in range(1, len(rest) + 1):
+                    for s2 in itertools.combinations(rest, size_r):
+                        yield s, s2, tuple(p for p in rest if p not in s2)
+
+    rows = []
+    for s, s2, mid in splits():
+        polys_l = polys(left, s)
+        if not polys_l:
+            continue
+        polys_r = polys(right, s2)
+        if not polys_r:
+            continue
+        middles = list(itertools.permutations(mid)) if mid else [()]
+        for f in polys_l:
+            for g in polys_r:
+                for m in middles:
+                    prod = f
+                    if m:
+                        prod = prod * NcPolynomial.word(m, {p: sig[p - 1] for p in m})
+                    prod = prod * g
+                    rows.append(multilinear_coordinates(prod, sig, spec))
     return rows
 
 

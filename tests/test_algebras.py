@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -437,14 +438,17 @@ def test_structure_constants_stay_integers():
 
 
 def test_self_check_products_are_released():
-    E = build_grassmann(GrassmannSpec(6, "infty"))
-    M = build_matrix_over(E, BlockShape((1, 1)))
-    assert not E._cache and not M._cache
-    # products are memoized again on demand
-    last = E.dim - 1
-    assert E.product_basis(last, 0) == {last: 1}
-    assert M.mul_vectors(M.unit, {last: 1}) == {last: 1}
-    assert len(E._cache) == 2 and M._cache
+    """Built algebras keep none of the products their self-checks computed:
+    E_12 and M(E_12) over (1,1) hold about 3 MB, a kept memo about 34 MB."""
+    tracemalloc.start()
+    try:
+        E = build_grassmann(GrassmannSpec(12, "infty"))
+        M = build_matrix_over(E, BlockShape((1, 1)))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert M.meta["entries"] is E
+    assert held < 8_000_000
 
 
 def _defective(n: int, defect: str) -> StructureConstantAlgebra:

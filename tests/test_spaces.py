@@ -54,7 +54,12 @@ from gradedpi.spaces import (
     triple_commutator_generators,
 )
 
-from _support import primitive_int_row, reference_consequence_rows, reference_fast_rows
+from _support import (
+    primitive_int_row,
+    reference_consequence_rows,
+    reference_fast_rows,
+    reference_product_rows,
+)
 
 
 def E(n, kind, k=None):
@@ -209,8 +214,9 @@ def test_consequences_of_commutator_only():
     assert comp3.dim == math.factorial(3) - 1
 
 
-def _streamed_consequence_rows(monkeypatch, pres, sig):
-    """The rows identities_by_consequences hands to its RowReducer, in order."""
+def _streamed_rows(monkeypatch, route, *args):
+    """The rows route(*args) hands to RowReducers, in order; its meta must
+    count them all."""
     rows = []
 
     class Recording(RowReducer):
@@ -218,8 +224,9 @@ def _streamed_consequence_rows(monkeypatch, pres, sig):
             rows.append(dict(row))
             return super().add(row)
 
-    monkeypatch.setattr(spaces, "RowReducer", Recording)
-    comp = identities_by_consequences(pres, sig)
+    with monkeypatch.context() as patched:
+        patched.setattr(spaces, "RowReducer", Recording)
+        comp = route(*args)
     assert comp.meta["rows"] == len(rows)
     return rows
 
@@ -249,7 +256,7 @@ def test_consequence_rows_match_substitution_oracle(monkeypatch):
     for pres, sigs in cases:
         integral = all(c.denominator == 1 for f in pres.generators for c in f.terms.values())
         for sig in sigs:
-            got = _streamed_consequence_rows(monkeypatch, pres, sig)
+            got = _streamed_rows(monkeypatch, identities_by_consequences, pres, sig)
             want = reference_consequence_rows(pres, sig)
             assert [primitive_int_row(r) for r in got] == [
                 primitive_int_row(r) for r in want
@@ -310,6 +317,32 @@ def test_tideal_product_bordered_crosscheck():
         plain = tideal_product(left, right, sig, Z2, bordered=False)
         bordered = tideal_product(left, right, sig, Z2, bordered=True)
         assert plain.space == bordered.space, sig
+
+
+def test_product_rows_match_polynomial_oracle(monkeypatch):
+    """Rows built by word concatenation equal the polynomial-product oracle's:
+    the same count, order and values, plain and bordered, for two factors
+    and for a nested ProductProvider."""
+    E8 = EvaluationProvider(E(8, "natural"))
+    blocks = [EvaluationProvider(build_matrix_algebra([t], Z2)) for t in [(0,), (1,), (0,)]]
+    cases = [
+        (E8, E8, [tuple((d,) for d in s) for s in [(0, 1, 0, 1), (0, 0, 1, 1, 1)]]),
+        (blocks[0], blocks[1], [s for n in (2, 3) for s in all_z2_sigs(n)]),
+        (ProductProvider(blocks[:2], Z2), blocks[2], [s for n in (3, 4) for s in all_z2_sigs(n)]),
+    ]
+    nonzero = 0
+    for left, right, sigs in cases:
+        for bordered in (False, True):
+            for sig in sigs:
+                # the oracle runs first, so every factor component is cached
+                # and only the outer product's rows are recorded
+                want = reference_product_rows(left, right, sig, Z2, bordered)
+                got = _streamed_rows(monkeypatch, tideal_product, left, right, sig, Z2, bordered)
+                assert [primitive_int_row(r) for r in got] == [
+                    primitive_int_row(r) for r in want
+                ], (sig, bordered)
+                nonzero += bool(got)
+    assert nonzero > 20
 
 
 def test_tideal_product_inside_both_factors():
