@@ -18,7 +18,10 @@ evaluations of products of commutators, in (1,1,1) infty and (2,1)
 kstar:1, whose left quotients repeat up to a scalar, and two bordered
 factor-checks: (1,1) natural up to length 4, and (1,1,1) over the field
 with targets 0,1,0, whose three-factor product nests a ProductProvider and
-is non-zero.
+is non-zero. Three more commands cover straightening branches the rest
+miss: a kstar:2 normal form whose rewrites cross the odd-letter cutoff, a
+natural normal form (the supercommutative branch), and a natural model
+evaluation in (1,1,1).
 """
 
 from __future__ import annotations
@@ -66,6 +69,11 @@ FACTOR_CLI_COMMANDS = [
     _UT11 + ["grassmann:deg=natural", "--sweep", "4", "--bordered"],
     ["factor-check", "--shape", "1,1,1", "--entries", "field",
      "--targets", "0,1,0", "--group", "2", "--sweep", "4", "--bordered"],
+    # straightening branches: the kstar cutoff, natural normal forms and evaluations
+    ["relfree", "nf", "--mode", "kstar:2", "--poly", "z3*y2*z1 + [z1,y2]*z3*[y4,z5]"],
+    ["relfree", "nf", "--mode", "natural", "--poly", "z3*y2*z1*y4 - y4*z1*z3"],
+    ["model", "eval", "--shape", "1,1,1", "--mode", "natural",
+     "--poly", "[y1,z2]*[z3,z4]*[y5,y6]*z7"],
 ]
 
 

@@ -300,8 +300,6 @@ def build_matrix_algebra(
         "targets": targets,
         "shape": shape.sizes,
         "group": spec,
-        "positions": positions,
-        "pos_index": index_of_pos,
     }
     return StructureConstantAlgebra(labels, degrees, spec, product, unit, meta)
 
@@ -397,7 +395,6 @@ def build_matrix_over(
     meta = {
         "kind": "matrix_over",
         "shape": shape.sizes,
-        "entries_meta": entries.meta,
         "entries": entries,
         "group": entries.group,
     }

@@ -28,7 +28,6 @@ from .relfree import (
     expand,
     format_relfree,
     normal_form,
-    relfree_mul,
     zero_element,
 )
 from .spaces import TruncatedQuotientBackend
@@ -54,20 +53,8 @@ class _RelfreeAdapter:
     def variable(self, vid: int, degree):
         return normal_form(NcPolynomial.variable(vid, tuple(degree)), self.mode)
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return relfree_mul(a, b)
-
-    def scale(self, a, c):
-        return a.scale(c)
-
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def equal(self, a, b) -> bool:
-        return (a - b).is_zero()
 
     def rename(self, a, id_map: dict):
         return normal_form(expand(a).rename_variables(id_map), self.mode)
@@ -102,20 +89,8 @@ class _TruncatedAdapter:
     def variable(self, vid: int, degree):
         return NcPolynomial.variable(vid, tuple(degree))
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, a, c):
-        return a * Fraction(c)
-
     def is_zero(self, a) -> bool:
         return self.backend.is_zero(a)
-
-    def equal(self, a, b) -> bool:
-        return self.backend.congruent(a, b)
 
     def rename(self, a, id_map: dict):
         return a.rename_variables(id_map)
@@ -224,33 +199,30 @@ class GenericMatrix:
 
     def __add__(self, other):
         self._require_same(other)
-        ad = self._adapter
         out = dict(self.entries)
         for pos, el in other.entries.items():
-            out[pos] = ad.add(out[pos], el) if pos in out else el
-        return GenericMatrix(self.cfg, out, ad)
+            out[pos] = out[pos] + el if pos in out else el
+        return GenericMatrix(self.cfg, out, self._adapter)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "GenericMatrix":
-        ad = self._adapter
         return GenericMatrix(
-            self.cfg, {pos: ad.scale(el, c) for pos, el in self.entries.items()}, ad
+            self.cfg, {pos: el * c for pos, el in self.entries.items()}, self._adapter
         )
 
     def __mul__(self, other):
         self._require_same(other)
-        ad = self._adapter
         out = {}
         for (i, l), a in self.entries.items():
             for (l2, j), b in other.entries.items():
                 if l != l2:
                     continue
-                prod = ad.mul(a, b)
+                prod = a * b
                 pos = (i, j)
-                out[pos] = ad.add(out[pos], prod) if pos in out else prod
-        return GenericMatrix(self.cfg, out, ad)
+                out[pos] = out[pos] + prod if pos in out else prod
+        return GenericMatrix(self.cfg, out, self._adapter)
 
     def is_zero(self) -> bool:
         return all(self._adapter.is_zero(el) for el in self.entries.values())
@@ -259,7 +231,7 @@ class GenericMatrix:
         self._require_same(other)
         ad = self._adapter
         positions = set(self.entries) | set(other.entries)
-        return all(ad.equal(self.entry(i, j), other.entry(i, j)) for i, j in positions)
+        return all(ad.is_zero(self.entry(i, j) - other.entry(i, j)) for i, j in positions)
 
     def entry_strings(self) -> dict:
         """Printable entries keyed "i,j" over the allowed positions."""
@@ -375,14 +347,8 @@ def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:
     ad = M._adapter
     out = {}
     for pos, el in M.entries.items():
-        if ad.kind == "truncated":
-            used = set(el.universe)
-        else:
-            used = set()
-            for w in el.terms:
-                used.update(w.evens)
-                used.update(w.odds)
-                used.update(w.comms)
+        # both element types declare exactly the ids they use
+        used = el.universe if ad.kind == "truncated" else el.parities
         id_map = {}
         for vid in used:
             i, j, k, deg = decode_entry_variable(vid, cfg)

@@ -22,7 +22,10 @@ tail normalization is a single sort. The zero rule of kstar is stable
 because every rewrite preserves the multiset of variable ids of a word.
 
 Letters are (parity, id) pairs internally, so memoized results are
-self-contained and shared across calls.
+self-contained and shared across calls. The memo holds finished words with
+int coefficients (every rule has coefficient +-1). Input is checked once,
+by the public RelFreeElement constructor; sums, scales, products and normal
+forms are built from checked elements and skip that check.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ class GradingMode:
         return GrassmannSpec(n_generators, self.kind)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelFreeWord:
     """Normal-form word: even prefix, odd prefix, commutator tail ids."""
 
@@ -139,9 +142,9 @@ def _sorted_tail(tail):
 
 
 def _nf_core(prefix, tail):
-    """Straighten (prefix letters, sorted tail letters) -> {letter word: coeff}.
+    """Straighten (prefix letters, sorted tail letters) -> {RelFreeWord: int}.
 
-    Output keys are (evens_ids, odds_ids, tail_letters).
+    The result is the memo's own dict: callers read it and never change it.
     """
     key = (prefix, tail)
     hit = _NF_MEMO.get(key)
@@ -155,7 +158,8 @@ def _nf_core(prefix, tail):
     if pos < 0:
         evens = tuple(l[1] for l in prefix if l[0] == 0)
         odds = tuple(l[1] for l in prefix if l[0] == 1)
-        out = {(evens, odds, tail): Fraction(1)}
+        # an id keeps one parity within a straightening: distinct tails stay distinct
+        out = {RelFreeWord(evens, odds, tuple(l[1] for l in tail)): 1}
     else:
         u, v = prefix[pos], prefix[pos + 1]
         out = dict(_nf_core(prefix[:pos] + (v, u) + prefix[pos + 2 :], tail))
@@ -173,7 +177,7 @@ def _odd_count(prefix, tail) -> int:
 
 
 def _straighten(prefix, tail, mode: GradingMode):
-    """Shared entry: mode cutoffs, then the core; returns {RelFreeWord: coeff}."""
+    """Shared entry: mode cutoffs, then the core; returns {RelFreeWord: int}."""
     if mode.kind == "kstar" and _odd_count(prefix, tail) > mode.k:
         return {}
     if mode.kind == "natural":
@@ -183,12 +187,24 @@ def _straighten(prefix, tail, mode: GradingMode):
         evens = tuple(sorted(l[1] for l in prefix if l[0] == 0))
         odds = [l[1] for l in prefix if l[0] == 1]
         sign = sort_sign(odds)
-        return {RelFreeWord(evens, tuple(sorted(odds)), ()): Fraction(sign)} if sign else {}
-    # a letter's parity is fixed by its id, so distinct core words stay distinct
-    return {
-        RelFreeWord(evens, odds, tuple(l[1] for l in tl)): c
-        for (evens, odds, tl), c in _nf_core(prefix, tail).items()
-    }
+        return {RelFreeWord(evens, tuple(sorted(odds)), ()): sign} if sign else {}
+    return _nf_core(prefix, tail)
+
+
+def _letters(word: RelFreeWord, parities: dict):
+    """(prefix letters, tail letters) of a normal-form word."""
+    prefix = tuple((0, v) for v in word.evens) + tuple((1, v) for v in word.odds)
+    return prefix, tuple((parities[v], v) for v in word.comms)
+
+
+def _used_parities(terms: dict, parities: dict) -> dict:
+    """The declared parities of the ids the words of terms use."""
+    used = set()
+    for w in terms:
+        used.update(w.evens)
+        used.update(w.odds)
+        used.update(w.comms)
+    return {v: parities[v] for v in used}
 
 
 class RelFreeElement:
@@ -197,26 +213,24 @@ class RelFreeElement:
     __slots__ = ("mode", "terms", "parities")
 
     def __init__(self, mode: GradingMode, terms: dict, parities: dict):
-        self.mode = mode
         clean = {}
-        used = set()
         for w, c in terms.items():
             c = Fraction(c)
-            if not c:
-                continue
-            clean[w] = c
-            used.update(w.evens)
-            used.update(w.odds)
-            used.update(w.comms)
+            if c:
+                clean[w] = c
         for w in clean:
+            for vid in w.evens + w.odds + w.comms:
+                if vid not in parities:
+                    raise MalformedElementError(f"x{vid} has no declared parity")
             for vid in w.evens:
                 if parities[vid] != 0:
                     raise DegreeConflictError(f"x{vid} used as even but declared odd")
             for vid in w.odds:
                 if parities[vid] != 1:
                     raise DegreeConflictError(f"x{vid} used as odd but declared even")
+        self.mode = mode
         self.terms = clean
-        self.parities = {v: parities[v] for v in used}
+        self.parities = _used_parities(clean, parities)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -239,7 +253,7 @@ class RelFreeElement:
         if self.mode != other.mode:
             raise MalformedElementError("cannot add elements of different modes")
         terms = add_scaled(dict(self.terms), other.terms)
-        return RelFreeElement(self.mode, terms, _merged_parities(self, other))
+        return _element(self.mode, terms, _merged_parities(self, other))
 
     __radd__ = __add__
 
@@ -251,7 +265,8 @@ class RelFreeElement:
 
     def scale(self, c) -> "RelFreeElement":
         c = Fraction(c)
-        return RelFreeElement(self.mode, {w: c * x for w, x in self.terms.items()}, self.parities)
+        terms = {w: c * x for w, x in self.terms.items()} if c else {}
+        return _element(self.mode, terms, self.parities)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -268,6 +283,16 @@ class RelFreeElement:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0].sort_key())
+
+
+def _element(mode: GradingMode, terms: dict, parities: dict) -> RelFreeElement:
+    """An arithmetic result: its nonzero terms come from checked elements or
+    from straightening, so only parities is trimmed to the ids in use."""
+    el = object.__new__(RelFreeElement)
+    el.mode = mode
+    el.terms = terms
+    el.parities = _used_parities(terms, parities)
+    return el
 
 
 def zero_element(mode: GradingMode) -> RelFreeElement:
@@ -300,7 +325,7 @@ def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
     for w, coeff in f.terms.items():
         prefix = tuple((parities[v], v) for v in w)
         add_scaled(terms, _straighten(prefix, (), mode), coeff)
-    return RelFreeElement(mode, terms, parities)
+    return _element(mode, terms, parities)
 
 
 def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
@@ -314,19 +339,14 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
     mode = a.mode
     parities = _merged_parities(a, b)
     terms = {}
+    right = [(_letters(wb, parities), cb) for wb, cb in b.terms.items()]
     for wa, ca in a.terms.items():
-        prefix_a = tuple((0, v) for v in wa.evens) + tuple((1, v) for v in wa.odds)
-        tail_a = tuple((parities[v], v) for v in wa.comms)
-        for wb, cb in b.terms.items():
-            prefix = (
-                prefix_a
-                + tuple((0, v) for v in wb.evens)
-                + tuple((1, v) for v in wb.odds)
-            )
-            sign, tail = _sorted_tail(tail_a + tuple((parities[v], v) for v in wb.comms))
+        prefix_a, tail_a = _letters(wa, parities)
+        for (prefix_b, tail_b), cb in right:
+            sign, tail = _sorted_tail(tail_a + tail_b)
             if sign:
-                add_scaled(terms, _straighten(prefix, tail, mode), ca * cb * sign)
-    return RelFreeElement(mode, terms, parities)
+                add_scaled(terms, _straighten(prefix_a + prefix_b, tail, mode), ca * cb * sign)
+    return _element(mode, terms, parities)
 
 
 def expand(el: RelFreeElement) -> NcPolynomial:
@@ -523,6 +543,13 @@ def products_of_word_sets(set1, set2, mode: GradingMode, parities) -> list:
     return out
 
 
+def _product_label(pair, mode: GradingMode, parities) -> str:
+    """(w1)*(w2) for a pair of basis words, as witnesses print it."""
+    return "*".join(
+        f"({format_relfree(RelFreeElement(mode, {w: Fraction(1)}, parities))})" for w in pair
+    )
+
+
 def partial_multiplicativity_check(
     mode: GradingMode, degree_bound: int, sample_count: int, seed: int
 ) -> MultiplicativityReport:
@@ -551,22 +578,20 @@ def partial_multiplicativity_check(
                     seen.add(w)
                     target.append(w)
         products = products_of_word_sets(set1, set2, mode, parities)
-        labels = [
-            f"({format_relfree(RelFreeElement(mode, {w1: Fraction(1)}, parities))})"
-            f"*({format_relfree(RelFreeElement(mode, {w2: Fraction(1)}, parities))})"
-            for w1 in set1
-            for w2 in set2
-        ]
-        for el, lab in zip(products, labels):
+        pairs = list(itertools.product(set1, set2))  # the order of products
+        for el, pair in zip(products, pairs):
             if el.is_zero():
+                label = _product_label(pair, mode, parities)
                 return MultiplicativityReport(
-                    mode, sample + 1, "fails", f"{lab} = 0 in the relatively free algebra"
+                    mode, sample + 1, "fails", f"{label} = 0 in the relatively free algebra"
                 )
         words, matrix = coordinatize(products)
         rank = row_space(matrix.rows, matrix.n_cols).dim
         if rank < len(products):
             combo = kernel_basis(matrix.transpose())
             coeffs = dict(combo.rows[0])
-            terms = " + ".join(f"{c}*{labels[i]}" for i, c in sorted(coeffs.items()))
+            terms = " + ".join(
+                f"{c}*{_product_label(pairs[i], mode, parities)}" for i, c in sorted(coeffs.items())
+            )
             return MultiplicativityReport(mode, sample + 1, "fails", f"{terms} = 0")
     return MultiplicativityReport(mode, sample_count, "holds-on-samples", None)

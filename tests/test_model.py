@@ -190,7 +190,7 @@ def test_shift_laws_on_generators_and_products():
         S = shift_automorphism(M, cfg)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                assert ad.equal(S.entry(i, j), M.entry(i % n + 1, j % n + 1))
+                assert ad.is_zero(S.entry(i, j) - M.entry(i % n + 1, j % n + 1))
     # order n: applying n times is the identity
     M = samples[2]
     out = M
@@ -219,8 +219,8 @@ def test_column_projection():
     col = column_projection(g, 1)
     assert len(col) == 2
     ad = cfg.adapter()
-    assert ad.equal(col[0], g.entry(1, 1))
-    assert ad.equal(col[1], g.entry(2, 1))
+    assert ad.is_zero(col[0] - g.entry(1, 1))
+    assert ad.is_zero(col[1] - g.entry(2, 1))
     with pytest.raises(MalformedElementError):
         column_projection(g, 3)
 

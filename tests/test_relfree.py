@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from gradedpi import Z2
-from gradedpi.errors import MalformedElementError, UnsupportedFeatureError
+from gradedpi.errors import DegreeConflictError, MalformedElementError, UnsupportedFeatureError
 from gradedpi import relfree
 from gradedpi.freealg import parse_poly
 from gradedpi.relfree import (
@@ -18,6 +19,7 @@ from gradedpi.relfree import (
     multilinear_basis_words,
     normal_form,
     partial_multiplicativity_check,
+    random_basis_word,
     relfree_mul,
     soundness_probe,
 )
@@ -220,6 +222,49 @@ def test_relfree_word_validation():
         RelFreeWord((), (), (2, 1))
     w = RelFreeWord((1,), (3,), (2, 4))
     assert w.length == 4
+
+
+def test_public_constructor_checks_parities():
+    # every id needs a declared parity, tail ids included
+    with pytest.raises(MalformedElementError, match="x1 has no declared parity"):
+        RelFreeElement(INF, {RelFreeWord((1,), (), ()): 1}, {})
+    with pytest.raises(MalformedElementError, match="x3 has no declared parity"):
+        RelFreeElement(INF, {RelFreeWord((), (), (2, 3)): 1}, {2: 0})
+    # a prefix id must sit in the prefix of its declared parity
+    with pytest.raises(DegreeConflictError, match="x1 used as even"):
+        RelFreeElement(INF, {RelFreeWord((1,), (), ()): 1}, {1: 1})
+    with pytest.raises(DegreeConflictError, match="x2 used as odd"):
+        RelFreeElement(INF, {RelFreeWord((), (2,), ()): 1}, {2: 0})
+
+
+@pytest.mark.parametrize("mode", [NAT, INF, K1, K2], ids=lambda m: m.token())
+def test_arithmetic_results_pass_the_public_check(mode):
+    """Sums, scales, products and normal forms skip the constructor's check;
+    each must be what the checking constructor makes of its own parts."""
+    rng = random.Random(5)
+    ids = list(range(1, 7))
+    parities = {v: v % 2 for v in ids}
+
+    def element():
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            w = random_basis_word(mode, ids, parities, rng, 4)
+            terms[w] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2]))
+        return RelFreeElement(mode, terms, parities)
+
+    for _ in range(30):
+        a, b = element(), element()
+        results = [
+            a + b,
+            a - a,
+            a.scale(0),
+            a.scale(Fraction(-2, 3)),
+            a * b,
+            normal_form(expand(a), mode),
+            normal_form(expand(a) * expand(b), mode),
+        ]
+        for r in results:
+            assert RelFreeElement(r.mode, r.terms, r.parities) == r
 
 
 def test_multiplicativity_reports():
