@@ -21,7 +21,9 @@ with targets 0,1,0, whose three-factor product nests a ProductProvider and
 is non-zero. Three more commands cover straightening branches the rest
 miss: a kstar:2 normal form whose rewrites cross the odd-letter cutoff, a
 natural normal form (the supercommutative branch), and a natural model
-evaluation in (1,1,1).
+evaluation in (1,1,1). Two multiplicativity probes, natural and infty,
+run the rank of the products on every sample; the acceptance kstar:1
+probe stops early at a zero product.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ FACTOR_CLI_COMMANDS = [
     ["relfree", "nf", "--mode", "natural", "--poly", "z3*y2*z1*y4 - y4*z1*z3"],
     ["model", "eval", "--shape", "1,1,1", "--mode", "natural",
      "--poly", "[y1,z2]*[z3,z4]*[y5,y6]*z7"],
+    # multiplicativity probes whose every sample reaches the rank of the products
+    ["relfree", "multbasis", "--mode", "natural", "--seed", "3"],
+    ["relfree", "multbasis", "--mode", "infty", "--seed", "3"],
 ]
 
 

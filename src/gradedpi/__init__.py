@@ -54,12 +54,10 @@ from .linalg import (
     DEFAULT_GUARD,
     GuardLimits,
     RowReducer,
-    SparseMatrix,
     Subspace,
     contains,
     kernel_basis,
     subspace_cmp,
-    subspace_sum,
 )
 from .model import (
     GenericMatrix,

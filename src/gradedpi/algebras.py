@@ -121,11 +121,6 @@ class GrassmannSpec:
             return self.explicit[i - 1]
         return 0
 
-    def generator_degree(self, i: int) -> GroupElement:
-        if self.deg_kind == "trivial":
-            return ()
-        return (self.generator_parity(i),)
-
     def monomial_degree(self, label: tuple) -> GroupElement:
         if self.deg_kind == "trivial":
             return ()

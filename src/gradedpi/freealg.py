@@ -454,22 +454,27 @@ def format_poly(f: NcPolynomial, style: str = "explicit") -> str:
     style "explicit" writes x<id>^(residues) (bare x<id> for the identity
     degree); style "yz" writes y/z shorthand for Z2 degrees.
     """
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for w, c in f.sorted_terms():
+    return format_signed_sum(
+        (c, "*".join(_format_letter(v, f.universe[v], style) for v in w))
+        for w, c in f.sorted_terms()
+    )
+
+
+def format_signed_sum(terms) -> str:
+    """Print (coefficient, word) pairs, "" the word of a constant, as
+    mag*word / word / mag bodies joined by " + " and " - "; "0" if empty."""
+    out = ""
+    for c, word in terms:
         mag = abs(c)
-        if w:
-            word = "*".join(_format_letter(v, f.universe[v], style) for v in w)
-            body = word if mag == 1 else f"{mag}*{word}"
-        else:
+        if not word:
             body = str(mag)
-        pieces.append((c < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+        else:
+            body = word if mag == 1 else f"{mag}*{word}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 def parse_signature(text: str, spec: GroupSpec) -> Signature:

@@ -8,8 +8,7 @@ raises the rank, its new pivot column is cleared from the rows already
 stored, so they stay fully reduced. finish() only divides each row by its
 leading entry to give the canonical reduced row echelon form over
 Fraction. RREF is unique per row space, so the order rows arrive in cannot
-change results, only intermediate growth; the batch entry point feeds rows
-sparsest-first with lowest-index tie-break.
+change results, only intermediate growth.
 
 No floats anywhere.
 """
@@ -20,9 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmbientMismatchError, GuardExceededError, MalformedElementError
-
-SparseRow = tuple  # tuple[(col, Fraction), ...] sorted by col
+from .errors import AmbientMismatchError, GuardExceededError
 
 
 @dataclass(frozen=True)
@@ -37,50 +34,11 @@ DEFAULT_GUARD = GuardLimits()
 
 
 @dataclass(frozen=True)
-class SparseMatrix:
-    n_rows: int
-    n_cols: int
-    rows: tuple  # tuple[SparseRow, ...], len == n_rows
-
-    def __post_init__(self):
-        if len(self.rows) != self.n_rows:
-            raise MalformedElementError("row count mismatch")
-        for r in self.rows:
-            last = -1
-            for col, val in r:
-                if not 0 <= col < self.n_cols:
-                    raise MalformedElementError(f"column {col} out of range")
-                if col <= last:
-                    raise MalformedElementError("row entries must be sorted by column")
-                if val == 0:
-                    raise MalformedElementError("stored entries must be nonzero")
-                last = col
-
-    @staticmethod
-    def from_rows(rows, n_cols: int) -> "SparseMatrix":
-        packed = []
-        for r in rows:
-            if isinstance(r, dict):
-                items = sorted(r.items())
-            else:
-                items = sorted(r)
-            packed.append(tuple((c, Fraction(v)) for c, v in items if v != 0))
-        return SparseMatrix(len(packed), n_cols, tuple(packed))
-
-    def transpose(self) -> "SparseMatrix":
-        cols = [dict() for _ in range(self.n_cols)]
-        for i, r in enumerate(self.rows):
-            for c, v in r:
-                cols[c][i] = v
-        return SparseMatrix.from_rows(cols, self.n_rows)
-
-
-@dataclass(frozen=True)
 class Subspace:
     """Row space in canonical RREF presentation."""
 
     ambient_dim: int
-    rows: tuple  # tuple[SparseRow, ...] in RREF, pivots strictly increasing
+    rows: tuple  # sorted (col, Fraction) tuples in RREF, pivots strictly increasing
     pivots: tuple  # tuple[int, ...]
 
     @property
@@ -254,20 +212,8 @@ def row_space(rows, n_cols: int, guard: GuardLimits = DEFAULT_GUARD) -> Subspace
     return red.finish()
 
 
-def rref(m: SparseMatrix, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
-    """Canonical RREF of a matrix; sparsest rows are fed first."""
-    cells = m.n_rows * m.n_cols
-    if cells > guard.max_cells:
-        raise GuardExceededError(
-            f"matrix has {cells} cells, guard allows {guard.max_cells}", cells=cells
-        )
-    order = sorted(range(m.n_rows), key=lambda i: (len(m.rows[i]), i))
-    return row_space((m.rows[i] for i in order), m.n_cols, guard)
-
-
-def kernel_basis(m: SparseMatrix, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
-    """Canonical RREF basis of the right kernel {v : m v = 0}."""
-    space = m if isinstance(m, Subspace) else rref(m, guard)
+def kernel_basis(space: Subspace, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
+    """Canonical RREF basis of the right kernel {v : r . v = 0 for every row r}."""
     pivots = list(space.pivots)
     pivot_set = set(pivots)
     gens = {f: {f: Fraction(1)} for f in range(space.ambient_dim) if f not in pivot_set}
@@ -281,10 +227,9 @@ def kernel_basis(m: SparseMatrix, guard: GuardLimits = DEFAULT_GUARD) -> Subspac
     return row_space(reversed(gens.values()), space.ambient_dim, guard)
 
 
-def reduce_vector(vec, space: Subspace):
-    """Residue of a vector after elimination against an RREF basis."""
-    v = dict(vec.items()) if isinstance(vec, dict) else {c: Fraction(x) for c, x in vec}
-    v = {c: Fraction(x) for c, x in v.items() if x != 0}
+def reduce_vector(vec: dict, space: Subspace) -> dict:
+    """Residue of a sparse vector after elimination against an RREF basis."""
+    v = {c: Fraction(x) for c, x in vec.items() if x}
     for row, p in zip(space.rows, space.pivots):
         coef = v.get(p)
         if coef:
@@ -294,12 +239,6 @@ def reduce_vector(vec, space: Subspace):
 
 def contains(space: Subspace, vec) -> bool:
     return not reduce_vector(vec, space)
-
-
-def subspace_sum(a: Subspace, b: Subspace, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatchError("subspace sum needs equal ambient dimensions")
-    return row_space(a.rows + b.rows, a.ambient_dim, guard)
 
 
 EQUAL = "equal"
@@ -323,8 +262,3 @@ def subspace_cmp(a: Subspace, b: Subspace) -> str:
     if b_in_a:
         return B_INSIDE_A
     return INCOMPARABLE
-
-
-def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, (), ())
-

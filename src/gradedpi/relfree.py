@@ -43,9 +43,9 @@ from .errors import (
     ParseError,
     UnsupportedFeatureError,
 )
-from .freealg import NcPolynomial, sort_sign, validate_signature
+from .freealg import NcPolynomial, format_signed_sum, sort_sign, validate_signature
 from .groups import Z2
-from .linalg import SparseMatrix, add_scaled, kernel_basis, row_space
+from .linalg import add_scaled, kernel_basis, row_space
 
 
 @dataclass(frozen=True)
@@ -265,6 +265,8 @@ class RelFreeElement:
 
     def scale(self, c) -> "RelFreeElement":
         c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator  # int memo coefficients stay int
         terms = {w: c * x for w, x in self.terms.items()} if c else {}
         return _element(self.mode, terms, self.parities)
 
@@ -365,24 +367,13 @@ def expand(el: RelFreeElement) -> NcPolynomial:
 
 def format_relfree(el: RelFreeElement) -> str:
     """Printer: y<id> for even letters, z<id> for odd, [x<a>,x<b>] tail factors."""
-    if el.is_zero():
-        return "0"
-    pieces = []
-    for w, c in el.sorted_terms():
-        mag = abs(c)
-        letters = [f"y{v}" for v in w.evens] + [f"z{v}" for v in w.odds]
-        letters += [f"[x{a},x{b}]" for a, b in w.comm_pairs()]
-        if letters:
-            body = "*".join(letters)
-            if mag != 1:
-                body = f"{mag}*{body}"
-        else:
-            body = str(mag)
-        pieces.append((c < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return format_signed_sum((c, _format_word(w)) for w, c in el.sorted_terms())
+
+
+def _format_word(w: RelFreeWord) -> str:
+    letters = [f"y{v}" for v in w.evens] + [f"z{v}" for v in w.odds]
+    letters += [f"[x{a},x{b}]" for a, b in w.comm_pairs()]
+    return "*".join(letters)
 
 
 # -- basis words ------------------------------------------------------------
@@ -421,16 +412,6 @@ def multilinear_basis_words(mode: GradingMode, sig) -> list:
 
 def count_multilinear_basis_words(mode: GradingMode, sig) -> int:
     return len(multilinear_basis_words(mode, sig))
-
-
-def coordinatize(elements) -> tuple:
-    """(words, SparseMatrix) coordinates of elements over their joint words."""
-    words = sorted({w for el in elements for w in el.terms}, key=lambda w: w.sort_key())
-    index = {w: i for i, w in enumerate(words)}
-    rows = []
-    for el in elements:
-        rows.append({index[w]: c for w, c in el.terms.items()})
-    return words, SparseMatrix.from_rows(rows, len(words))
 
 
 # -- randomized checks -------------------------------------------------------
@@ -585,10 +566,15 @@ def partial_multiplicativity_check(
                 return MultiplicativityReport(
                     mode, sample + 1, "fails", f"{label} = 0 in the relatively free algebra"
                 )
-        words, matrix = coordinatize(products)
-        rank = row_space(matrix.rows, matrix.n_cols).dim
-        if rank < len(products):
-            combo = kernel_basis(matrix.transpose())
+        # one row per word, over the products: row rank equals column rank,
+        # and the kernel of these rows is the space of vanishing combinations
+        cols = {}
+        for i, el in enumerate(products):
+            for w, c in el.terms.items():
+                cols.setdefault(w, {})[i] = c
+        space = row_space(cols.values(), len(products))
+        if space.dim < len(products):
+            combo = kernel_basis(space)
             coeffs = dict(combo.rows[0])
             terms = " + ".join(
                 f"{c}*{_product_label(pairs[i], mode, parities)}" for i, c in sorted(coeffs.items())

@@ -11,17 +11,13 @@ from gradedpi.errors import AmbientMismatchError, GuardExceededError
 from gradedpi.linalg import (
     GuardLimits,
     RowReducer,
-    SparseMatrix,
     Subspace,
     add_scaled,
     contains,
     kernel_basis,
     reduce_vector,
     row_space,
-    rref,
     subspace_cmp,
-    subspace_sum,
-    zero_subspace,
 )
 
 from _support import dense_kernel, dense_rows, subspace_dense
@@ -119,9 +115,8 @@ def test_rank_nullity_exhaustive_small():
             for i in range(n_rows):
                 chunk = combo[i * n_cols : (i + 1) * n_cols]
                 rows.append({c: Fraction(v) for c, v in enumerate(chunk) if v})
-            m = SparseMatrix.from_rows(rows, n_cols)
-            space = rref(m)
-            ker = kernel_basis(m)
+            space = row_space(rows, n_cols)
+            ker = kernel_basis(space)
             assert space.dim + ker.dim == n_cols
             # kernel vectors annihilate every row
             for kv in ker.rows:
@@ -137,7 +132,7 @@ def test_kernel_matches_dense_oracle():
         n_rows = rng.randint(1, 7)
         n_cols = rng.randint(1, 7)
         rows = rand_sparse_rows(rng, n_rows, n_cols)
-        ker = kernel_basis(SparseMatrix.from_rows(rows, n_cols))
+        ker = kernel_basis(row_space(rows, n_cols))
         oracle = dense_kernel(rows, n_cols)
         assert ker.dim == len(oracle)
         assert subspace_dense(ker) == dense_rows(oracle, n_cols)
@@ -161,9 +156,6 @@ def test_subspace_cmp_and_sum():
     assert subspace_cmp(a, b) == "a_strictly_inside_b"
     assert subspace_cmp(b, a) == "b_strictly_inside_a"
     assert subspace_cmp(a, c) == "incomparable"
-    s = subspace_sum(a, c)
-    assert s.dim == 2
-    assert subspace_cmp(subspace_sum(a, b), b) == "equal"
     with pytest.raises(AmbientMismatchError):
         subspace_cmp(a, row_space([{0: 1}], 4))
 
@@ -171,8 +163,8 @@ def test_subspace_cmp_and_sum():
 def test_zero_and_empty_inputs():
     assert row_space([], 5).dim == 0
     assert row_space([{}, {0: 0}], 5).dim == 0
-    assert zero_subspace(4).rows == ()
-    full = kernel_basis(SparseMatrix.from_rows([{}], 3))
+    assert row_space([], 4).rows == ()
+    full = kernel_basis(row_space([{}], 3))
     assert full.dim == 3
 
 
@@ -198,9 +190,10 @@ def test_ambient_mismatch_in_reducer():
 
 
 def test_guard_max_cells():
-    m = SparseMatrix.from_rows([{0: 1}] * 10, 10)
-    with pytest.raises(GuardExceededError):
-        rref(m, GuardLimits(max_cells=50, max_bits=20000))
+    # the sixth kept row would make 6 x 10 cells
+    with pytest.raises(GuardExceededError, match="6 rows of 10 columns") as exc:
+        row_space([{i: 1} for i in range(10)], 10, GuardLimits(max_cells=50, max_bits=20000))
+    assert exc.value.cells == 60
 
 
 def test_guard_max_bits():
@@ -275,10 +268,10 @@ _matrices = st.integers(1, 6).flatmap(
 @given(_matrices)
 def test_sparse_rref_and_kernel_match_dense_oracle(matrix):
     n_cols, dense = matrix
-    m = SparseMatrix.from_rows([dict(enumerate(r)) for r in dense], n_cols)
-    assert subspace_dense(rref(m)) == dense_rows(dense, n_cols)
+    space = row_space([dict(enumerate(r)) for r in dense], n_cols)
+    assert subspace_dense(space) == dense_rows(dense, n_cols)
     kernel = dense_kernel(dense, n_cols)
-    assert subspace_dense(kernel_basis(m)) == dense_rows(kernel, n_cols)
+    assert subspace_dense(kernel_basis(space)) == dense_rows(kernel, n_cols)
 
 
 _entries = st.one_of(st.integers(-4, 4), _fractions).filter(bool)
@@ -320,13 +313,6 @@ def test_reducer_guard_bounds_kept_rows():
         red.add({2: 1})
     assert exc.value.cells == 12
     assert red.rank == 2
-
-
-def test_sparse_matrix_validation():
-    m = SparseMatrix.from_rows([{0: 1, 2: Fraction(1, 2)}], 3)
-    assert m.n_rows == 1 and m.n_cols == 3
-    space = rref(m)
-    assert space.ambient_dim == 3
 
 
 def test_subspace_is_hashable_value_object():

@@ -278,6 +278,25 @@ def test_multiplicativity_reports():
     assert fails_k1.witness and "0" in fails_k1.witness
 
 
+def test_multiplicativity_combination_witness(monkeypatch):
+    # no shipped mode reaches a vanishing combination of nonzero products;
+    # make the last product of every sample with three or more dependent
+    real = relfree.products_of_word_sets
+
+    def dependent(set1, set2, mode, parities):
+        products = real(set1, set2, mode, parities)
+        if len(products) >= 3:
+            products[-1] = products[0].scale(2) - products[1].scale(3)
+        return products
+
+    monkeypatch.setattr(relfree, "products_of_word_sets", dependent)
+    rep = partial_multiplicativity_check(NAT, 4, 50, seed=11)
+    assert (rep.verdict, rep.samples) == ("fails", 1)
+    assert rep.witness == (
+        "1*(y4*y4*y4*y8)*(y16) + -3/2*(y4*y4*y4*y8)*(y10*y10) + -1/2*(y4)*(z9) = 0"
+    )
+
+
 def test_format_relfree_round_trip_via_expand():
     for mode in (NAT, INF, K2):
         for text in CORPUS[:6]:
