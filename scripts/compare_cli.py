@@ -10,7 +10,8 @@ differs, 2 on a usage or git error.
 
 The list is criterion 11's acceptance commands (tests/_support.py), the
 factor-check command shapes of the benchmark's factor-cli workload, one
-factor-check over the non-square shape (2,1), one length-5 natural
+factor-check over the non-square shape (2,1), one over (2,2) with infty
+entries, whose two equal diagonal blocks share one M_2(E), one length-5 natural
 factor-check, whose T-ideal product multiplies evaluation components, one
 graded length-5 identities command that runs both the evaluation and the
 consequence route on the natural grading's presentation, two model
@@ -57,6 +58,8 @@ FACTOR_CLI_COMMANDS = [
     ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=infty", "--sig", "1,0,1"],
     # a non-square shape: index arithmetic over unequal blocks
     ["factor-check", "--shape", "2,1", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
+    # a repeated block of size 2: both diagonal blocks share one M_2(E) provider
+    ["factor-check", "--shape", "2,2", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
     # a length-5 T-ideal product of evaluation components
     _UT11 + ["grassmann:deg=natural", "--sig", "0,0,1,1,1"],
     # graded consequence rows against the evaluation route, at length 5

@@ -57,7 +57,6 @@ from .linalg import (
     Subspace,
     contains,
     kernel_basis,
-    subspace_cmp,
 )
 from .model import (
     GenericMatrix,
@@ -110,7 +109,6 @@ from .spaces import (
     presentation_kstar,
     presentation_natural,
     presentation_trivial_grassmann,
-    scan_truncations,
     tideal_product,
     triple_commutator_generators,
 )

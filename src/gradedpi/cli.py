@@ -59,7 +59,6 @@ from .spaces import (
     check_factoring,
     identities_by_consequences,
     identities_by_evaluation,
-    scan_truncations,
 )
 
 CERTIFICATE_VERSION = 1
@@ -232,13 +231,21 @@ def cmd_identities(args) -> int:
             truncations = [n0, n0 + 2]
             for nn in truncations:
                 guard_construction(with_generators(desc, nn), guard)
-            scan, comps = scan_truncations(
-                lambda nn: algebra_from_descriptor(with_generators(desc, nn)),
-                sig,
-                truncations,
-                args.method,
-                guard,
-            )
+            # each algebra is dropped once its component is computed
+            comps = [
+                identities_by_evaluation(
+                    algebra_from_descriptor(with_generators(desc, nn)), sig, args.method, guard
+                )
+                for nn in truncations
+            ]
+            dims = [c.dim for c in comps]
+            stabilized = dims[0] == dims[1]
+            scan = {
+                "n_values": truncations,
+                "dims": dims,
+                "stabilized": stabilized,
+                "stabilized_at": n0 if stabilized else None,
+            }
             desc = with_generators(desc, n0)
             comp_eval = comps[0]
         else:
@@ -360,12 +367,16 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
     else:
         targets = tuple(spec.identity() for _ in range(shape.n))
     target_alg = build_matrix_algebra(targets, spec, shape)
-    factors = []
+    blocks = []
     offset = 0
     for d in shape.sizes:
-        block = targets[offset : offset + d]
-        factors.append(EvaluationProvider(build_matrix_algebra(block, spec), guard))
+        blocks.append(targets[offset : offset + d])
         offset += d
+    providers = {
+        block: EvaluationProvider(build_matrix_algebra(block, spec), guard)
+        for block in dict.fromkeys(blocks)
+    }
+    factors = [providers[block] for block in blocks]
     run = (None, EvaluationProvider(target_alg, guard), factors)
     config = {"targets": _sig_json(targets)}
     return spec, [run], config
@@ -386,13 +397,14 @@ def _grassmann_setup(desc, shape: BlockShape, max_n: int, guard: GuardLimits):
     for nn in truncations:
         entry_alg = algebra_from_descriptor(with_generators(desc, nn))
         target_alg = build_matrix_over(entry_alg, shape)
-        factors = [
-            EvaluationProvider(
+        providers = {
+            d: EvaluationProvider(
                 entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
                 guard,
             )
-            for d in shape.sizes
-        ]
+            for d in dict.fromkeys(shape.sizes)
+        }
+        factors = [providers[d] for d in shape.sizes]
         runs.append((nn, EvaluationProvider(target_alg, guard), factors))
     return runs, {"truncations": truncations}
 

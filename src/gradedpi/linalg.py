@@ -239,26 +239,3 @@ def reduce_vector(vec: dict, space: Subspace) -> dict:
 
 def contains(space: Subspace, vec) -> bool:
     return not reduce_vector(vec, space)
-
-
-EQUAL = "equal"
-A_INSIDE_B = "a_strictly_inside_b"
-B_INSIDE_A = "b_strictly_inside_a"
-INCOMPARABLE = "incomparable"
-
-
-def subspace_cmp(a: Subspace, b: Subspace) -> str:
-    """Compare two subspaces of one ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatchError("cannot compare subspaces of different ambients")
-    if a.rows == b.rows:
-        return EQUAL
-    a_in_b = all(contains(b, dict(r)) for r in a.rows)
-    b_in_a = all(contains(a, dict(r)) for r in b.rows)
-    if a_in_b and b_in_a:
-        return EQUAL
-    if a_in_b:
-        return A_INSIDE_B
-    if b_in_a:
-        return B_INSIDE_A
-    return INCOMPARABLE

@@ -52,9 +52,7 @@ from .freealg import (
 )
 from .groups import TRIVIAL_GROUP, Z2, GroupSpec
 from .linalg import (
-    A_INSIDE_B,
     DEFAULT_GUARD,
-    EQUAL,
     GuardLimits,
     RowReducer,
     Subspace,
@@ -63,7 +61,6 @@ from .linalg import (
     contains,
     kernel_basis,
     reduce_vector,
-    subspace_cmp,
 )
 
 
@@ -655,8 +652,9 @@ def check_factoring(
     product = ProductProvider(list(factor_providers), spec, False, guard)
     t_comp = target_provider.component(sig)
     p_comp = product.component(sig)
-    rel = subspace_cmp(p_comp.space, t_comp.space)
-    if rel not in (EQUAL, A_INSIDE_B):
+    # canonical RREF is unique: equal spaces have equal rows
+    equal = p_comp.space.rows == t_comp.space.rows
+    if not equal and not all(contains(t_comp.space, dict(r)) for r in p_comp.space.rows):
         raise InternalInconsistencyError(
             f"factor product is not contained in the identity component at {sig}; "
             "one of the routes is computing the wrong space"
@@ -667,7 +665,7 @@ def check_factoring(
             raise InternalInconsistencyError(
                 f"bordered product span disagrees with the plain span at {sig}"
             )
-    if rel == EQUAL:
+    if equal:
         return FactoringVerdict(
             sig, t_comp.dim, p_comp.dim, "equal", None, {"target": t_comp.meta}
         )
@@ -688,39 +686,6 @@ def check_factoring(
         witness,
         {"target": t_comp.meta},
     )
-
-
-def scan_truncations(
-    family,
-    sig,
-    n_list,
-    method: str = "auto",
-    guard: GuardLimits = DEFAULT_GUARD,
-):
-    """Identity components along a family of truncations.
-
-    family maps a truncation size to an algebra. Returns the scan report
-    (dimensions, flagged stabilized when two consecutive values agree) and
-    the component at each truncation, so a caller can keep one without
-    building and evaluating it again.
-    """
-    n_list = list(n_list)
-    if n_list != sorted(n_list) or len(set(n_list)) != len(n_list):
-        raise MalformedElementError("truncation list must be strictly increasing")
-    comps = [identities_by_evaluation(family(n), sig, method, guard) for n in n_list]
-    dims = [c.dim for c in comps]
-    stabilized_at = None
-    for i in range(len(dims) - 1):
-        if dims[i] == dims[i + 1]:
-            stabilized_at = n_list[i]
-            break
-    report = {
-        "n_values": n_list,
-        "dims": dims,
-        "stabilized": stabilized_at is not None,
-        "stabilized_at": stabilized_at,
-    }
-    return report, comps
 
 
 def membership(f: NcPolynomial, component: IdentitySubspace) -> bool:

@@ -134,6 +134,31 @@ def test_identities_route_disagreement_exits_2(capsys, tmp_path):
     assert "disagree" in (out + err).lower()
 
 
+def test_identities_unstabilized_truncation_exits_2(capsys, tmp_path):
+    # a pinned N=2 is too small at this signature: levels 2 and 4 disagree
+    gens = tmp_path / "natural.txt"
+    gens.write_text("[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n", encoding="utf-8")
+    code, out, _ = run_cli(
+        capsys,
+        "identities",
+        "--algebra", "grassmann:N=2,deg=natural",
+        "--generators", str(gens),
+        "--sig", "1,1,1",
+    )
+    assert code == 2
+    result = cert_from(out)["result"]
+    assert result["stabilization"] == {
+        "n_values": [2, 4],
+        "dims": [6, 5],
+        "stabilized": False,
+        "stabilized_at": None,
+    }
+    assert result["disagreement"]["reason"] == (
+        "the truncation did not stabilize; rerun with a larger generator count"
+    )
+    assert "truncations [2, 4] give dimensions [6, 5] (NOT stabilized)" in out.splitlines()
+
+
 def test_identities_needs_some_input(capsys):
     code, _, err = run_cli(capsys, "identities", "--sig", "1,1")
     assert code == 1
@@ -468,6 +493,27 @@ def test_factor_check_ungraded_field(capsys):
     assert code == 0
     cert = cert_from(out)
     assert cert["result"]["verdicts"][0]["relation"] == "equal"
+
+
+@pytest.mark.parametrize(
+    "argv, builder, calls",
+    [
+        # two truncations, each building M_2(E) once for both diagonal blocks
+        (["--entries", "grassmann:deg=infty"], "build_matrix_over", 4),
+        # the target and one algebra for the repeated block targets (0,1)
+        (["--entries", "field", "--targets", "0,1,0,1", "--group", "2"],
+         "build_matrix_algebra", 2),
+    ],
+)
+def test_factor_check_builds_each_distinct_block_once(capsys, monkeypatch, argv, builder, calls):
+    import gradedpi.cli as cli
+
+    built = []
+    real = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *a: built.append(a) or real(*a))
+    code, _, _ = run_cli(capsys, "factor-check", "--shape", "2,2", *argv, "--sig", "0,1")
+    assert code == 0
+    assert len(built) == calls
 
 
 def test_factor_check_needs_sig_or_sweep(capsys):

@@ -17,7 +17,6 @@ from gradedpi.linalg import (
     kernel_basis,
     reduce_vector,
     row_space,
-    subspace_cmp,
 )
 
 from _support import dense_kernel, dense_rows, subspace_dense
@@ -146,18 +145,6 @@ def test_reduce_vector_and_contains():
     res = reduce_vector({0: 1, 1: 1}, space)
     assert res and all(v != 0 for v in res.values())
     assert reduce_vector({}, space) == {}
-
-
-def test_subspace_cmp_and_sum():
-    a = row_space([{0: 1}], 3)
-    b = row_space([{0: 1}, {1: 1}], 3)
-    c = row_space([{2: 1}], 3)
-    assert subspace_cmp(a, a) == "equal"
-    assert subspace_cmp(a, b) == "a_strictly_inside_b"
-    assert subspace_cmp(b, a) == "b_strictly_inside_a"
-    assert subspace_cmp(a, c) == "incomparable"
-    with pytest.raises(AmbientMismatchError):
-        subspace_cmp(a, row_space([{0: 1}], 4))
 
 
 def test_zero_and_empty_inputs():
