@@ -24,13 +24,18 @@ miss: a kstar:2 normal form whose rewrites cross the odd-letter cutoff, a
 natural normal form (the supercommutative branch), and a natural model
 evaluation in (1,1,1). Two multiplicativity probes, natural and infty,
 run the rank of the products on every sample; the acceptance kstar:1
-probe stops early at a zero product.
+probe stops early at a zero product. One identities command takes a nested
+matrix_over descriptor, (2,1) over (1,1) over E_5: entry dimension 96, not
+a power of two, and dimension 672 (2,688 at the second truncation), so the
+construction self-check samples its pairs and triples and the matrix-over
+product splits indices by // and %. 29 commands in all.
 """
 
 from __future__ import annotations
 
 import difflib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +51,12 @@ GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
 # the natural grading's presentation (spaces.presentation_natural)
 NATURAL_GENERATORS_FILE = "natural.txt"
 NATURAL_GENERATORS = "[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n"
+# (2,1) over (1,1) over E_5 with the natural grading
+NESTED_MATRIX_OVER = json.dumps({
+    "kind": "matrix_over", "shape": [2, 1],
+    "entries": {"kind": "matrix_over", "shape": [1, 1],
+                "entries": {"kind": "grassmann", "generators": 5, "grading": {"deg": "natural"}}},
+})
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
 FACTOR_CLI_COMMANDS = [
@@ -82,6 +93,8 @@ FACTOR_CLI_COMMANDS = [
     # multiplicativity probes whose every sample reaches the rank of the products
     ["relfree", "multbasis", "--mode", "natural", "--seed", "3"],
     ["relfree", "multbasis", "--mode", "infty", "--seed", "3"],
+    # sampled self-checks of a matrix-over table whose entry dimension is 96
+    ["identities", "--algebra", NESTED_MATRIX_OVER, "--sig", "1"],
 ]
 
 

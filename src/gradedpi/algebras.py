@@ -134,7 +134,9 @@ class StructureConstantAlgebra:
     combination {index: int or Fraction}; product_basis calls it on every
     use and keeps nothing. Construction checks unit laws everywhere, degree
     compatibility and associativity exhaustively for small dimensions and
-    on 10^4 seeded samples above the bounds.
+    on 10^4 seeded samples above the bounds. Every build runs these three
+    passes in this order on the same seeded draws (check_indices), calling
+    the product rule once per term.
     """
 
     def __init__(self, labels, degrees, group: GroupSpec, product_fn, unit, meta=None):
@@ -167,6 +169,18 @@ class StructureConstantAlgebra:
                 add_scaled(out, self.product_basis(i, j), a * b)
         return out
 
+    def times_basis(self, vec: dict, k: int, left: bool = False) -> dict:
+        """vec * e_k, or e_k * vec if left: one product-rule call per nonzero
+        term of vec, as mul_vectors(vec, {k: 1}) computes it."""
+        product = self._product_fn
+        out = {}
+        for t, c in vec.items():
+            if c:
+                add_scaled(out, product(k, t) if left else product(t, k), c)
+        if 0 in out.values():  # a rule may list zero coefficients
+            out = {t: c for t, c in out.items() if c}
+        return out
+
     def basis_vector(self, i: int) -> dict:
         return {i: 1}
 
@@ -175,12 +189,15 @@ class StructureConstantAlgebra:
         return all(self.degrees[i] == degree for i, c in vec.items() if c != 0)
 
     def _check(self):
-        rng = random.Random(0xA11CE)
         n = self.dim
+        product = self._product_fn
+        times_basis = self.times_basis
+        unit = self.unit
+        draws = check_indices(n)
         # unit laws on every basis element
         for i in range(n):
-            e = self.basis_vector(i)
-            if self.mul_vectors(self.unit, e) != e or self.mul_vectors(e, self.unit) != e:
+            e = {i: 1}
+            if times_basis(unit, i) != e or times_basis(unit, i, left=True) != e:
                 raise MalformedElementError(f"unit law fails at basis element {self.labels[i]!r}")
         # degree compatibility of all (sampled) products; the expected degree
         # is computed once per pair of degrees
@@ -191,11 +208,11 @@ class StructureConstantAlgebra:
         if n <= CHECK_PAIR_EXHAUSTIVE_DIM:
             pairs = itertools.product(range(n), repeat=2)
         else:
-            pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(CHECK_SAMPLES))
+            pairs = itertools.islice(zip(draws, draws), CHECK_SAMPLES)
         for i, j in pairs:
             want = want_id[ids[i]][ids[j]]
-            for k in self.product_basis(i, j):
-                if ids[k] != want:
+            for k, c in product(i, j).items():
+                if c and ids[k] != want:
                     raise MalformedElementError(
                         f"product {self.labels[i]!r}*{self.labels[j]!r} leaves its degree"
                     )
@@ -203,17 +220,24 @@ class StructureConstantAlgebra:
         if n <= CHECK_ASSOC_EXHAUSTIVE_DIM:
             triples = itertools.product(range(n), repeat=3)
         else:
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(CHECK_SAMPLES)
-            )
+            triples = itertools.islice(zip(draws, draws, draws), CHECK_SAMPLES)
         for i, j, k in triples:
-            left = self.mul_vectors(self.product_basis(i, j), self.basis_vector(k))
-            right = self.mul_vectors(self.basis_vector(i), self.product_basis(j, k))
-            if left != right:
+            if times_basis(product(i, j), k) != times_basis(product(j, k), i, left=True):
                 raise MalformedElementError(
                     f"associativity fails on ({self.labels[i]!r},{self.labels[j]!r},{self.labels[k]!r})"
                 )
+
+
+def check_indices(n: int):
+    """The self-check's endless stream of basis indices below n: the values
+    random.Random(0xA11CE).randrange(n) draws, by the same rejection loop
+    over getrandbits(n.bit_length()), without its call layers."""
+    getrandbits = random.Random(0xA11CE).getrandbits
+    bits = n.bit_length()
+    while True:
+        r = getrandbits(bits)
+        if r < n:
+            yield r
 
 
 def homogeneous_indices(algebra: StructureConstantAlgebra, degree) -> list:
@@ -322,7 +346,6 @@ def build_grassmann(gspec: GrassmannSpec) -> StructureConstantAlgebra:
     for size in range(n + 1):
         labels.extend(itertools.combinations(range(1, n + 1), size))
     spec = gspec.group()
-    degrees = [gspec.monomial_degree(lab) for lab in labels]
     # generator g is bit g-1. Moving b's generators past a's larger ones
     # takes sum over g in b of popcount(mask_a >> g) swaps; its parity is
     # popcount(mask_a & above[b]), where above[b] holds the bits lying above
@@ -337,6 +360,11 @@ def build_grassmann(gspec: GrassmannSpec) -> StructureConstantAlgebra:
             flips ^= full & ~((1 << g) - 1)
         masks.append(mask)
         above.append(flips)
+    if gspec.deg_kind == "trivial":
+        degrees = [()] * len(labels)
+    else:
+        odd = sum(1 << (g - 1) for g in range(1, n + 1) if gspec.generator_parity(g))
+        degrees = [((mask & odd).bit_count() & 1,) for mask in masks]
     index_of_mask = [0] * (1 << n)
     for i, mask in enumerate(masks):
         index_of_mask[mask] = i
@@ -371,16 +399,15 @@ def build_matrix_over(
         [pos_index[(i, l)] if j == k else None for k, l in positions]
         for i, j in positions
     ]
-    entry_product = entries.product_basis
+    # the raw rule: product_basis drops this algebra's zeros
+    entry_product = entries._product_fn
 
     def product(a: int, b: int) -> dict:
-        p, x = divmod(a, dim_e)
-        q, y = divmod(b, dim_e)
-        r = compose[p][q]
+        r = compose[a // dim_e][b // dim_e]
         if r is None:
             return {}
         base = r * dim_e
-        return {base + t: c for t, c in entry_product(x, y).items()}
+        return {base + t: c for t, c in entry_product(a % dim_e, b % dim_e).items()}
 
     unit = {
         pos_index[(i, i)] * dim_e + t: c

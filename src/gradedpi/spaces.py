@@ -139,7 +139,7 @@ def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
         for col, perm in enumerate(perms):
             vec = algebra.basis_vector(tup[perm[0] - 1])
             for vid in perm[1:]:
-                vec = algebra.mul_vectors(vec, algebra.basis_vector(tup[vid - 1]))
+                vec = algebra.times_basis(vec, tup[vid - 1])
                 if not vec:
                     break
             for k, c in vec.items():

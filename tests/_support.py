@@ -2,8 +2,9 @@
 cross-check the sparse row reduction, the direct evaluation-row
 enumeration used to cross-check grassmann_fast_rows, the substitution-based
 consequence rows used to cross-check identities_by_consequences, the
-polynomial-product rows used to cross-check tideal_product, plus small
-conversion utilities."""
+polynomial-product rows used to cross-check tideal_product, the
+randrange-drawn construction self-check used to cross-check
+StructureConstantAlgebra._check, plus small conversion utilities."""
 
 import itertools
 from fractions import Fraction
@@ -342,3 +343,58 @@ def primitive_int_row(row):
     if ints[0][1] < 0:
         g = -g
     return tuple((c, v // g) for c, v in ints)
+
+
+# -- construction self-check oracle ---------------------------------------------
+
+
+def reference_self_check(algebra):
+    """StructureConstantAlgebra._check through the public product API: unit
+    laws by mul_vectors with basis-vector dicts, degrees by product_basis,
+    and indices from random.Random(0xA11CE).randrange. Same passes, bounds
+    and messages; raises MalformedElementError on the first failure."""
+    import random
+
+    from gradedpi.algebras import (
+        CHECK_ASSOC_EXHAUSTIVE_DIM,
+        CHECK_PAIR_EXHAUSTIVE_DIM,
+        CHECK_SAMPLES,
+    )
+    from gradedpi.errors import MalformedElementError
+
+    A = algebra
+    rng = random.Random(0xA11CE)
+    n = A.dim
+    for i in range(n):
+        e = A.basis_vector(i)
+        if A.mul_vectors(A.unit, e) != e or A.mul_vectors(e, A.unit) != e:
+            raise MalformedElementError(f"unit law fails at basis element {A.labels[i]!r}")
+    distinct = sorted(set(A.degrees))
+    deg_id = {d: t for t, d in enumerate(distinct)}
+    ids = [deg_id[d] for d in A.degrees]
+    want_id = [[deg_id.get(A.group.op(a, b)) for b in distinct] for a in distinct]
+    if n <= CHECK_PAIR_EXHAUSTIVE_DIM:
+        pairs = itertools.product(range(n), repeat=2)
+    else:
+        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(CHECK_SAMPLES))
+    for i, j in pairs:
+        want = want_id[ids[i]][ids[j]]
+        for k in A.product_basis(i, j):
+            if ids[k] != want:
+                raise MalformedElementError(
+                    f"product {A.labels[i]!r}*{A.labels[j]!r} leaves its degree"
+                )
+    if n <= CHECK_ASSOC_EXHAUSTIVE_DIM:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(CHECK_SAMPLES)
+        )
+    for i, j, k in triples:
+        left = A.mul_vectors(A.product_basis(i, j), A.basis_vector(k))
+        right = A.mul_vectors(A.basis_vector(i), A.product_basis(j, k))
+        if left != right:
+            raise MalformedElementError(
+                f"associativity fails on ({A.labels[i]!r},{A.labels[j]!r},{A.labels[k]!r})"
+            )

@@ -18,6 +18,7 @@ from gradedpi.algebras import (
     build_grassmann,
     build_matrix_algebra,
     build_matrix_over,
+    check_indices,
     descriptor_group,
     descriptor_of,
     evaluate,
@@ -38,6 +39,8 @@ from gradedpi.errors import (
 )
 from gradedpi.freealg import parse_poly, sort_sign
 from gradedpi.linalg import GuardLimits
+
+from _support import reference_self_check
 
 
 ALL_KINDS = [
@@ -451,8 +454,8 @@ def test_self_check_products_are_released():
     assert held < 8_000_000
 
 
-def _defective(n: int, defect: str) -> StructureConstantAlgebra:
-    """The table of E_n (natural grading) with one defect."""
+def _defective_rule(n: int, defect: str):
+    """E_n (natural grading) and its product rule with one defect."""
     E = build_grassmann(GrassmannSpec(n, "natural"))
     last = E.dim - 1
 
@@ -469,6 +472,12 @@ def _defective(n: int, defect: str) -> StructureConstantAlgebra:
             return {k: -c for k, c in out.items()}
         return out
 
+    return E, rule
+
+
+def _defective(n: int, defect: str) -> StructureConstantAlgebra:
+    """The table of E_n (natural grading) with one defect."""
+    E, rule = _defective_rule(n, defect)
     return StructureConstantAlgebra(E.labels, E.degrees, E.group, rule, E.unit)
 
 
@@ -483,6 +492,60 @@ def test_self_check_rejects_defective_tables(n, defect, message):
     assert (dim <= CHECK_ASSOC_EXHAUSTIVE_DIM) == (dim <= CHECK_PAIR_EXHAUSTIVE_DIM) == (n == 4)
     with pytest.raises(MalformedElementError, match=message):
         _defective(n, defect)
+
+
+@pytest.mark.parametrize("n", [301, 1024, 4096, 3 * 4096, 12345])
+def test_check_indices_draw_as_randrange(n):
+    rng = random.Random(0xA11CE)
+    draws = check_indices(n)
+    assert [next(draws) for _ in range(5000)] == [rng.randrange(n) for _ in range(5000)]
+
+
+def _self_check_outcome(check, algebra):
+    """The message check raises on algebra, or None if it passes."""
+    try:
+        check(algebra)
+    except MalformedElementError as exc:
+        return str(exc)
+    return None
+
+
+def test_self_check_matches_reference(monkeypatch):
+    """_check and the randrange-drawn oracle agree: both pass on E_10 and
+    M(E_10), and both raise the same message on every defective table,
+    exhaustive (E_4), sampled (E_9), and a sampled matrix-over table whose
+    entry dimension, 96, is not a power of two."""
+    E10 = build_grassmann(GrassmannSpec(10, "infty"))
+    for A in (E10, build_matrix_over(E10, BlockShape((1, 1)))):
+        assert _self_check_outcome(StructureConstantAlgebra._check, A) is None
+        assert _self_check_outcome(reference_self_check, A) is None
+    tables = [
+        _defective_rule(n, defect)
+        for n, defect in itertools.product([4, 9], ["unit", "degree", "sign"])
+    ]
+    inner = build_matrix_over(build_grassmann(GrassmannSpec(5, "natural")), BlockShape((1, 1)))
+    M = build_matrix_over(inner, BlockShape((2, 1)))
+    assert (inner.dim, M.dim) == (96, 672)
+
+    def sign_defect(a, b):
+        # as _defective's "sign", on the exterior part of each entry label
+        out = M.product_basis(a, b)
+        ga, gb = M.labels[a][2][2], M.labels[b][2][2]
+        if ga and gb and 1 in ga + gb:
+            return {k: -c for k, c in out.items()}
+        return out
+
+    tables.append((M, sign_defect))
+    monkeypatch.setattr(StructureConstantAlgebra, "_check", lambda self: None)
+    unchecked = [
+        StructureConstantAlgebra(A.labels, A.degrees, A.group, rule, A.unit)
+        for A, rule in tables
+    ]
+    monkeypatch.undo()
+    for A in unchecked:
+        message = _self_check_outcome(StructureConstantAlgebra._check, A)
+        assert message is not None
+        assert message == _self_check_outcome(reference_self_check, A)
 
 
 def test_guard_construction_estimates_unit_law_products():
