@@ -28,7 +28,10 @@ probe stops early at a zero product. One identities command takes a nested
 matrix_over descriptor, (2,1) over (1,1) over E_5: entry dimension 96, not
 a power of two, and dimension 672 (2,688 at the second truncation), so the
 construction self-check samples its pairs and triples and the matrix-over
-product splits indices by // and %. 29 commands in all.
+product splits indices by // and %. Two identities commands take --method
+full: E_4 infty at (1,1), whose rows reach full rank with rows left over,
+and M(E_N) over (1,1) infty at (1,0,1), with no rows at N=2 and 40 rows
+past full rank at N=4. 31 commands in all.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ NESTED_MATRIX_OVER = json.dumps({
     "kind": "matrix_over", "shape": [2, 1],
     "entries": {"kind": "matrix_over", "shape": [1, 1],
                 "entries": {"kind": "grassmann", "generators": 5, "grading": {"deg": "natural"}}},
+})
+# (1,1) over E_2 with the infty grading
+UT11_OVER_E2 = json.dumps({
+    "kind": "matrix_over", "shape": [1, 1],
+    "entries": {"kind": "grassmann", "generators": 2, "grading": {"deg": "infty"}},
 })
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
@@ -95,6 +103,9 @@ FACTOR_CLI_COMMANDS = [
     ["relfree", "multbasis", "--mode", "infty", "--seed", "3"],
     # sampled self-checks of a matrix-over table whose entry dimension is 96
     ["identities", "--algebra", NESTED_MATRIX_OVER, "--sig", "1"],
+    # the full evaluation route, with rows left over after full rank
+    ["identities", "--algebra", "grassmann:N=4,deg=infty", "--sig", "1,1", "--method", "full"],
+    ["identities", "--algebra", UT11_OVER_E2, "--sig", "1,0,1", "--method", "full"],
 ]
 
 

@@ -136,6 +136,7 @@ class RowReducer:
     pivot column. add() keeps that invariant; finish() gives the canonical
     RREF. A row is stored only while (rank + 1) x n_cols stays within the
     guard's max_cells, and every input or updated row within its max_bits.
+    At full rank add() still checks each row and stores nothing.
     """
 
     def __init__(self, n_cols: int, guard: GuardLimits = DEFAULT_GUARD):
@@ -156,6 +157,8 @@ class RowReducer:
         if r[-1][0] >= self.n_cols:
             raise AmbientMismatchError(f"column {r[-1][0]} outside ambient {self.n_cols}")
         pivots = self.pivot_rows
+        if len(pivots) == self.n_cols:
+            return False  # full rank: every row lies in the span
         hits = [c for c, _ in r if c in pivots]
         if hits:
             # clearing one pivot column touches no other pivot column

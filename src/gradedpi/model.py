@@ -62,10 +62,6 @@ class _RelfreeAdapter:
     def keyed_vector(self, a) -> dict:
         return dict(a.terms)
 
-    @staticmethod
-    def sort_key(key):
-        return key.sort_key()
-
     def format(self, a) -> str:
         return format_relfree(a)
 
@@ -101,10 +97,6 @@ class _TruncatedAdapter:
             for col, val in items:
                 out[(mkey, col)] = val
         return out
-
-    @staticmethod
-    def sort_key(key):
-        return key
 
     def format(self, a) -> str:
         return format_poly(a, style="yz")
@@ -241,20 +233,6 @@ class GenericMatrix:
             for i, j in self.cfg.shape.positions()
         }
 
-    def format(self) -> str:
-        ad = self._adapter
-        n = self.cfg.n
-        rows = []
-        for i in range(1, n + 1):
-            cells = []
-            for j in range(1, n + 1):
-                if not self.cfg.shape.allowed(i, j):
-                    cells.append(".")
-                else:
-                    cells.append(ad.format(self.entry(i, j)))
-            rows.append("[" + ", ".join(cells) + "]")
-        return "\n".join(rows)
-
 
 def zero_matrix(cfg: ModelConfig) -> GenericMatrix:
     return GenericMatrix(cfg, {})
@@ -384,11 +362,12 @@ def _independent(matrices, positions, guard: GuardLimits) -> bool:
         }
         for m in matrices
     ]
-    keys = sorted(
-        {k for vec in vectors for k in vec}, key=lambda t: (t[0], t[1], ad.sort_key(t[2]))
-    )
-    index = {k: c for c, k in enumerate(keys)}
-    red = RowReducer(max(len(keys), 1), guard)
+    # rank does not depend on column order: number keys as first seen
+    index = {}
+    for vec in vectors:
+        for k in vec:
+            index.setdefault(k, len(index))
+    red = RowReducer(max(len(index), 1), guard)
     for vec in vectors:
         red.add({index[k]: v for k, v in vec.items()})
     return red.rank == len(matrices)

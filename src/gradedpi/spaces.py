@@ -11,9 +11,10 @@ Identity components are computed two independent ways:
                 T-ideal presentation
 
 Both present subspaces of the n!-dimensional multilinear component in the
-permutation-monomial coordinates of freealg.multilinear_monomials. On top
-sit T-ideal products at a multidegree, factoring verdicts for
-block-triangular algebras, truncation scans, and a quotient backend that
+permutation-monomial coordinates of freealg.multilinear_monomials. Both
+evaluation row sets, full and reduced, feed one elimination whose kernel
+is the component. On top sit T-ideal products at a multidegree, factoring
+verdicts for block-triangular algebras, and a quotient backend that
 decides congruence modulo the identities of a finite-dimensional algebra.
 """
 
@@ -61,6 +62,7 @@ from .linalg import (
     contains,
     kernel_basis,
     reduce_vector,
+    row_space,
 )
 
 
@@ -123,17 +125,22 @@ class TIdealPresentation:
 # -- evaluation route --------------------------------------------------------
 
 
-def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
-    """Evaluation rows from every tuple of homogeneous basis elements."""
+def _multilinear_basis(n: int, guard: GuardLimits) -> tuple:
+    """The n! monomials that index the columns of a length-n component,
+    built only once one row of n! columns fits the guard."""
+    cells_guard(1, math.factorial(n), guard, "multilinear component")
+    return multilinear_monomials(n)
+
+
+def _full_rows(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
+    """Evaluation rows from every tuple of homogeneous basis elements, each
+    distinct row once as sorted (col, value) pairs, in first-seen order."""
     n = len(sig)
     comps = [homogeneous_indices(algebra, d) for d in sig]
-    perms = multilinear_monomials(n)
-    n_cols = len(perms)
     n_tuples = math.prod(len(c) for c in comps)
-    cells_guard(n_tuples, n_cols, guard, "evaluation kernel, estimated")
-    reducer = RowReducer(n_cols, guard)
-    seen = set()
-    n_rows = 0
+    cells_guard(n_tuples, math.factorial(n), guard, "evaluation kernel, estimated")
+    perms = _multilinear_basis(n, guard)
+    rows = {}  # an ordered set
     for tup in itertools.product(*comps):
         by_coord = {}
         for col, perm in enumerate(perms):
@@ -145,14 +152,8 @@ def _full_kernel(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
             for k, c in vec.items():
                 by_coord.setdefault(k, {})[col] = c
         for row in by_coord.values():
-            key = tuple(sorted(row.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            n_rows += 1
-            reducer.add(row)
-    space = reducer.finish()
-    return kernel_basis(space, guard), {"rows": n_rows, "tuples": n_tuples}
+            rows[tuple(sorted(row.items()))] = None
+    return list(rows), {"rows": len(rows), "tuples": n_tuples}
 
 
 def _pool_sizes(gspec: GrassmannSpec, limit: bool):
@@ -187,12 +188,12 @@ def _fits(need, sizes) -> bool:
 
 
 def _fast_kind(algebra: StructureConstantAlgebra):
-    """(gspec, positions) when the fast evaluation rows apply: positions is
-    None for an exterior algebra E_N and the allowed matrix units for block
-    matrices over E_N. None for every other algebra."""
+    """(gspec, positions) when the fast evaluation rows apply: positions are
+    the allowed matrix units of block matrices over E_N, and the single
+    unit (1, 1) for E_N itself. None for every other algebra."""
     meta = algebra.meta
     if meta.get("kind") == "grassmann":
-        return meta["gspec"], None
+        return meta["gspec"], BlockShape((1,)).positions()
     if (
         meta.get("kind") == "matrix_over"
         and meta["entries"].meta.get("kind") == "grassmann"
@@ -254,7 +255,8 @@ def grassmann_fast_rows(
     sign that does not move the kernel. One row per achievable combination
     therefore cuts the same kernel as the full enumeration.
 
-    Over matrices only composable unit chains contribute, and a row's
+    Only composable unit chains contribute (E_N counts as 1 x 1 matrices
+    over itself, with one chain through all n! columns), and a row's
     column set does not depend on the pattern, which only sets the signs.
     The column sets are found once per signature from the composable walks
     of n matrix units, at cost O(walks * n!); each used pattern then signs
@@ -274,11 +276,8 @@ def grassmann_fast_rows(
     gspec, positions = kind
     sig = validate_signature(sig, algebra.group)
     n = len(sig)
-    perms = multilinear_monomials(n)
-    if positions is None:
-        column_sets = [range(len(perms))]
-    else:
-        column_sets = _unit_chain_columns(positions, perms, guard)
+    perms = _multilinear_basis(n, guard)
+    column_sets = _unit_chain_columns(positions, perms, guard)
     now_sizes = _pool_sizes(gspec, limit=False)
     lim_sizes = _pool_sizes(gspec, limit=True)
     rows = []
@@ -340,19 +339,12 @@ def identities_by_evaluation(
     if method == "auto":
         method = "full" if _fast_kind(algebra) is None else "fast"
     if method == "full":
-        space, info = _full_kernel(algebra, sig, guard)
+        rows, info = _full_rows(algebra, sig, guard)
     elif method in ("fast", "limit"):
         rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
-        n_cols = math.factorial(len(sig))
-        cells_guard(max(len(rows), 1), n_cols, guard, "evaluation kernel")
-        reducer = RowReducer(n_cols, guard)
-        for r in rows:
-            if reducer.rank == n_cols:
-                break  # the rows span everything; the rest add nothing
-            reducer.add(r)
-        space = kernel_basis(reducer.finish(), guard)
     else:
         raise MalformedElementError(f"unknown evaluation method {method!r}")
+    space = kernel_basis(row_space(rows, math.factorial(len(sig)), guard), guard)
     meta = {"route": "evaluation", "method": method}
     meta.update(info)
     return IdentitySubspace(sig, algebra.group, space, meta)
@@ -441,9 +433,8 @@ def identities_by_consequences(
     spec = presentation.spec
     sig = validate_signature(sig, spec)
     n = len(sig)
+    reducer = RowReducer(len(_multilinear_basis(n, guard)), guard)
     idx = monomial_index(n)
-    n_cols = math.factorial(n)
-    reducer = RowReducer(n_cols, guard)
     positions = tuple(range(1, n + 1))
     # the degree of every position subset, keyed as _disjoint_subset_tuples
     # yields the subsets (ascending tuples)
@@ -559,9 +550,9 @@ def tideal_product(
     """
     sig = validate_signature(sig, spec)
     n = len(sig)
+    reducer = RowReducer(len(_multilinear_basis(n, guard)), guard)
     idx = monomial_index(n)
     positions = tuple(range(1, n + 1))
-    reducer = RowReducer(math.factorial(n), guard)
     n_rows = 0
     for size in range(1, n):
         for s in itertools.combinations(positions, size):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedpi import spaces
 from gradedpi.algebras import (
     BlockShape,
     GrassmannSpec,
@@ -196,6 +197,37 @@ def test_evaluation_guard_exits_3(capsys):
     assert code == 3 and out == ""
     assert err.startswith("resource guard: evaluation kernel") and err.count("\n") == 1
     assert "cells 24 > max_cells 10" in err
+
+
+_ODD_11, _EVEN_11 = ",".join("1" * 11), ",".join("0" * 11)
+_LENGTH_11 = [
+    ["identities", "--algebra", "grassmann:N=2,deg=natural", "--sig", _ODD_11],
+    ["factor-check", "--shape", "1,1", "--entries", "grassmann:N=2,deg=natural",
+     "--sig", _ODD_11],
+    ["identities", "--algebra", "field", "--sig", _EVEN_11],
+    ["identities", "--generators", "GENS", "--sig", _EVEN_11],
+]
+
+
+@pytest.mark.parametrize("argv", _LENGTH_11)
+def test_length_11_exits_3_before_the_column_basis_is_built(capsys, tmp_path, monkeypatch, argv):
+    """One row of 11! = 39,916,800 columns exceeds the default guard, and
+    the guard trips before the n! monomials or their index exist."""
+    def unbuilt(real):
+        def build(n):
+            assert n <= 10, "the n! basis was built before its guard"
+            return real(n)
+
+        return build
+
+    monkeypatch.setattr(spaces, "multilinear_monomials", unbuilt(spaces.multilinear_monomials))
+    monkeypatch.setattr(spaces, "monomial_index", unbuilt(spaces.monomial_index))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("z1*z2*z3\n")
+    code, out, err = run_cli(capsys, *[str(gens) if a == "GENS" else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: ") and err.count("\n") == 1
+    assert err.endswith("[cells 39916800 > max_cells 8000000]\n")
 
 
 @pytest.mark.parametrize(

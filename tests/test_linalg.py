@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedpi import linalg
 from gradedpi.errors import AmbientMismatchError, GuardExceededError
 from gradedpi.linalg import (
     GuardLimits,
@@ -168,6 +169,28 @@ def test_reducer_incremental_rank():
     assert red.rank == 2
     assert red.add([(3, Fraction(1, 2))])
     assert red.rank == 3
+
+
+def test_reducer_at_full_rank_checks_rows_and_stores_nothing(monkeypatch):
+    red = RowReducer(2, GuardLimits(max_bits=100))
+    assert red.add({0: 1, 1: 1})
+    assert red.add({1: 3})
+    stored = dict(red.pivot_rows)
+    space = red.finish()
+
+    def no_elimination(*args):
+        raise AssertionError("a row was eliminated at full rank")
+
+    monkeypatch.setattr(linalg, "_clear", no_elimination)
+    for row in ({0: 3, 1: -7}, {1: Fraction(1, 2)}, [(0, 5)], {}):
+        assert not red.add(row)
+    with pytest.raises(GuardExceededError) as exc:
+        red.add({0: 2**3000 + 1})
+    assert exc.value.bits == 3001
+    with pytest.raises(AmbientMismatchError):
+        red.add({5: 1})
+    assert red.rank == 2 and red.pivot_rows == stored
+    assert red.finish() == space == row_space([{0: 1}, {1: 1}], 2)
 
 
 def test_ambient_mismatch_in_reducer():

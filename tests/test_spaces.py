@@ -112,12 +112,18 @@ def _fast_rows_outcome(fn, alg, sig, limit):
 
 def test_fast_rows_match_direct_enumeration():
     """Rows from composable unit chains equal the direct |positions|^n * n!
-    enumeration: the same rows in the same order, and the same report."""
+    enumeration: the same rows in the same order, and the same report.
+    Shape None is E_N itself, whose one unit (1, 1) gives one column set."""
     gradings = [("natural", None), ("infty", None), ("kstar", 1), ("trivial", None)]
-    cases = [(4, (1, 1), 4), (6, (1, 1), 4), (4, (2, 1), 3), (4, (1, 2), 3), (4, (1, 1, 1), 3)]
+    cases = [
+        (5, None, 4), (4, (1, 1), 4), (6, (1, 1), 4), (4, (2, 1), 3), (4, (1, 2), 3),
+        (4, (1, 1, 1), 3),
+    ]
     for n_gens, shape, max_len in cases:
         for kind, k in gradings:
-            M = build_matrix_over(E(n_gens, kind, k=k), BlockShape(shape))
+            M = E(n_gens, kind, k=k)
+            if shape is not None:
+                M = build_matrix_over(M, BlockShape(shape))
             degrees = [()] if kind == "trivial" else [(0,), (1,)]
             for n in range(1, max_len + 1):
                 for sig in itertools.product(degrees, repeat=n):
@@ -125,6 +131,27 @@ def test_fast_rows_match_direct_enumeration():
                         got = _fast_rows_outcome(grassmann_fast_rows, M, sig, limit)
                         want = _fast_rows_outcome(reference_fast_rows, M, sig, limit)
                         assert got == want, (n_gens, shape, kind, sig, limit)
+
+
+def test_full_route_counts_rows_past_full_rank(monkeypatch):
+    """The full route's rows meta counts every distinct row, also the ones
+    that reach the reducer after its rank is full and add nothing."""
+    M = build_matrix_over(E(4, "infty"), BlockShape((1, 1)))
+    past_full = []
+    add = RowReducer.add
+
+    def counting_add(self, row):
+        at_full = self.rank == self.n_cols
+        grew = add(self, row)
+        if at_full:
+            past_full.append(grew)
+        return grew
+
+    monkeypatch.setattr(RowReducer, "add", counting_add)
+    comp = identities_by_evaluation(M, ((1,), (0,), (1,)), method="full")
+    assert comp.dim == 0
+    assert comp.meta == {"route": "evaluation", "method": "full", "rows": 46, "tuples": 13824}
+    assert past_full == [False] * 40
 
 
 def test_fast_route_stops_at_full_rank():
