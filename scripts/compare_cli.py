@@ -31,7 +31,8 @@ construction self-check samples its pairs and triples and the matrix-over
 product splits indices by // and %. Two identities commands take --method
 full: E_4 infty at (1,1), whose rows reach full rank with rows left over,
 and M(E_N) over (1,1) infty at (1,0,1), with no rows at N=2 and 40 rows
-past full rank at N=4. 31 commands in all.
+past full rank at N=4. One length-6 infty factor-check has non-zero
+components, 80 = 80. 32 commands in all.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ FACTOR_CLI_COMMANDS = [
     ["factor-check", "--shape", "2,2", "--entries", "grassmann:deg=infty", "--sig", "0,1,1"],
     # a length-5 T-ideal product of evaluation components
     _UT11 + ["grassmann:deg=natural", "--sig", "0,0,1,1,1"],
+    # a non-zero infty factoring, 80 = 80
+    _UT11 + ["grassmann:deg=infty", "--sig", "0,1,0,1,1,0"],
     # graded consequence rows against the evaluation route, at length 5
     ["identities", "--algebra", "grassmann:deg=natural",
      "--generators", NATURAL_GENERATORS_FILE, "--sig", "0,1,0,1,1"],

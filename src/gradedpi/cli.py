@@ -23,7 +23,6 @@ import sys
 from .algebras import (
     BlockShape,
     GradingMap,
-    GrassmannSpec,
     algebra_from_descriptor,
     build_matrix_algebra,
     build_matrix_over,
@@ -57,8 +56,10 @@ from .spaces import (
     EvaluationProvider,
     TIdealPresentation,
     check_factoring,
+    default_truncation,
     identities_by_consequences,
     identities_by_evaluation,
+    parity_patterns,
 )
 
 CERTIFICATE_VERSION = 1
@@ -169,12 +170,6 @@ def _json_meta(meta: dict) -> dict:
     return {k: v for k, v in meta.items() if isinstance(v, (int, str, bool))}
 
 
-def _default_truncation(n_total: int, gspec: GrassmannSpec) -> int:
-    # enough generators for every achievable disjoint-support pattern,
-    # with two consecutive levels confirming stabilization
-    return 2 * n_total + (gspec.k if gspec.deg_kind == "kstar" else 0)
-
-
 # -- regularity ---------------------------------------------------------------
 
 
@@ -227,7 +222,7 @@ def cmd_identities(args) -> int:
     if desc is not None:
         gspec = exterior_spec(desc)
         if gspec is not None:
-            n0 = gspec.n_generators or _default_truncation(len(sig), gspec)
+            n0 = gspec.n_generators or default_truncation(len(sig), gspec)
             truncations = [n0, n0 + 2]
             for nn in truncations:
                 guard_construction(with_generators(desc, nn), guard)
@@ -334,22 +329,23 @@ def cmd_identities(args) -> int:
 # -- factor-check ---------------------------------------------------------------
 
 
-def _sweep_signatures(spec: GroupSpec, bound: int):
-    if bound < 1:
+def _signatures(args, spec: GroupSpec):
+    """The --sig signature, or every --sweep signature up to its bound."""
+    if args.sig is not None:
+        return [_parse_sig(args.sig, spec)]
+    if args.sweep < 1:
         raise ParseError("sweep bound must be at least 1")
     els = spec.elements()
     out = []
-    for n in range(1, bound + 1):
+    for n in range(1, args.sweep + 1):
         out.extend(itertools.combinations_with_replacement(els, n))
     return out
 
 
 def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
-    """Elementary grading over the field: one run, no truncation.
-
-    The group is --group if given, else the descriptor's group if it is
-    non-trivial, else the group of order 2 with --targets and the trivial
-    group without.
+    """Elementary grading over the field, with no truncation. The group is
+    --group if given, else the descriptor's group if it is non-trivial,
+    else the group of order 2 with --targets and the trivial group without.
     """
     stated = descriptor_group(desc)
     if not stated.is_trivial():
@@ -377,36 +373,48 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
         for block in dict.fromkeys(blocks)
     }
     factors = [providers[block] for block in blocks]
-    run = (None, EvaluationProvider(target_alg, guard), factors)
     config = {"targets": _sig_json(targets)}
-    return spec, [run], config
+    return spec, EvaluationProvider(target_alg, guard), factors, config
 
 
-def _grassmann_setup(desc, shape: BlockShape, max_n: int, guard: GuardLimits):
-    """Matrices over the exterior algebra: two truncations unless pinned."""
+def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
+    """Matrices over the exterior algebra, built at one truncation. An
+    unpinned n0 + 2 is certified unbuilt: the fast rows of the target and
+    the factors depend on N only through the parity patterns of each
+    signature's restrictions to position subsets."""
     gspec = exterior_spec(desc)
     if gspec.n_generators:
         truncations = [gspec.n_generators]
     else:
-        n0 = _default_truncation(max_n, gspec)
+        n0 = default_truncation(max(len(s) for s in sigs), gspec)
         truncations = [n0, n0 + 2]
     target = {"kind": "matrix_over", "shape": list(shape.sizes)}
     for nn in truncations:
         guard_construction(dict(target, entries=with_generators(desc, nn)), guard)
-    runs = []
-    for nn in truncations:
-        entry_alg = algebra_from_descriptor(with_generators(desc, nn))
-        target_alg = build_matrix_over(entry_alg, shape)
-        providers = {
-            d: EvaluationProvider(
-                entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
-                guard,
-            )
-            for d in dict.fromkeys(shape.sizes)
+    if len(truncations) == 2:
+        levels = [exterior_spec(with_generators(desc, nn)) for nn in truncations]
+        subs = {
+            tuple(itertools.compress(sig, keep))
+            for sig in sigs
+            for keep in itertools.product((0, 1), repeat=len(sig))
         }
-        factors = [providers[d] for d in shape.sizes]
-        runs.append((nn, EvaluationProvider(target_alg, guard), factors))
-    return runs, {"truncations": truncations}
+        for sub in sorted(subs):
+            if parity_patterns(levels[0], sub) != parity_patterns(levels[1], sub):
+                raise InternalInconsistencyError(
+                    f"parity patterns at {_sig_text(sub)} differ between truncations "
+                    f"{truncations}; the default level is too small"
+                )
+    entry_alg = algebra_from_descriptor(with_generators(desc, truncations[0]))
+    target_alg = build_matrix_over(entry_alg, shape)
+    providers = {
+        d: EvaluationProvider(
+            entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
+            guard,
+        )
+        for d in dict.fromkeys(shape.sizes)
+    }
+    factors = [providers[d] for d in shape.sizes]
+    return EvaluationProvider(target_alg, guard), factors, {"truncations": truncations}
 
 
 def cmd_factor_check(args) -> int:
@@ -418,18 +426,13 @@ def cmd_factor_check(args) -> int:
     if args.targets and desc["kind"] != "field":
         raise ParseError("--targets applies to field entries only")
 
-    def signatures(spec):
-        if args.sig is not None:
-            return [_parse_sig(args.sig, spec)]
-        return _sweep_signatures(spec, args.sweep)
-
     if desc["kind"] == "field":
-        spec, runs, extra = _field_setup(args, desc, shape, guard)
-        sigs = signatures(spec)
+        spec, target, factors, extra = _field_setup(args, desc, shape, guard)
+        sigs = _signatures(args, spec)
     elif desc["kind"] == "grassmann":
         spec = _own_group(args, descriptor_group(desc), "the entries'")
-        sigs = signatures(spec)
-        runs, extra = _grassmann_setup(desc, shape, max(len(s) for s in sigs), guard)
+        sigs = _signatures(args, spec)
+        target, factors, extra = _grassmann_setup(desc, shape, sigs, guard)
     else:
         raise ParseError(
             f"entry algebra kind {desc['kind']!r} is not supported by factor-check"
@@ -448,27 +451,9 @@ def cmd_factor_check(args) -> int:
     rows = []
     lines = []
     for sig in sigs:
-        verdicts = []
-        for _, provider, factors in runs:
-            verdicts.append(
-                check_factoring(
-                    provider,
-                    factors,
-                    sig,
-                    spec,
-                    bordered_crosscheck=args.bordered,
-                    guard=guard,
-                )
-            )
-        summaries = {
-            (v.dim_identities, v.dim_product, v.relation) for v in verdicts
-        }
-        if len(summaries) > 1:
-            raise InternalInconsistencyError(
-                f"verdict at {_sig_text(sig)} changed between truncations "
-                f"{[nn for nn, _, _ in runs]}; the default level is too small"
-            )
-        v = verdicts[0]
+        v = check_factoring(
+            target, factors, sig, spec, bordered_crosscheck=args.bordered, guard=guard
+        )
         witness = format_poly(v.witness, style="yz") if v.witness else None
         rows.append(
             {

@@ -127,8 +127,8 @@ class TIdealPresentation:
 
 def _multilinear_basis(n: int, guard: GuardLimits) -> tuple:
     """The n! monomials that index the columns of a length-n component,
-    built only once one row of n! columns fits the guard."""
-    cells_guard(1, math.factorial(n), guard, "multilinear component")
+    built only once their n x n! cells fit the guard."""
+    cells_guard(n, math.factorial(n), guard, "multilinear column basis")
     return multilinear_monomials(n)
 
 
@@ -154,6 +154,12 @@ def _full_rows(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
         for row in by_coord.values():
             rows[tuple(sorted(row.items()))] = None
     return list(rows), {"rows": len(rows), "tuples": n_tuples}
+
+
+def default_truncation(n_total: int, gspec: GrassmannSpec) -> int:
+    # every parity pattern at length n_total fits; factor-check certifies
+    # n0 + 2 by its patterns
+    return 2 * n_total + (gspec.k if gspec.deg_kind == "kstar" else 0)
 
 
 def _pool_sizes(gspec: GrassmannSpec, limit: bool):
@@ -185,6 +191,37 @@ def _block_cost(gspec: GrassmannSpec, deg, parity):
 
 def _fits(need, sizes) -> bool:
     return all(s is None or x <= s for x, s in zip(need, sizes))
+
+
+def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False):
+    """(used, skipped) parity patterns, each position's monomial length
+    parity, of the fast rows of E_N or matrices over it at a validated
+    signature. With limit, those no N realizes are skipped too, and one
+    needing more generators than this N raises TruncationError."""
+    now_sizes = _pool_sizes(gspec, limit=False)
+    lim_sizes = _pool_sizes(gspec, limit=True)
+    used = []
+    skipped = []
+    for pattern in itertools.product((0, 1), repeat=len(sig)):
+        costs = [_block_cost(gspec, d, p) for d, p in zip(sig, pattern)]
+        if any(c is None for c in costs):
+            skipped.append({"pattern": pattern, "reason": "parity-degree conflict"})
+            continue
+        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
+        if limit and not _fits(need, lim_sizes):
+            skipped.append({"pattern": pattern, "reason": "not realizable at any truncation"})
+            continue
+        if not _fits(need, now_sizes):
+            if limit:
+                raise TruncationError(
+                    f"signature {sig}, parity pattern {pattern} needs {need[0]} "
+                    f"degree-1 and {need[1]} degree-0 generators; rebuild the "
+                    f"algebra with a larger truncation than {gspec.n_generators}"
+                )
+            skipped.append({"pattern": pattern, "reason": "not realizable here"})
+            continue
+        used.append(pattern)
+    return used, skipped
 
 
 def _fast_kind(algebra: StructureConstantAlgebra):
@@ -263,10 +300,8 @@ def grassmann_fast_rows(
     them, at cost O(patterns * rows). The guard bounds walks x n! before
     the walks are listed, and rows x n! as rows are kept.
 
-    With limit=True the rows describe the untruncated algebra: patterns
-    that no truncation can realize are dropped, and a pattern realizable
-    only with more generators than this algebra carries raises an error
-    asking for a larger truncation.
+    With limit=True the rows describe the untruncated algebra, with the
+    patterns parity_patterns selects for it.
     """
     kind = _fast_kind(algebra)
     if kind is None:
@@ -275,34 +310,12 @@ def grassmann_fast_rows(
         )
     gspec, positions = kind
     sig = validate_signature(sig, algebra.group)
-    n = len(sig)
-    perms = _multilinear_basis(n, guard)
+    perms = _multilinear_basis(len(sig), guard)
     column_sets = _unit_chain_columns(positions, perms, guard)
-    now_sizes = _pool_sizes(gspec, limit=False)
-    lim_sizes = _pool_sizes(gspec, limit=True)
+    used, skipped = parity_patterns(gspec, sig, limit)
     rows = []
     seen = set()
-    used_patterns = []
-    skipped = []
-    for pattern in itertools.product((0, 1), repeat=n):
-        costs = [_block_cost(gspec, sig[i], pattern[i]) for i in range(n)]
-        if any(c is None for c in costs):
-            skipped.append({"pattern": pattern, "reason": "parity-degree conflict"})
-            continue
-        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
-        if limit and not _fits(need, lim_sizes):
-            skipped.append({"pattern": pattern, "reason": "not realizable at any truncation"})
-            continue
-        if not _fits(need, now_sizes):
-            if limit:
-                raise TruncationError(
-                    f"signature {sig}, parity pattern {pattern} needs {need[0]} "
-                    f"degree-1 and {need[1]} degree-0 generators; rebuild the "
-                    f"algebra with a larger truncation than {gspec.n_generators}"
-                )
-            skipped.append({"pattern": pattern, "reason": "not realizable here"})
-            continue
-        used_patterns.append(pattern)
+    for pattern in used:
         # the sign of sorting the odd-parity blocks back to ascending order
         signs = [sort_sign(v for v in perm if pattern[v - 1]) for perm in perms]
         for cols in column_sets:
@@ -313,7 +326,7 @@ def grassmann_fast_rows(
                 rows.append(row)
                 cells_guard(len(rows), len(perms), guard, "evaluation kernel")
     report = {
-        "patterns_used": used_patterns,
+        "patterns_used": used,
         "patterns_skipped": skipped,
         "rows": len(rows),
         "semantics": "limit" if limit else "truncated",

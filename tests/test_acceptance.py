@@ -13,6 +13,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from gradedpi import Z2
 from gradedpi.algebras import (
     BlockShape,
@@ -134,6 +136,22 @@ def test_criterion_03_factoring_ut11_exterior():
     elapsed = time.monotonic() - t0
     assert elapsed < 900
     acceptance_pass(3, label, elapsed, 900)
+
+
+@pytest.mark.slow
+def test_factoring_ut11_infty_at_length_6(capsys):
+    """The first non-zero infty factoring: at each of the 7 length-6
+    signatures the identities of UT(1,1;E) and T(E)T(E) have dimension 80."""
+    code = main(["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=infty",
+                 "--sweep", "6"])
+    out = capsys.readouterr().out
+    assert code == 0
+    cert = json.loads(out[out.index('{\n  "certificate_version"'):])
+    length_6 = [v for v in cert["result"]["verdicts"] if len(v["signature"]) == 6]
+    assert len(length_6) == 7
+    for v in length_6:
+        assert (v["dim_identities"], v["dim_product"], v["relation"]) == (80, 80, "equal"), v
+    assert cert["result"]["all_equal"] is True
 
 
 def test_criterion_04_factoring_fails_for_kstar():

@@ -200,23 +200,32 @@ def test_evaluation_guard_exits_3(capsys):
 
 
 _ODD_11, _EVEN_11 = ",".join("1" * 11), ",".join("0" * 11)
+# (argv, cells of the guard that trips): the n x n! cells of the column
+# basis, except for the field, whose estimated evaluation rows trip first
 _LENGTH_11 = [
-    ["identities", "--algebra", "grassmann:N=2,deg=natural", "--sig", _ODD_11],
-    ["factor-check", "--shape", "1,1", "--entries", "grassmann:N=2,deg=natural",
-     "--sig", _ODD_11],
-    ["identities", "--algebra", "field", "--sig", _EVEN_11],
-    ["identities", "--generators", "GENS", "--sig", _EVEN_11],
+    (["identities", "--algebra", "grassmann:N=2,deg=natural", "--sig", _ODD_11], 11 * 39916800),
+    (["factor-check", "--shape", "1,1", "--entries", "grassmann:N=2,deg=natural",
+      "--sig", _ODD_11], 11 * 39916800),
+    (["identities", "--algebra", "field", "--sig", _EVEN_11], 39916800),
+    (["identities", "--generators", "GENS", "--sig", _EVEN_11], 11 * 39916800),
+    # length 10: one row of 10! cells fits the guard, the basis does not
+    (["identities", "--generators", "GENS", "--sig", ",".join("0" * 10)], 10 * 3628800),
 ]
 
 
-@pytest.mark.parametrize("argv", _LENGTH_11)
-def test_length_11_exits_3_before_the_column_basis_is_built(capsys, tmp_path, monkeypatch, argv):
-    """One row of 11! = 39,916,800 columns exceeds the default guard, and
-    the guard trips before the n! monomials or their index exist."""
+@pytest.mark.parametrize(
+    "argv, cells", _LENGTH_11, ids=[f"argv{i}" for i in range(len(_LENGTH_11))]
+)
+def test_length_11_exits_3_before_the_column_basis_is_built(
+    capsys, tmp_path, monkeypatch, argv, cells
+):
+    """The guard trips before the n! monomials or their index exist."""
+    n = argv[-1].count(",") + 1
+
     def unbuilt(real):
-        def build(n):
-            assert n <= 10, "the n! basis was built before its guard"
-            return real(n)
+        def build(k):
+            assert k < n, "the n! basis was built before its guard"
+            return real(k)
 
         return build
 
@@ -227,7 +236,7 @@ def test_length_11_exits_3_before_the_column_basis_is_built(capsys, tmp_path, mo
     code, out, err = run_cli(capsys, *[str(gens) if a == "GENS" else a for a in argv])
     assert code == 3 and out == ""
     assert err.startswith("resource guard: ") and err.count("\n") == 1
-    assert err.endswith("[cells 39916800 > max_cells 8000000]\n")
+    assert err.endswith(f"[cells {cells} > max_cells 8000000]\n")
 
 
 @pytest.mark.parametrize(
@@ -530,8 +539,8 @@ def test_factor_check_ungraded_field(capsys):
 @pytest.mark.parametrize(
     "argv, builder, calls",
     [
-        # two truncations, each building M_2(E) once for both diagonal blocks
-        (["--entries", "grassmann:deg=infty"], "build_matrix_over", 4),
+        # the target and one M_2(E) for both diagonal blocks, at n0 only
+        (["--entries", "grassmann:deg=infty"], "build_matrix_over", 2),
         # the target and one algebra for the repeated block targets (0,1)
         (["--entries", "field", "--targets", "0,1,0,1", "--group", "2"],
          "build_matrix_algebra", 2),
@@ -543,9 +552,38 @@ def test_factor_check_builds_each_distinct_block_once(capsys, monkeypatch, argv,
     built = []
     real = getattr(cli, builder)
     monkeypatch.setattr(cli, builder, lambda *a: built.append(a) or real(*a))
-    code, _, _ = run_cli(capsys, "factor-check", "--shape", "2,2", *argv, "--sig", "0,1")
+    entries = []
+    real_entries = cli.algebra_from_descriptor
+    monkeypatch.setattr(
+        cli, "algebra_from_descriptor", lambda d: entries.append(d) or real_entries(d)
+    )
+    code, out, _ = run_cli(capsys, "factor-check", "--shape", "2,2", *argv, "--sig", "0,1")
     assert code == 0
     assert len(built) == calls
+    if builder == "build_matrix_over":
+        # one entry algebra, at n0 = 2 x 2; n0 + 2 is certified, not built
+        assert [d["generators"] for d in entries] == [4]
+        assert cert_from(out)["config"]["truncations"] == [4, 6]
+
+
+def test_factor_check_exits_2_when_the_default_truncation_is_too_small(capsys, monkeypatch):
+    """At N = 2 and N = 4 no parity pattern of 1,1,1 fits, but those of its
+    restriction 1,1 differ, so factor-check stops before building anything."""
+    import gradedpi.cli as cli
+
+    built = []
+    monkeypatch.setattr(cli, "default_truncation", lambda n, gspec: 2)
+    monkeypatch.setattr(cli, "algebra_from_descriptor", lambda *a: built.append(a))
+    monkeypatch.setattr(cli, "build_matrix_over", lambda *a: built.append(a))
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", "grassmann:deg=infty",
+        "--sig", "1,1,1",
+    )
+    assert code == 2 and out == "" and built == []
+    assert err == (
+        "internal inconsistency: parity patterns at 1,1 differ between truncations "
+        "[2, 4]; the default level is too small\n"
+    )
 
 
 def test_factor_check_needs_sig_or_sweep(capsys):
