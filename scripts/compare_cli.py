@@ -32,7 +32,9 @@ product splits indices by // and %. Two identities commands take --method
 full: E_4 infty at (1,1), whose rows reach full rank with rows left over,
 and M(E_N) over (1,1) infty at (1,0,1), with no rows at N=2 and 40 rows
 past full rank at N=4. One length-6 infty factor-check has non-zero
-components, 80 = 80. 32 commands in all.
+components, 80 = 80. One length-6 identities command over (1,1) infty
+writes the fast route's distinct-row count over matrices (3,878 rows,
+dim 80). 33 commands in all.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ NESTED_MATRIX_OVER = json.dumps({
 UT11_OVER_E2 = json.dumps({
     "kind": "matrix_over", "shape": [1, 1],
     "entries": {"kind": "grassmann", "generators": 2, "grading": {"deg": "infty"}},
+})
+# (1,1) over E with the infty grading, truncation left to the command
+UT11_OVER_E = json.dumps({
+    "kind": "matrix_over", "shape": [1, 1],
+    "entries": {"kind": "grassmann", "grading": {"deg": "infty"}},
 })
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
@@ -109,6 +116,8 @@ FACTOR_CLI_COMMANDS = [
     # the full evaluation route, with rows left over after full rank
     ["identities", "--algebra", "grassmann:N=4,deg=infty", "--sig", "1,1", "--method", "full"],
     ["identities", "--algebra", UT11_OVER_E2, "--sig", "1,0,1", "--method", "full"],
+    # distinct fast rows over matrices, counted in the certificate
+    ["identities", "--algebra", UT11_OVER_E, "--sig", "0,1,0,1,1,0"],
 ]
 
 

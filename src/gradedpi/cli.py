@@ -44,7 +44,7 @@ from .errors import (
 )
 from .freealg import format_poly, parse_poly, parse_signature
 from .groups import TRIVIAL_GROUP, GroupSpec, Z2
-from .linalg import GuardLimits
+from .linalg import GuardLimits, cells_guard
 from .model import ModelConfig, model_eval
 from .relfree import (
     GradingMode,
@@ -338,6 +338,8 @@ def _signatures(args, spec: GroupSpec):
     els = spec.elements()
     out = []
     for n in range(1, args.sweep + 1):
+        # a length no column basis fits ends the sweep before it is listed
+        cells_guard(n, math.factorial(n), _guard(args), "multilinear column basis")
         out.extend(itertools.combinations_with_replacement(els, n))
     return out
 

@@ -540,6 +540,8 @@ def partial_multiplicativity_check(
     On failure the witness is an explicit vanishing linear combination of
     products (a single zero product when one exists).
     """
+    if degree_bound < 1 or sample_count < 1:
+        raise MalformedElementError("degree bound and sample count must be >= 1")
     rng = random.Random(seed)
     alphabet1 = list(range(1, 9))
     alphabet2 = list(range(9, 17))

@@ -12,10 +12,10 @@ Identity components are computed two independent ways:
 
 Both present subspaces of the n!-dimensional multilinear component in the
 permutation-monomial coordinates of freealg.multilinear_monomials. Both
-evaluation row sets, full and reduced, feed one elimination whose kernel
-is the component. On top sit T-ideal products at a multidegree, factoring
-verdicts for block-triangular algebras, and a quotient backend that
-decides congruence modulo the identities of a finite-dimensional algebra.
+evaluation row sets stream their distinct rows into one elimination whose
+kernel is the component. On top sit T-ideal products at a multidegree,
+factoring verdicts for block-triangular algebras, and a quotient backend
+that decides congruence modulo the identities of a finite-dimensional algebra.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from .linalg import (
     contains,
     kernel_basis,
     reduce_vector,
-    row_space,
 )
 
 
@@ -133,27 +132,29 @@ def _multilinear_basis(n: int, guard: GuardLimits) -> tuple:
 
 
 def _full_rows(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
-    """Evaluation rows from every tuple of homogeneous basis elements, each
-    distinct row once as sorted (col, value) pairs, in first-seen order."""
+    """Evaluation rows from every tuple of homogeneous basis elements, as a
+    stream of sorted (col, value) pairs, one per tuple and basis coordinate."""
     n = len(sig)
     comps = [homogeneous_indices(algebra, d) for d in sig]
     n_tuples = math.prod(len(c) for c in comps)
     cells_guard(n_tuples, math.factorial(n), guard, "evaluation kernel, estimated")
     perms = _multilinear_basis(n, guard)
-    rows = {}  # an ordered set
-    for tup in itertools.product(*comps):
-        by_coord = {}
-        for col, perm in enumerate(perms):
-            vec = algebra.basis_vector(tup[perm[0] - 1])
-            for vid in perm[1:]:
-                vec = algebra.times_basis(vec, tup[vid - 1])
-                if not vec:
-                    break
-            for k, c in vec.items():
-                by_coord.setdefault(k, {})[col] = c
-        for row in by_coord.values():
-            rows[tuple(sorted(row.items()))] = None
-    return list(rows), {"rows": len(rows), "tuples": n_tuples}
+
+    def rows():
+        for tup in itertools.product(*comps):
+            by_coord = {}
+            for col, perm in enumerate(perms):
+                vec = algebra.basis_vector(tup[perm[0] - 1])
+                for vid in perm[1:]:
+                    vec = algebra.times_basis(vec, tup[vid - 1])
+                    if not vec:
+                        break
+                for k, c in vec.items():
+                    by_coord.setdefault(k, {})[col] = c
+            for row in by_coord.values():
+                yield tuple(sorted(row.items()))
+
+    return rows(), {"tuples": n_tuples}
 
 
 def default_truncation(n_total: int, gspec: GrassmannSpec) -> int:
@@ -298,7 +299,8 @@ def grassmann_fast_rows(
     The column sets are found once per signature from the composable walks
     of n matrix units, at cost O(walks * n!); each used pattern then signs
     them, at cost O(patterns * rows). The guard bounds walks x n! before
-    the walks are listed, and rows x n! as rows are kept.
+    the first row; the rows, repeats included, stream lazily into a reducer
+    that bounds the rows it keeps.
 
     With limit=True the rows describe the untruncated algebra, with the
     patterns parity_patterns selects for it.
@@ -313,25 +315,15 @@ def grassmann_fast_rows(
     perms = _multilinear_basis(len(sig), guard)
     column_sets = _unit_chain_columns(positions, perms, guard)
     used, skipped = parity_patterns(gspec, sig, limit)
-    rows = []
-    seen = set()
-    for pattern in used:
-        # the sign of sorting the odd-parity blocks back to ascending order
-        signs = [sort_sign(v for v in perm if pattern[v - 1]) for perm in perms]
-        for cols in column_sets:
-            row = {col: signs[col] for col in cols}
-            key = tuple(row.items())
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-                cells_guard(len(rows), len(perms), guard, "evaluation kernel")
-    report = {
+    # per used pattern, each column's sign of sorting the odd-parity blocks
+    # back to ascending order; then one row per column set
+    signs = ([sort_sign(v for v in perm if p[v - 1]) for perm in perms] for p in used)
+    rows = (tuple((col, s[col]) for col in cols) for s in signs for cols in column_sets)
+    return rows, {
         "patterns_used": used,
         "patterns_skipped": skipped,
-        "rows": len(rows),
         "semantics": "limit" if limit else "truncated",
     }
-    return rows, report
 
 
 def identities_by_evaluation(
@@ -357,10 +349,16 @@ def identities_by_evaluation(
         rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
     else:
         raise MalformedElementError(f"unknown evaluation method {method!r}")
-    space = kernel_basis(row_space(rows, math.factorial(len(sig)), guard), guard)
-    meta = {"route": "evaluation", "method": method}
-    meta.update(info)
-    return IdentitySubspace(sig, algebra.group, space, meta)
+    reducer = RowReducer(math.factorial(len(sig)), guard)
+    seen = set()  # a repeated row adds nothing; rows counts the distinct ones
+    for row in rows:
+        if row not in seen:
+            seen.add(row)
+            reducer.add(row)
+    meta = {"route": "evaluation", "method": method, "rows": len(seen), **info}
+    space = reducer.finish()
+    del reducer, seen  # free elimination's state before the kernel's
+    return IdentitySubspace(sig, algebra.group, kernel_basis(space, guard), meta)
 
 
 # -- consequence route -------------------------------------------------------

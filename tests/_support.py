@@ -95,7 +95,8 @@ def reference_fast_rows(algebra, sig, limit=False):
     pattern, every tuple of matrix units and every permutation monomial,
     test the chain for composability and bucket its column by (start row,
     end column). |positions|^n * n! chain tests per pattern; the library
-    finds the same column sets once from the composable walks.
+    finds the same column sets once from the composable walks. Every row
+    is listed as sorted (col, value) pairs, repeats included.
 
     Pattern selection reuses the library's helpers; the row enumeration
     and the pattern signs (an inversion count, not freealg.sort_sign) are
@@ -117,7 +118,7 @@ def reference_fast_rows(algebra, sig, limit=False):
     perms = multilinear_monomials(n)
     now_sizes = _pool_sizes(gspec, limit=False)
     lim_sizes = _pool_sizes(gspec, limit=True)
-    rows, seen, used, skipped = [], set(), [], []
+    rows, used, skipped = [], [], []
     for pattern in itertools.product((0, 1), repeat=n):
         costs = [_block_cost(gspec, sig[i], pattern[i]) for i in range(n)]
         if any(c is None for c in costs):
@@ -150,15 +151,10 @@ def reference_fast_rows(algebra, sig, limit=False):
                         key = (seq[0][0], seq[-1][1])
                         buckets.setdefault(key, {})[col] = Fraction(signs[col])
                 candidates.extend(buckets.values())
-        for row in candidates:
-            key = tuple(sorted(row.items()))
-            if row and key not in seen:
-                seen.add(key)
-                rows.append(row)
+        rows.extend(tuple(sorted(row.items())) for row in candidates)
     report = {
         "patterns_used": used,
         "patterns_skipped": skipped,
-        "rows": len(rows),
         "semantics": "limit" if limit else "truncated",
     }
     return rows, report

@@ -586,6 +586,37 @@ def test_factor_check_exits_2_when_the_default_truncation_is_too_small(capsys, m
     )
 
 
+@pytest.mark.parametrize(
+    "entries", [["grassmann:deg=infty"], ["field", "--targets", "0,1", "--group", "2"]]
+)
+def test_factor_check_sweep_stops_at_the_first_length_past_the_guard(
+    capsys, monkeypatch, entries
+):
+    """Length 10's column basis, 10 x 10! cells, exceeds the default guard:
+    the sweep exits 3 before it lists that length or builds an exterior
+    algebra, however far its bound reaches."""
+    import gradedpi.cli as cli
+
+    listed = []
+    real = cli.itertools.combinations_with_replacement
+
+    def listing(els, n):
+        listed.append(n)
+        return real(els, n)
+
+    monkeypatch.setattr(cli.itertools, "combinations_with_replacement", listing)
+    monkeypatch.setattr(cli, "algebra_from_descriptor", lambda *a: pytest.fail("built"))
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", *entries, "--sweep", "300"
+    )
+    assert code == 3 and out == "" and listed == list(range(1, 10))
+    assert err == (
+        "resource guard: multilinear column basis: 10 rows of 3628800 columns "
+        "(36288000 cells) exceeds the guard of 8000000 cells "
+        "[cells 36288000 > max_cells 8000000]\n"
+    )
+
+
 def test_factor_check_needs_sig_or_sweep(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["factor-check", "--shape", "1,1"])
@@ -661,6 +692,13 @@ def test_relfree_multbasis(capsys):
         "--bound", "3", "--samples", "50", "--seed", "0",
     )
     assert cert_from(out)["result"]["verdict"] == "holds-on-samples"
+
+
+@pytest.mark.parametrize("flag, value", [("--bound", "0"), ("--samples", "0"), ("--samples", "-3")])
+def test_relfree_multbasis_needs_a_positive_bound_and_sample_count(capsys, flag, value):
+    code, out, err = run_cli(capsys, "relfree", "multbasis", "--mode", "infty", flag, value)
+    assert code == 1 and out == ""
+    assert err == "error: degree bound and sample count must be >= 1\n"
 
 
 def test_certificates_byte_identical(capsys, tmp_path):

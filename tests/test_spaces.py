@@ -107,13 +107,14 @@ def _fast_rows_outcome(fn, alg, sig, limit):
         rows, report = fn(alg, sig, limit)
     except TruncationError as exc:
         return ("truncation", str(exc))
-    return ("rows", [list(r.items()) for r in rows], report)
+    return ("rows", list(rows), report)
 
 
 def test_fast_rows_match_direct_enumeration():
     """Rows from composable unit chains equal the direct |positions|^n * n!
-    enumeration: the same rows in the same order, and the same report.
-    Shape None is E_N itself, whose one unit (1, 1) gives one column set."""
+    enumeration: the same stream of rows in the same order, repeats
+    included, and the same report. Shape None is E_N itself, whose one unit
+    (1, 1) gives one column set."""
     gradings = [("natural", None), ("infty", None), ("kstar", 1), ("trivial", None)]
     cases = [
         (5, None, 4), (4, (1, 1), 4), (6, (1, 1), 4), (4, (2, 1), 3), (4, (1, 2), 3),
@@ -156,10 +157,10 @@ def test_full_route_counts_rows_past_full_rank(monkeypatch):
 
 def test_fast_route_stops_at_full_rank():
     """Rows after the rank reaches n! are in the span: skipping them gives
-    the same space as feeding every row."""
+    the same space as feeding every distinct row."""
     M = build_matrix_over(E(4, "infty"), BlockShape((2, 1)))
     sig = ((1,), (0,), (1,), (0,))
-    rows, _ = grassmann_fast_rows(M, sig)
+    rows = list(dict.fromkeys(grassmann_fast_rows(M, sig)[0]))
     reducer = RowReducer(24)
     full_at = None
     for i, r in enumerate(rows):
@@ -487,9 +488,10 @@ def test_guard_trips_in_kernel_build():
 
 
 def test_fast_rows_guard_bounds_walks_and_rows():
+    """The fast route's guards bound the walks before the first row and the
+    rows elimination keeps, not the rows the stream lists."""
     M = build_matrix_over(E(4, "infty"), BlockShape((2, 1)))
     sig = ((1,), (0,), (1,), (0,))
-    rows, _ = grassmann_fast_rows(M, sig)
     positions = BlockShape((2, 1)).positions()
     n_walks = sum(
         all(w[t][1] == w[t + 1][0] for t in range(3))
@@ -498,11 +500,17 @@ def test_fast_rows_guard_bounds_walks_and_rows():
     n_walks_by_monomials = n_walks * 24
     with pytest.raises(GuardExceededError, match="unit walks by monomials"):
         grassmann_fast_rows(M, sig, guard=GuardLimits(max_cells=n_walks_by_monomials - 1))
+    # more distinct rows than this guard's cells, but a kept rank that fits
     limit = GuardLimits(max_cells=n_walks_by_monomials)
-    assert len(rows) * 24 > limit.max_cells
-    with pytest.raises(GuardExceededError, match="evaluation kernel") as info:
-        grassmann_fast_rows(M, sig, guard=limit)
-    assert info.value.cells == (limit.max_cells // 24 + 1) * 24
+    comp = identities_by_evaluation(M, sig, guard=limit)
+    assert comp.meta["rows"] * 24 > limit.max_cells >= 24 * 24
+    assert comp.space == identities_by_evaluation(M, sig).space
+    # E_8 at a length-4 signature keeps rank 8; the fifth kept row trips
+    with pytest.raises(GuardExceededError, match="elimination, kept") as info:
+        identities_by_evaluation(
+            E(8, "infty"), ((1,),) * 4, method="fast", guard=GuardLimits(max_cells=100)
+        )
+    assert info.value.cells == 5 * 24
 
 
 def test_streaming_guards_name_their_limit():
