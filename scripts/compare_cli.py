@@ -34,7 +34,9 @@ and M(E_N) over (1,1) infty at (1,0,1), with no rows at N=2 and 40 rows
 past full rank at N=4. One length-6 infty factor-check has non-zero
 components, 80 = 80. One length-6 identities command over (1,1) infty
 writes the fast route's distinct-row count over matrices (3,878 rows,
-dim 80). 33 commands in all.
+dim 80). One three-factor kstar:1 sweep to length 4 runs the limit rows
+where sub-signatures have patterns no truncation realizes. 34 commands in
+all.
 """
 
 from __future__ import annotations
@@ -118,6 +120,8 @@ FACTOR_CLI_COMMANDS = [
     ["identities", "--algebra", UT11_OVER_E2, "--sig", "1,0,1", "--method", "full"],
     # distinct fast rows over matrices, counted in the certificate
     ["identities", "--algebra", UT11_OVER_E, "--sig", "0,1,0,1,1,0"],
+    # three kstar:1 factors: the limit rows drop patterns no truncation realizes
+    ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=kstar,k=1", "--sweep", "4"],
 ]
 
 

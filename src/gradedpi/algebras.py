@@ -70,6 +70,10 @@ class BlockShape:
     def allowed(self, i: int, j: int) -> bool:
         return self.block_of(i) <= self.block_of(j)
 
+    def n_positions(self) -> int:
+        """len(positions()), the sum of s_a * s_b over blocks a <= b."""
+        return sum(d * sum(self.sizes[a:]) for a, d in enumerate(self.sizes))
+
     def positions(self) -> list:
         """Allowed (i,j), row-major order."""
         n = self.n
@@ -551,7 +555,7 @@ def _resolve(desc) -> _Resolved:
             spec,
             None,
             lambda: build_matrix_algebra(targets, spec, shape),
-            len(shape.positions()),
+            shape.n_positions(),
             shape.n,
         )
     if kind == "grassmann":
@@ -573,7 +577,7 @@ def _resolve(desc) -> _Resolved:
             spec,
             inner.exterior,
             lambda: build_matrix_over(inner.build(), shape),
-            inner.dim * len(shape.positions()),
+            inner.dim * shape.n_positions(),
             inner.unit_terms * shape.n,
         )
     raise ParseError(f"unknown algebra kind {kind!r}")

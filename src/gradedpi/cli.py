@@ -59,7 +59,6 @@ from .spaces import (
     default_truncation,
     identities_by_consequences,
     identities_by_evaluation,
-    parity_patterns,
 )
 
 CERTIFICATE_VERSION = 1
@@ -364,6 +363,16 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
             )
     else:
         targets = tuple(spec.identity() for _ in range(shape.n))
+    # the target's construction bounds each block's
+    guard_construction(
+        {
+            "kind": "block_triangular",
+            "group": list(spec.orders),
+            "grading": {"targets": _sig_json(targets)},
+            "shape": list(shape.sizes),
+        },
+        guard,
+    )
     target_alg = build_matrix_algebra(targets, spec, shape)
     blocks = []
     offset = 0
@@ -381,42 +390,31 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
 
 def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
     """Matrices over the exterior algebra, built at one truncation. An
-    unpinned n0 + 2 is certified unbuilt: the fast rows of the target and
-    the factors depend on N only through the parity patterns of each
-    signature's restrictions to position subsets."""
+    unpinned level n0 is evaluated with the untruncated algebra's rows
+    (method "limit"), which raise TruncationError unless every parity
+    pattern some N realizes fits n0; so its answers hold at every N >= n0.
+    n0 + 2 is bounded by the construction guard only."""
     gspec = exterior_spec(desc)
     if gspec.n_generators:
-        truncations = [gspec.n_generators]
+        truncations, method = [gspec.n_generators], "auto"
     else:
         n0 = default_truncation(max(len(s) for s in sigs), gspec)
-        truncations = [n0, n0 + 2]
+        truncations, method = [n0, n0 + 2], "limit"
     target = {"kind": "matrix_over", "shape": list(shape.sizes)}
     for nn in truncations:
         guard_construction(dict(target, entries=with_generators(desc, nn)), guard)
-    if len(truncations) == 2:
-        levels = [exterior_spec(with_generators(desc, nn)) for nn in truncations]
-        subs = {
-            tuple(itertools.compress(sig, keep))
-            for sig in sigs
-            for keep in itertools.product((0, 1), repeat=len(sig))
-        }
-        for sub in sorted(subs):
-            if parity_patterns(levels[0], sub) != parity_patterns(levels[1], sub):
-                raise InternalInconsistencyError(
-                    f"parity patterns at {_sig_text(sub)} differ between truncations "
-                    f"{truncations}; the default level is too small"
-                )
     entry_alg = algebra_from_descriptor(with_generators(desc, truncations[0]))
     target_alg = build_matrix_over(entry_alg, shape)
     providers = {
         d: EvaluationProvider(
             entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
             guard,
+            method,
         )
         for d in dict.fromkeys(shape.sizes)
     }
     factors = [providers[d] for d in shape.sizes]
-    return EvaluationProvider(target_alg, guard), factors, {"truncations": truncations}
+    return EvaluationProvider(target_alg, guard, method), factors, {"truncations": truncations}
 
 
 def cmd_factor_check(args) -> int:

@@ -158,59 +158,44 @@ def _full_rows(algebra: StructureConstantAlgebra, sig, guard: GuardLimits):
 
 
 def default_truncation(n_total: int, gspec: GrassmannSpec) -> int:
-    # every parity pattern at length n_total fits; factor-check certifies
-    # n0 + 2 by its patterns
+    # every parity pattern at length n_total fits, so the limit rows at
+    # this level never raise
     return 2 * n_total + (gspec.k if gspec.deg_kind == "kstar" else 0)
 
 
 def _pool_sizes(gspec: GrassmannSpec, limit: bool):
     """(degree-1 pool, degree-0 pool) generator counts; None = unbounded."""
-    n = gspec.n_generators
     kind = gspec.deg_kind
-    if kind == "natural":
-        return (None, 0) if limit else (n, 0)
-    if kind == "infty":
-        return (None, None) if limit else ((n + 1) // 2, n // 2)
-    if kind == "kstar":
-        return (gspec.k, None) if limit else (min(gspec.k, n), max(0, n - gspec.k))
-    if kind == "trivial":
-        return (0, None) if limit else (0, n)
-    ones = sum(gspec.explicit)
-    return (ones, n - ones)  # explicit: the algebra is its own limit
-
-
-def _block_cost(gspec: GrassmannSpec, deg, parity):
-    """Minimal (degree-1, degree-0) generator usage for one substitution
-    block of the given degree and length parity; None when impossible."""
-    if gspec.deg_kind == "trivial":
-        return (0, parity)
-    d = deg[0]
-    if gspec.deg_kind == "natural":
-        return (d, 0) if d == parity else None
-    return (d, (parity - d) % 2)
+    if limit and kind != "explicit":  # explicit: the algebra is its own limit
+        return {
+            "natural": (None, 0),
+            "infty": (None, None),
+            "kstar": (gspec.k, None),
+            "trivial": (0, None),
+        }[kind]
+    ones = sum(map(gspec.generator_parity, range(1, gspec.n_generators + 1)))
+    return (ones, gspec.n_generators - ones)
 
 
 def _fits(need, sizes) -> bool:
     return all(s is None or x <= s for x, s in zip(need, sizes))
 
 
-def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False):
-    """(used, skipped) parity patterns, each position's monomial length
-    parity, of the fast rows of E_N or matrices over it at a validated
-    signature. With limit, those no N realizes are skipped too, and one
-    needing more generators than this N raises TruncationError."""
+def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False) -> list:
+    """Parity patterns, each position's monomial length parity, of the fast
+    rows of E_N or matrices over it at a validated signature. A position of
+    degree d (0 over the trivial group) and parity p costs d degree-1
+    generators and (p - d) mod 2 degree-0 ones; a pattern is used when its
+    total cost fits the pools. With limit, patterns no N realizes are
+    dropped, and one needing more generators than this N raises
+    TruncationError."""
     now_sizes = _pool_sizes(gspec, limit=False)
     lim_sizes = _pool_sizes(gspec, limit=True)
+    degs = [d[0] if d else 0 for d in sig]
     used = []
-    skipped = []
     for pattern in itertools.product((0, 1), repeat=len(sig)):
-        costs = [_block_cost(gspec, d, p) for d, p in zip(sig, pattern)]
-        if any(c is None for c in costs):
-            skipped.append({"pattern": pattern, "reason": "parity-degree conflict"})
-            continue
-        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
+        need = (sum(degs), sum((p - d) % 2 for d, p in zip(degs, pattern)))
         if limit and not _fits(need, lim_sizes):
-            skipped.append({"pattern": pattern, "reason": "not realizable at any truncation"})
             continue
         if not _fits(need, now_sizes):
             if limit:
@@ -219,10 +204,9 @@ def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False):
                     f"degree-1 and {need[1]} degree-0 generators; rebuild the "
                     f"algebra with a larger truncation than {gspec.n_generators}"
                 )
-            skipped.append({"pattern": pattern, "reason": "not realizable here"})
             continue
         used.append(pattern)
-    return used, skipped
+    return used
 
 
 def _fast_kind(algebra: StructureConstantAlgebra):
@@ -314,16 +298,12 @@ def grassmann_fast_rows(
     sig = validate_signature(sig, algebra.group)
     perms = _multilinear_basis(len(sig), guard)
     column_sets = _unit_chain_columns(positions, perms, guard)
-    used, skipped = parity_patterns(gspec, sig, limit)
+    used = parity_patterns(gspec, sig, limit)
     # per used pattern, each column's sign of sorting the odd-parity blocks
     # back to ascending order; then one row per column set
     signs = ([sort_sign(v for v in perm if p[v - 1]) for perm in perms] for p in used)
     rows = (tuple((col, s[col]) for col in cols) for s in signs for cols in column_sets)
-    return rows, {
-        "patterns_used": used,
-        "patterns_skipped": skipped,
-        "semantics": "limit" if limit else "truncated",
-    }
+    return rows, {"semantics": "limit" if limit else "truncated"}
 
 
 def identities_by_evaluation(
@@ -509,14 +489,16 @@ class _ComponentCache:
 
 
 class EvaluationProvider(_ComponentCache):
-    """Identity components of one algebra, cached per signature."""
+    """Identity components of one algebra, cached per signature, by the
+    given identities_by_evaluation method."""
 
-    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD):
+    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD, method: str = "auto"):
         super().__init__(algebra.group, guard)
         self.algebra = algebra
+        self.method = method
 
     def _compute(self, sig) -> IdentitySubspace:
-        return identities_by_evaluation(self.algebra, sig, guard=self.guard)
+        return identities_by_evaluation(self.algebra, sig, self.method, self.guard)
 
 
 class ConsequenceProvider(_ComponentCache):

@@ -1,6 +1,7 @@
 """Shared test helpers: a dense rational Gauss-Jordan oracle used to
 cross-check the sparse row reduction, the direct evaluation-row
-enumeration used to cross-check grassmann_fast_rows, the substitution-based
+enumeration and per-kind pattern table used to cross-check
+grassmann_fast_rows and parity_patterns, the substitution-based
 consequence rows used to cross-check identities_by_consequences, the
 polynomial-product rows used to cross-check tideal_product, the
 randrange-drawn construction self-check used to cross-check
@@ -90,6 +91,63 @@ def inversion_sign(seq):
     return -1 if inv % 2 else 1
 
 
+def _reference_pools(gspec, limit):
+    """(degree-1 pool, degree-0 pool) per grading kind; None = unbounded."""
+    n = gspec.n_generators
+    kind = gspec.deg_kind
+    if kind == "natural":
+        return (None, 0) if limit else (n, 0)
+    if kind == "infty":
+        return (None, None) if limit else ((n + 1) // 2, n // 2)
+    if kind == "kstar":
+        return (gspec.k, None) if limit else (min(gspec.k, n), max(0, n - gspec.k))
+    if kind == "trivial":
+        return (0, None) if limit else (0, n)
+    ones = sum(gspec.explicit)
+    return (ones, n - ones)  # explicit: the algebra is its own limit
+
+
+def _reference_block_cost(gspec, deg, parity):
+    """(degree-1, degree-0) generators one position uses; None when the
+    natural grading cannot give its degree that parity."""
+    if gspec.deg_kind == "trivial":
+        return (0, parity)
+    d = deg[0]
+    if gspec.deg_kind == "natural":
+        return (d, 0) if d == parity else None
+    return (d, (parity - d) % 2)
+
+
+def reference_parity_patterns(gspec, sig, limit=False):
+    """spaces.parity_patterns by a per-kind table of pools and costs, with
+    the natural grading's parity-degree conflict as its own rule."""
+    from gradedpi.errors import TruncationError
+
+    def fits(need, sizes):
+        return all(s is None or x <= s for x, s in zip(need, sizes))
+
+    now_sizes = _reference_pools(gspec, limit=False)
+    lim_sizes = _reference_pools(gspec, limit=True)
+    used = []
+    for pattern in itertools.product((0, 1), repeat=len(sig)):
+        costs = [_reference_block_cost(gspec, d, p) for d, p in zip(sig, pattern)]
+        if any(c is None for c in costs):
+            continue
+        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
+        if limit and not fits(need, lim_sizes):
+            continue
+        if not fits(need, now_sizes):
+            if limit:
+                raise TruncationError(
+                    f"signature {sig}, parity pattern {pattern} needs {need[0]} "
+                    f"degree-1 and {need[1]} degree-0 generators; rebuild the "
+                    f"algebra with a larger truncation than {gspec.n_generators}"
+                )
+            continue
+        used.append(pattern)
+    return used
+
+
 def reference_fast_rows(algebra, sig, limit=False):
     """grassmann_fast_rows by the direct enumeration: for every used parity
     pattern, every tuple of matrix units and every permutation monomial,
@@ -98,14 +156,12 @@ def reference_fast_rows(algebra, sig, limit=False):
     finds the same column sets once from the composable walks. Every row
     is listed as sorted (col, value) pairs, repeats included.
 
-    Pattern selection reuses the library's helpers; the row enumeration
+    The pattern selection (reference_parity_patterns), the row enumeration
     and the pattern signs (an inversion count, not freealg.sort_sign) are
-    independent.
+    all independent of the library's.
     """
     from gradedpi.algebras import BlockShape
-    from gradedpi.errors import TruncationError
     from gradedpi.freealg import multilinear_monomials, validate_signature
-    from gradedpi.spaces import _block_cost, _fits, _pool_sizes
 
     meta = algebra.meta
     if meta["kind"] == "grassmann":
@@ -116,28 +172,8 @@ def reference_fast_rows(algebra, sig, limit=False):
     sig = validate_signature(sig, algebra.group)
     n = len(sig)
     perms = multilinear_monomials(n)
-    now_sizes = _pool_sizes(gspec, limit=False)
-    lim_sizes = _pool_sizes(gspec, limit=True)
-    rows, used, skipped = [], [], []
-    for pattern in itertools.product((0, 1), repeat=n):
-        costs = [_block_cost(gspec, sig[i], pattern[i]) for i in range(n)]
-        if any(c is None for c in costs):
-            skipped.append({"pattern": pattern, "reason": "parity-degree conflict"})
-            continue
-        need = (sum(c[0] for c in costs), sum(c[1] for c in costs))
-        if limit and not _fits(need, lim_sizes):
-            skipped.append({"pattern": pattern, "reason": "not realizable at any truncation"})
-            continue
-        if not _fits(need, now_sizes):
-            if limit:
-                raise TruncationError(
-                    f"signature {sig}, parity pattern {pattern} needs {need[0]} "
-                    f"degree-1 and {need[1]} degree-0 generators; rebuild the "
-                    f"algebra with a larger truncation than {gspec.n_generators}"
-                )
-            skipped.append({"pattern": pattern, "reason": "not realizable here"})
-            continue
-        used.append(pattern)
+    rows = []
+    for pattern in reference_parity_patterns(gspec, sig, limit):
         signs = [inversion_sign([v for v in perm if pattern[v - 1]]) for perm in perms]
         if positions is None:
             candidates = [{col: Fraction(s) for col, s in enumerate(signs)}]
@@ -152,12 +188,7 @@ def reference_fast_rows(algebra, sig, limit=False):
                         buckets.setdefault(key, {})[col] = Fraction(signs[col])
                 candidates.extend(buckets.values())
         rows.extend(tuple(sorted(row.items())) for row in candidates)
-    report = {
-        "patterns_used": used,
-        "patterns_skipped": skipped,
-        "semantics": "limit" if limit else "truncated",
-    }
-    return rows, report
+    return rows, {"semantics": "limit" if limit else "truncated"}
 
 
 # -- acceptance commands ---------------------------------------------------------

@@ -566,23 +566,59 @@ def test_factor_check_builds_each_distinct_block_once(capsys, monkeypatch, argv,
         assert cert_from(out)["config"]["truncations"] == [4, 6]
 
 
-def test_factor_check_exits_2_when_the_default_truncation_is_too_small(capsys, monkeypatch):
-    """At N = 2 and N = 4 no parity pattern of 1,1,1 fits, but those of its
-    restriction 1,1 differ, so factor-check stops before building anything."""
+def test_factor_check_exits_3_when_the_default_truncation_is_too_small(capsys, monkeypatch):
+    """At N = 2 the pattern (0, 0, 0) of 1,1,1 needs six generators. The
+    limit rows raise on it at the first evaluation, after E_2 and M(E_2)
+    are built, and the command stops with one line."""
     import gradedpi.cli as cli
 
-    built = []
     monkeypatch.setattr(cli, "default_truncation", lambda n, gspec: 2)
-    monkeypatch.setattr(cli, "algebra_from_descriptor", lambda *a: built.append(a))
-    monkeypatch.setattr(cli, "build_matrix_over", lambda *a: built.append(a))
     code, out, err = run_cli(
         capsys, "factor-check", "--shape", "1,1", "--entries", "grassmann:deg=infty",
         "--sig", "1,1,1",
     )
-    assert code == 2 and out == "" and built == []
+    assert code == 3 and out == ""
     assert err == (
-        "internal inconsistency: parity patterns at 1,1 differ between truncations "
-        "[2, 4]; the default level is too small\n"
+        "resource guard: signature ((1,), (1,), (1,)), parity pattern (0, 0, 0) needs "
+        "3 degree-1 and 3 degree-0 generators; rebuild the algebra with a larger "
+        "truncation than 2\n"
+    )
+
+
+def test_factor_check_guards_field_entries_before_building(capsys, monkeypatch):
+    """The (150,150) target over the field is 67500-dimensional: its
+    block_triangular estimate trips the guard before anything is built."""
+    import gradedpi.cli as cli
+
+    monkeypatch.setattr(cli, "build_matrix_algebra", lambda *a: pytest.fail("built"))
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "150,150", "--entries", "field", "--sig", "0"
+    )
+    assert code == 3 and out == ""
+    assert err == (
+        "resource guard: building the 67500-dimensional block_triangular algebra: its "
+        "unit-law check computes 40500000 basis products, which exceeds the guard of "
+        "8000000 cells [cells 40500000 > max_cells 8000000]\n"
+    )
+
+
+def test_construction_guard_counts_positions_without_listing_them(capsys, monkeypatch):
+    """The (20000,20000) matrix_over estimate comes from the block sizes:
+    its 1.2e9 positions are never listed."""
+    positions = BlockShape.positions
+
+    def small_only(self):
+        assert self.n <= 100, "positions listed for a large shape"
+        return positions(self)
+
+    monkeypatch.setattr(BlockShape, "positions", small_only)
+    desc = '{"kind":"matrix_over","shape":[20000,20000],"entries":{"kind":"field"}}'
+    code, out, err = run_cli(capsys, "identities", "--algebra", desc, "--sig", "0")
+    assert code == 3 and out == ""
+    assert err == (
+        "resource guard: building the 1200000000-dimensional matrix_over algebra: its "
+        "unit-law check computes 96000000000000 basis products, which exceeds the guard "
+        "of 8000000 cells [cells 96000000000000 > max_cells 8000000]\n"
     )
 
 

@@ -46,6 +46,7 @@ from gradedpi.spaces import (
     identities_by_evaluation,
     membership,
     multidegree_components,
+    parity_patterns,
     presentation_for_mode,
     presentation_natural,
     presentation_trivial_grassmann,
@@ -57,6 +58,7 @@ from _support import (
     primitive_int_row,
     reference_consequence_rows,
     reference_fast_rows,
+    reference_parity_patterns,
     reference_product_rows,
 )
 
@@ -132,6 +134,35 @@ def test_fast_rows_match_direct_enumeration():
                         got = _fast_rows_outcome(grassmann_fast_rows, M, sig, limit)
                         want = _fast_rows_outcome(reference_fast_rows, M, sig, limit)
                         assert got == want, (n_gens, shape, kind, sig, limit)
+
+
+def _patterns_outcome(fn, gspec, sig, limit):
+    try:
+        return ("patterns", fn(gspec, sig, limit))
+    except TruncationError as exc:
+        return ("truncation", str(exc))
+
+
+def test_parity_patterns_match_the_per_kind_table():
+    """One cost rule, d degree-1 and (p - d) mod 2 degree-0 generators per
+    position, selects the same patterns as the per-kind table with the
+    natural grading's parity-degree conflict, and raises the same
+    TruncationError, for every grading, N = 0..12 and lengths up to 5."""
+    for n_gens in range(13):
+        specs = [GrassmannSpec(n_gens, kind) for kind in ("natural", "infty", "trivial")]
+        specs += [GrassmannSpec(n_gens, "kstar", k=k) for k in range(4)]
+        specs += [
+            GrassmannSpec(n_gens, "explicit", explicit=tuple(rule(i) for i in range(n_gens)))
+            for rule in (lambda i: 0, lambda i: 1, lambda i: i % 2, lambda i: int(i < 3))
+        ]
+        for gspec in specs:
+            degrees = [()] if gspec.deg_kind == "trivial" else [(0,), (1,)]
+            for n in range(1, 6):
+                for sig in itertools.product(degrees, repeat=n):
+                    for limit in (False, True):
+                        got = _patterns_outcome(parity_patterns, gspec, sig, limit)
+                        want = _patterns_outcome(reference_parity_patterns, gspec, sig, limit)
+                        assert got == want, (gspec, sig, limit)
 
 
 def test_full_route_counts_rows_past_full_rank(monkeypatch):
