@@ -35,8 +35,11 @@ past full rank at N=4. One length-6 infty factor-check has non-zero
 components, 80 = 80. One length-6 identities command over (1,1) infty
 writes the fast route's distinct-row count over matrices (3,878 rows,
 dim 80). One three-factor kstar:1 sweep to length 4 runs the limit rows
-where sub-signatures have patterns no truncation realizes. 34 commands in
-all.
+where sub-signatures have patterns no truncation realizes. Two more cover
+edge cases of straightening by insertion: an infty normal form of a
+non-multilinear polynomial with repeated odd ids, whose commutators meet a
+tail that already holds one of their ids, and a kstar:0 model evaluation,
+where no odd letter survives. 36 commands in all.
 """
 
 from __future__ import annotations
@@ -122,6 +125,10 @@ FACTOR_CLI_COMMANDS = [
     ["identities", "--algebra", UT11_OVER_E, "--sig", "0,1,0,1,1,0"],
     # three kstar:1 factors: the limit rows drop patterns no truncation realizes
     ["factor-check", "--shape", "1,1,1", "--entries", "grassmann:deg=kstar,k=1", "--sweep", "4"],
+    # insertion edge cases: repeated odd ids and tails that repeat an id; kstar:0
+    ["relfree", "nf", "--mode", "infty",
+     "--poly", "z3*z1*y2*z1*z3 + [z1,z3]*z3*y2*z1*y4 - z1*y4*z3*z1"],
+    ["model", "eval", "--shape", "2,1", "--mode", "kstar:0", "--poly", "[y1,y2]*y3*[y4,y5]"],
 ]
 
 

@@ -74,6 +74,13 @@ class BlockShape:
         """len(positions()), the sum of s_a * s_b over blocks a <= b."""
         return sum(d * sum(self.sizes[a:]) for a, d in enumerate(self.sizes))
 
+    def n_entry_products(self) -> int:
+        """Entry products a_{il} * b_{lj} in one product of two matrices of
+        this pattern: the sum of s_a * s_b * s_c over blocks a <= b <= c."""
+        return sum(
+            sum(self.sizes[: b + 1]) * d * sum(self.sizes[b:]) for b, d in enumerate(self.sizes)
+        )
+
     def positions(self) -> list:
         """Allowed (i,j), row-major order."""
         n = self.n

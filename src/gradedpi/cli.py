@@ -491,6 +491,13 @@ def cmd_model(args) -> int:
     shape = _parse_shape(args.shape)
     cfg = ModelConfig(shape, Z2, mode)
     f = parse_poly(_poly_text(args.poly), Z2)
+    products = shape.n_entry_products()
+    if products > args.max_cells:
+        raise GuardExceededError(
+            f"model: one product of generic matrices of shape {list(shape.sizes)} forms "
+            f"{products} entry products, which exceeds the guard of {args.max_cells} cells",
+            cells=products,
+        )
     matrix = model_eval(f, cfg)
     zero = matrix.is_zero()
     entries = matrix.entry_strings()
@@ -591,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--shape", required=True, help="block sizes, e.g. 1,1")
     pe.add_argument("--mode", required=True, help="natural | infty | kstar:<k>")
     pe.add_argument("--poly", required=True, help="polynomial text or file")
+    _add_guard_flags(pe)
     _add_out_flag(pe)
     pe.set_defaults(func=cmd_model)
 

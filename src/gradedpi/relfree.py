@@ -15,26 +15,39 @@ the normal-form words  (evens, nondecreasing)(odds, nondecreasing)
   kstar   - the infty rules plus: a word whose total count of odd-variable
             occurrences (commutator slots included) exceeds k is zero.
 
-Termination: rule (i) either keeps the prefix length and strictly lowers
-its inversion count, or shortens the prefix by two; the pair
-(prefix length, inversions) drops lexicographically at every step, and the
-tail normalization is a single sort. The zero rule of kstar is stable
-because every rewrite preserves the multiset of variable ids of a word.
+Straightening is direct insertion. A letter x moves into a normal word W
+from the left by the closed form
 
-Letters are (parity, id) pairs internally, so memoized results are
-self-contained and shared across calls. The memo holds finished words with
-int coefficients (every rule has coefficient +-1). Input is checked once,
-by the public RelFreeElement constructor; sums, scales, products and normal
-forms are built from checked elements and skip that check.
+  x*W = (W with x inserted) + sum over the letters v < x of W of (W - v)*[x,v]
+
+which is rule (i) applied until x reaches its place, with rules (ii) and
+(iii) on every commutator it leaves behind. The letter order is
+(parity, id), so an odd x passes every even letter. A product of two
+normal words starts from the right one, already normal, and the letters of
+the left one's prefix move in, right to left. A free polynomial is
+straightened as a whole, from its words' longest prefixes down, so words
+that share a beginning share the insertions of its letters. Every rule has
+coefficient +-1, so straightening multiplies ints unless the input has a
+non-integral coefficient. Which rule is applied first cannot change the
+result: every rule is an identity of the relatively free algebra, and the
+normal words are a basis of it (a codimension check against the
+consequence route and a leftmost-pair oracle in the tests pin this). The
+kstar cutoff is applied once, at entry, because every rule preserves the
+multiset of variable ids of a word.
+
+While a word straightens it is an (evens, odds, comms) tuple of ids; each
+output RelFreeWord is built once, at the end. Input is checked once, by the
+public RelFreeElement constructor; sums, scales, products and normal forms
+are built from checked elements and skip that check.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from .algebras import GrassmannSpec, build_grassmann, evaluate, homogeneous_indices
 from .errors import (
@@ -128,82 +141,121 @@ class RelFreeWord:
         return [(self.comms[i], self.comms[i + 1]) for i in range(0, len(self.comms), 2)]
 
 
-# memo shared by infty and kstar: the rules preserve the letter multiset,
-# so the kstar cutoff can be applied at entry and the core reused. It is
-# emptied when it reaches _NF_MEMO_MAX entries, well above what one batch of
-# evaluations fills, so a long-lived process stays bounded.
-_NF_MEMO: dict = {}
-_NF_MEMO_MAX = 1 << 18
+_SET_EVENS = RelFreeWord.evens.__set__
+_SET_ODDS = RelFreeWord.odds.__set__
+_SET_COMMS = RelFreeWord.comms.__set__
 
 
-def _sorted_tail(tail):
-    """(sign, tail sorted by id) for letter tuples; sign 0 on a repeated id."""
-    return sort_sign(l[1] for l in tail), tuple(sorted(tail, key=itemgetter(1)))
+def _word(evens: tuple, odds: tuple, comms: tuple) -> RelFreeWord:
+    """A RelFreeWord from id tuples that straightening left in normal form,
+    built without the public constructor's check."""
+    word = object.__new__(RelFreeWord)
+    _SET_EVENS(word, evens)
+    _SET_ODDS(word, odds)
+    _SET_COMMS(word, comms)
+    return word
 
 
-def _nf_core(prefix, tail):
-    """Straighten (prefix letters, sorted tail letters) -> {RelFreeWord: int}.
+def _with_commutator(comms: tuple, a: int, ia: int, b: int):
+    """(sign, sorted ids) of the tail comms times [x_a, x_b], or None when b
+    repeats an id of comms; ia = bisect_left(comms, a), and a is not in comms.
 
-    The result is the memo's own dict: callers read it and never change it.
+    Sorting comms + (a, b) passes a over the len(comms) - ia larger ids, b
+    over len(comms) - ib, and b over a if a > b: two bisects give the sign.
     """
-    key = (prefix, tail)
-    hit = _NF_MEMO.get(key)
-    if hit is not None:
-        return hit
-    pos = -1
-    for idx in range(len(prefix) - 1):
-        if prefix[idx] > prefix[idx + 1]:  # letter order = (parity, id)
-            pos = idx
-            break
-    if pos < 0:
-        evens = tuple(l[1] for l in prefix if l[0] == 0)
-        odds = tuple(l[1] for l in prefix if l[0] == 1)
-        # an id keeps one parity within a straightening: distinct tails stay distinct
-        out = {RelFreeWord(evens, odds, tuple(l[1] for l in tail)): 1}
-    else:
-        u, v = prefix[pos], prefix[pos + 1]
-        out = dict(_nf_core(prefix[:pos] + (v, u) + prefix[pos + 2 :], tail))
-        sign, tail2 = _sorted_tail(tail + (u, v))
-        if sign:
-            add_scaled(out, _nf_core(prefix[:pos] + prefix[pos + 2 :], tail2), sign)
-    if len(_NF_MEMO) >= _NF_MEMO_MAX:
-        _NF_MEMO.clear()
-    _NF_MEMO[key] = out
+    ib = bisect_left(comms, b)
+    if ib < len(comms) and comms[ib] == b:
+        return None
+    sign = -1 if (ia + ib + (a > b)) & 1 else 1
+    if a < b:
+        return sign, comms[:ia] + (a,) + comms[ia:ib] + (b,) + comms[ib:]
+    return sign, comms[:ib] + (b,) + comms[ib:ia] + (a,) + comms[ia:]
+
+
+def _times_letter(x, terms: dict) -> dict:
+    """The letter x times sum(c * W), over normal words W = (evens, odds,
+    comms) id tuples, with no zero coefficient in or out.
+
+    x*W = (W with x inserted) + sum over the letters v < x of W of
+    (W - v)*[x, v]: x moves right past each smaller letter by
+    x v = v x + [x, v], and commutators are central. In the letter order
+    (parity, id), an odd x passes every even letter.
+    """
+    parity, a = x
+    out = {}
+
+    def put(word, c):
+        total = out.get(word, 0) + c
+        if total:
+            out[word] = total
+        else:
+            del out[word]
+
+    for (evens, odds, comms), c in terms.items():
+        if parity:
+            i = bisect_left(odds, a)
+            put((evens, odds[:i] + (a,) + odds[i:], comms), c)
+            moved = [(evens[:k] + evens[k + 1 :], odds, v) for k, v in enumerate(evens)]
+            moved += [(evens, odds[:k] + odds[k + 1 :], v) for k, v in enumerate(odds[:i])]
+        else:
+            i = bisect_left(evens, a)
+            put((evens[:i] + (a,) + evens[i:], odds, comms), c)
+            moved = [(evens[:k] + evens[k + 1 :], odds, v) for k, v in enumerate(evens[:i])]
+        ia = bisect_left(comms, a)
+        if ia < len(comms) and comms[ia] == a:
+            continue  # every [x, v] repeats the id of x in the tail
+        for e, o, v in moved:
+            signed = _with_commutator(comms, a, ia, v)
+            if signed:
+                put((e, o, signed[1]), c * signed[0])
     return out
 
 
-def _odd_count(prefix, tail) -> int:
-    return sum(1 for l in prefix if l[0] == 1) + sum(1 for l in tail if l[0] == 1)
+def _insert_prefixes(nodes: dict, parities: dict) -> dict:
+    """Straighten the sum over p of p * nodes[p], where p is a tuple of ids
+    and nodes[p] a combination of normal words; returns
+    {(evens, odds, comms): c} with no zero coefficient.
+
+    Longest prefixes first, the last letter x of p = q x moves into nodes[p]
+    by _times_letter, and the result joins nodes[q]. Prefixes that share
+    their beginning share the insertions of its letters, and terms cancel
+    before more letters move in. No recursion: words may be long.
+    """
+    for n in range(max(map(len, nodes), default=0), 0, -1):
+        for p in [p for p in nodes if len(p) == n]:
+            x = p[-1]
+            add_scaled(nodes.setdefault(p[:-1], {}), _times_letter((parities[x], x), nodes.pop(p)))
+    return nodes.get((), {})
 
 
-def _straighten(prefix, tail, mode: GradingMode):
-    """Shared entry: mode cutoffs, then the core; returns {RelFreeWord: int}."""
-    if mode.kind == "kstar" and _odd_count(prefix, tail) > mode.k:
-        return {}
-    if mode.kind == "natural":
-        # supercommutative: evens central, odds anticommute
-        if tail:
-            raise MalformedElementError("natural mode words carry no commutator tail")
-        evens = tuple(sorted(l[1] for l in prefix if l[0] == 0))
-        odds = [l[1] for l in prefix if l[0] == 1]
-        sign = sort_sign(odds)
-        return {RelFreeWord(evens, tuple(sorted(odds)), ()): sign} if sign else {}
-    return _nf_core(prefix, tail)
+def _natural(evens, odds, tail) -> dict:
+    """natural: evens are central and odds anticommute, so a word is one
+    signed normal word, or zero when an odd id repeats."""
+    if tail:
+        raise MalformedElementError("natural mode words carry no commutator tail")
+    sign = sort_sign(odds)
+    return {(tuple(sorted(evens)), tuple(sorted(odds)), ()): sign} if sign else {}
 
 
-def _letters(word: RelFreeWord, parities: dict):
-    """(prefix letters, tail letters) of a normal-form word."""
-    prefix = tuple((0, v) for v in word.evens) + tuple((1, v) for v in word.odds)
-    return prefix, tuple((parities[v], v) for v in word.comms)
+def _odd_count(ids, parities: dict) -> int:
+    return sum(parities[v] for v in ids)
+
+
+def _integral(c):
+    """c as an int when it is integral, so straightening multiplies ints."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _words(terms: dict) -> dict:
+    """{RelFreeWord: c} from straightened {(evens, odds, comms): c}."""
+    return {_word(*key): c for key, c in terms.items()}
 
 
 def _used_parities(terms: dict, parities: dict) -> dict:
     """The declared parities of the ids the words of terms use."""
     used = set()
     for w in terms:
-        used.update(w.evens)
-        used.update(w.odds)
-        used.update(w.comms)
+        used.update(w.evens, w.odds, w.comms)
     return {v: parities[v] for v in used}
 
 
@@ -264,9 +316,7 @@ class RelFreeElement:
         return self + (-other)
 
     def scale(self, c) -> "RelFreeElement":
-        c = Fraction(c)
-        if c.denominator == 1:
-            c = c.numerator  # int memo coefficients stay int
+        c = _integral(Fraction(c))  # straightening's int coefficients stay int
         terms = {w: c * x for w, x in self.terms.items()} if c else {}
         return _element(self.mode, terms, self.parities)
 
@@ -321,34 +371,60 @@ def _merged_parities(a: RelFreeElement, b: RelFreeElement) -> dict:
 
 
 def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
-    """Class of a free polynomial in the relatively free algebra of the mode."""
+    """Class of a free polynomial in the relatively free algebra of the mode.
+
+    infty and kstar straighten f as a whole: each word w is w * 1, and
+    _insert_prefixes moves the letters of all words in together.
+    """
     parities = _parities_of_poly(f)
-    terms = {}
-    for w, coeff in f.terms.items():
-        prefix = tuple((parities[v], v) for v in w)
-        add_scaled(terms, _straighten(prefix, (), mode), coeff)
-    return _element(mode, terms, parities)
+    terms, nodes = {}, {}
+    for w, c in f.terms.items():
+        c = _integral(c)
+        if mode.kind == "kstar" and _odd_count(w, parities) > mode.k:
+            continue
+        if mode.kind == "natural":
+            odds = [v for v in w if parities[v]]
+            add_scaled(terms, _natural([v for v in w if not parities[v]], odds, ()), c)
+        else:
+            nodes[w] = {((), (), ()): c}
+    if mode.kind != "natural":
+        terms = _insert_prefixes(nodes, parities)
+    return _element(mode, _words(terms), parities)
 
 
 def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
     """Product of two normal-form elements, renormalized.
 
-    Word by word: commutator factors are central, so the product of two
-    words is (prefix_a prefix_b) with the merged tail, then straightening.
+    Commutators are central, so a word wa times a word wb is the prefix of
+    wa times wb with the two tails merged. wb is already a normal word:
+    only the letters of wa's prefix move in.
     """
     if a.mode != b.mode:
         raise MalformedElementError("cannot multiply elements of different modes")
     mode = a.mode
     parities = _merged_parities(a, b)
-    terms = {}
-    right = [(_letters(wb, parities), cb) for wb, cb in b.terms.items()]
+    terms, nodes = {}, {}
+    right = [
+        (wb, _odd_count(wb.odds + wb.comms, parities), _integral(cb))
+        for wb, cb in b.terms.items()
+    ]
     for wa, ca in a.terms.items():
-        prefix_a, tail_a = _letters(wa, parities)
-        for (prefix_b, tail_b), cb in right:
-            sign, tail = _sorted_tail(tail_a + tail_b)
+        ca = _integral(ca)
+        odd_a = _odd_count(wa.odds + wa.comms, parities)
+        node = nodes.setdefault(wa.evens + wa.odds, {})
+        for wb, odd_b, cb in right:
+            if mode.kind == "kstar" and odd_a + odd_b > mode.k:
+                continue
+            tail = wa.comms + wb.comms
+            if mode.kind == "natural":
+                add_scaled(terms, _natural(wa.evens + wb.evens, wa.odds + wb.odds, tail), ca * cb)
+                continue
+            sign = sort_sign(tail)
             if sign:
-                add_scaled(terms, _straighten(prefix_a + prefix_b, tail, mode), ca * cb * sign)
-    return _element(mode, terms, parities)
+                add_scaled(node, {(wb.evens, wb.odds, tuple(sorted(tail))): ca * cb * sign})
+    if mode.kind != "natural":
+        terms = _insert_prefixes(nodes, parities)
+    return _element(mode, _words(terms), parities)
 
 
 def expand(el: RelFreeElement) -> NcPolynomial:

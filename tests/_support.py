@@ -5,7 +5,8 @@ grassmann_fast_rows and parity_patterns, the substitution-based
 consequence rows used to cross-check identities_by_consequences, the
 polynomial-product rows used to cross-check tideal_product, the
 randrange-drawn construction self-check used to cross-check
-StructureConstantAlgebra._check, plus small conversion utilities."""
+StructureConstantAlgebra._check, the leftmost-pair rewriting used to
+cross-check relfree's straightening, plus small conversion utilities."""
 
 import itertools
 from fractions import Fraction
@@ -253,6 +254,79 @@ def word_by_word_model_eval(f, cfg):
             m = m * gens[vid]
         acc = acc + m.scale(c)
     return acc
+
+
+# -- straightening oracle ---------------------------------------------------------
+
+
+def reference_straighten(prefix, tail, mode):
+    """The normal form of the word prefix * tail by the leftmost-pair
+    rewriting, as {RelFreeWord: int}. Letters are (parity, id) pairs
+    ordered as tuples; tail lists commutator letters sorted by id.
+
+    natural: evens are central and odds anticommute. infty: the leftmost
+    out-of-order adjacent pair u v becomes v u + [u,v], and [u,v] joins
+    the tail, which is alternating in its ids (a repeated id kills the
+    word). kstar: the infty rules, and zero above k odd occurrences.
+    """
+    from gradedpi.freealg import sort_sign
+    from gradedpi.relfree import RelFreeWord
+
+    prefix, tail = tuple(prefix), tuple(tail)
+    if mode.kind == "kstar" and sum(p for p, _ in prefix + tail) > mode.k:
+        return {}
+    if mode.kind == "natural":
+        assert not tail
+        odds = [v for p, v in prefix if p]
+        sign = sort_sign(odds)
+        evens = tuple(sorted(v for p, v in prefix if not p))
+        return {RelFreeWord(evens, tuple(sorted(odds)), ()): sign} if sign else {}
+
+    memo = {}
+
+    def rewrite(prefix, tail):
+        key = (prefix, tail)
+        if key in memo:
+            return memo[key]
+        pos = next((i for i in range(len(prefix) - 1) if prefix[i] > prefix[i + 1]), None)
+        if pos is None:
+            evens = tuple(v for p, v in prefix if not p)
+            odds = tuple(v for p, v in prefix if p)
+            out = {RelFreeWord(evens, odds, tuple(v for _, v in tail)): 1}
+        else:
+            u, v = prefix[pos], prefix[pos + 1]
+            out = dict(rewrite(prefix[:pos] + (v, u) + prefix[pos + 2 :], tail))
+            sign = sort_sign(l[1] for l in tail + (u, v))
+            if sign:
+                tail2 = tuple(sorted(tail + (u, v), key=lambda l: l[1]))
+                for w, c in rewrite(prefix[:pos] + prefix[pos + 2 :], tail2).items():
+                    out[w] = out.get(w, 0) + sign * c
+            out = {w: c for w, c in out.items() if c}
+        memo[key] = out
+        return out
+
+    return rewrite(prefix, tail)
+
+
+def reference_relfree_mul(a, b):
+    """relfree_mul(a, b).terms by reference_straighten: the prefixes of two
+    words concatenated, their tails merged with the sign of the sort."""
+    from gradedpi.freealg import sort_sign
+
+    parities = {**a.parities, **b.parities}
+    out = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            prefix = tuple((0, v) for v in wa.evens) + tuple((1, v) for v in wa.odds)
+            prefix += tuple((0, v) for v in wb.evens) + tuple((1, v) for v in wb.odds)
+            ids = wa.comms + wb.comms
+            sign = sort_sign(ids)
+            if not sign:
+                continue
+            tail = tuple((parities[v], v) for v in sorted(ids))
+            for w, c in reference_straighten(prefix, tail, a.mode).items():
+                out[w] = out.get(w, 0) + ca * cb * sign * c
+    return {w: c for w, c in out.items() if c}
 
 
 # -- consequence-row oracle -------------------------------------------------------

@@ -690,6 +690,24 @@ def test_model_eval_non_identity(capsys):
     assert cert["result"]["entries"]["1,2"] != "0"
 
 
+def test_model_eval_guard_bounds_one_product(capsys):
+    """model eval bounds sum s_a*s_b*s_c over blocks a <= b <= c before
+    any generic matrix is built: 15 for (2,1), 32,000,000 for (200,200)."""
+    argv = ["model", "eval", "--mode", "infty", "--poly", "z1*z2"]
+    code, _, err = run_cli(capsys, *argv, "--shape", "200,200")
+    assert code == 3
+    assert err == (
+        "resource guard: model: one product of generic matrices of shape [200, 200] forms "
+        "32000000 entry products, which exceeds the guard of 8000000 cells "
+        "[cells 32000000 > max_cells 8000000]\n"
+    )
+    code, _, err = run_cli(capsys, *argv, "--shape", "2,1", "--max-cells", "14")
+    assert code == 3 and "forms 15 entry products" in err and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, *argv, "--shape", "2,1", "--max-cells", "15")
+    assert code == 0
+    assert "guard" not in cert_from(out)["config"]
+
+
 def test_model_eval_degk_exits_4(capsys):
     code, _, err = run_cli(
         capsys,

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from _support import reference_relfree_mul, reference_straighten
 from gradedpi import Z2
 from gradedpi.errors import DegreeConflictError, MalformedElementError, UnsupportedFeatureError
 from gradedpi import relfree
-from gradedpi.freealg import parse_poly
+from gradedpi.freealg import NcPolynomial, parse_poly
 from gradedpi.relfree import (
     GradingMode,
     RelFreeElement,
@@ -175,42 +176,64 @@ def test_basis_words_are_independent_normal_forms():
         assert len(seen) == len(words)
 
 
-class _SizeRecordingMemo(dict):
-    """A dict that remembers the largest size it reached."""
+@pytest.mark.parametrize(
+    "mode", [NAT, INF] + [GradingMode.kstar(k) for k in range(4)], ids=lambda m: m.token()
+)
+def test_straightening_matches_leftmost_pair_oracle(mode):
+    """normal_form and relfree_mul against the leftmost-pair rewriting, on
+    seeded polynomials with repeated ids whose words share beginnings,
+    products whose tails repeat an id or meet a prefix id, and (kstar)
+    products that cross the odd-letter cutoff."""
+    rng = random.Random(19 + (mode.k or 0))
+    ids = list(range(1, 7))
+    seen = dict.fromkeys(
+        ["shared beginning", "repeated tail id", "prefix id in tail", "crosses cutoff"], 0
+    )
+    for _ in range(120):
+        # at least two even ids, so kstar:0 has words to sample
+        parities = {v: 0 if v <= 2 else rng.randint(0, 1) for v in ids}
+        rng.shuffle(ids)
+        universe = {v: (p,) for v, p in parities.items()}
+        pool = rng.sample(ids, rng.randint(2, 6))
 
-    peak = 0
+        def poly():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                word = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+                terms[word] = Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+            return NcPolynomial(terms, universe)
 
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.peak = max(self.peak, len(self))
+        # a product: its words share their beginnings, as normal_form groups them
+        f = poly() * poly()
+        want = {}
+        for word, c in f.terms.items():
+            prefix = [(parities[v], v) for v in word]
+            for w, x in reference_straighten(prefix, (), mode).items():
+                want[w] = want.get(w, 0) + c * x
+        assert normal_form(f, mode).terms == {w: c for w, c in want.items() if c}, (mode, f)
+        seen["shared beginning"] += len({w[0] for w in f.terms}) < len(f.terms)
 
+        def element():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                w = random_basis_word(mode, ids[:5], parities, rng, 5)
+                terms[w] = rng.choice([-2, -1, 1, Fraction(1, 2)])
+            return RelFreeElement(mode, terms, parities)
 
-class _NoMemo(dict):
-    """A memo that never hits."""
-
-    def get(self, key, default=None):
-        return default
-
-
-def test_nf_memo_is_bounded(monkeypatch):
-    polys = [
-        "z5*z4*y3*z2*y1",
-        "[z1, z2]*[y3, z4]*z5*y6",
-        "y6*z5*[z4, y3]*[z2, z1]",
-        "[[z1, y2], z3]*z4*z5",
-        "z6*y5*z4*z3*z2*y1 - y1*z2*z3*z4*y5*z6",
-    ]
-    modes = [INF, K2]
-    monkeypatch.setattr(relfree, "_NF_MEMO", _NoMemo())
-    uncached = [format_relfree(nf(p, m)) for m in modes for p in polys]
-    bound = 16
-    memo = _SizeRecordingMemo()
-    monkeypatch.setattr(relfree, "_NF_MEMO", memo)
-    monkeypatch.setattr(relfree, "_NF_MEMO_MAX", bound)
-    # twice: the second pass meets a memo emptied and refilled on the way
-    for _ in range(2):
-        assert [format_relfree(nf(p, m)) for m in modes for p in polys] == uncached
-    assert memo.peak == bound
+        a, b = element(), element()
+        assert relfree_mul(a, b).terms == reference_relfree_mul(a, b), (mode, a, b)
+        for wa in a.terms:
+            for wb in b.terms:
+                seen["repeated tail id"] += bool(set(wa.comms) & set(wb.comms))
+                seen["prefix id in tail"] += bool(set(wa.evens + wa.odds) & set(wb.comms))
+                if mode.kind == "kstar":
+                    odd = [len(w.odds) + sum(parities[v] for v in w.comms) for w in (wa, wb)]
+                    seen["crosses cutoff"] += max(odd) <= mode.k < sum(odd)
+    assert seen["shared beginning"], seen
+    if mode.kind != "natural":
+        assert seen["repeated tail id"] and seen["prefix id in tail"], seen
+    if mode.kind == "kstar" and mode.k:
+        assert seen["crosses cutoff"], seen
 
 
 def test_relfree_word_validation():
