@@ -598,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--shape", required=True, help="block sizes, e.g. 1,1")
     pe.add_argument("--mode", required=True, help="natural | infty | kstar:<k>")
     pe.add_argument("--poly", required=True, help="polynomial text or file")
-    _add_guard_flags(pe)
+    pe.add_argument("--max-cells", type=int, default=GuardLimits().max_cells)
     _add_out_flag(pe)
     pe.set_defaults(func=cmd_model)
 
@@ -622,9 +622,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _guard_measure(exc, args) -> str:
     """The cells/bits a guard error measured, next to the limits in force."""
-    limits = _guard(args) if hasattr(args, "max_cells") else GuardLimits()
+    default = GuardLimits()
     parts = [
-        f"{name} {getattr(exc, name)} > max_{name} {getattr(limits, 'max_' + name)}"
+        f"{name} {getattr(exc, name)} > max_{name} "
+        f"{getattr(args, 'max_' + name, getattr(default, 'max_' + name))}"
         for name in ("cells", "bits")
         if getattr(exc, name, None) is not None
     ]

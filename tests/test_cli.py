@@ -692,7 +692,8 @@ def test_model_eval_non_identity(capsys):
 
 def test_model_eval_guard_bounds_one_product(capsys):
     """model eval bounds sum s_a*s_b*s_c over blocks a <= b <= c before
-    any generic matrix is built: 15 for (2,1), 32,000,000 for (200,200)."""
+    any generic matrix is built: 15 for (2,1), 32,000,000 for (200,200).
+    It takes no --max-bits, which nothing in the evaluation would read."""
     argv = ["model", "eval", "--mode", "infty", "--poly", "z1*z2"]
     code, _, err = run_cli(capsys, *argv, "--shape", "200,200")
     assert code == 3
@@ -706,6 +707,8 @@ def test_model_eval_guard_bounds_one_product(capsys):
     code, out, _ = run_cli(capsys, *argv, "--shape", "2,1", "--max-cells", "15")
     assert code == 0
     assert "guard" not in cert_from(out)["config"]
+    with pytest.raises(SystemExit):
+        main([*argv, "--shape", "2,1", "--max-bits", "1"])
 
 
 def test_model_eval_degk_exits_4(capsys):
