@@ -39,7 +39,9 @@ where sub-signatures have patterns no truncation realizes. Two more cover
 edge cases of straightening by insertion: an infty normal form of a
 non-multilinear polynomial with repeated odd ids, whose commutators meet a
 tail that already holds one of their ids, and a kstar:0 model evaluation,
-where no odd letter survives. 36 commands in all.
+where no odd letter survives. One kstar:2 model evaluation in (1,2), with
+the square block last, has a word with three odd letters, which falls past
+the cutoff and drops, beside one whose value is non-zero. 37 commands in all.
 """
 
 from __future__ import annotations
@@ -129,6 +131,9 @@ FACTOR_CLI_COMMANDS = [
     ["relfree", "nf", "--mode", "infty",
      "--poly", "z3*z1*y2*z1*z3 + [z1,z3]*z3*y2*z1*y4 - z1*y4*z3*z1"],
     ["model", "eval", "--shape", "2,1", "--mode", "kstar:0", "--poly", "[y1,y2]*y3*[y4,y5]"],
+    # the square block last; the second word passes the kstar:2 cutoff
+    ["model", "eval", "--shape", "1,2", "--mode", "kstar:2",
+     "--poly", "[z1,y2]*z3*y4 + z1*z5*z3*y4"],
 ]
 
 

@@ -76,7 +76,9 @@ class BlockShape:
 
     def n_entry_products(self) -> int:
         """Entry products a_{il} * b_{lj} in one product of two matrices of
-        this pattern: the sum of s_a * s_b * s_c over blocks a <= b <= c."""
+        this pattern: the sum of s_a * s_b * s_c over blocks a <= b <= c.
+        One Horner step of model_eval forms at most this many letter
+        products x_{il} * e_{lj}."""
         return sum(
             sum(self.sizes[: b + 1]) * d * sum(self.sizes[b:]) for b, d in enumerate(self.sizes)
         )

@@ -20,13 +20,16 @@ from .algebras import BlockShape
 from .errors import MalformedElementError, UnsupportedFeatureError
 from .freealg import NcPolynomial, format_poly
 from .groups import Z2, GroupSpec
-from .linalg import DEFAULT_GUARD, GuardLimits, RowReducer
+from .linalg import DEFAULT_GUARD, GuardLimits, RowReducer, add_scaled
 from .relfree import (
     GradingMode,
     RelFreeWord,
     RelFreeElement,
     expand,
     format_relfree,
+    from_straightened,
+    integral,
+    letter_step,
     normal_form,
     zero_element,
 )
@@ -61,6 +64,18 @@ class _RelfreeAdapter:
 
     def keyed_vector(self, a) -> dict:
         return dict(a.terms)
+
+    def raw_arithmetic(self, universe: dict):
+        """(empty word, letter times raw entry, raw entry -> element) over
+        the entry variables of universe; raw entries are straightened
+        {(evens, odds, comms): c} id tuples."""
+        mode = self.mode
+        parities = {vid: deg[0] for vid, deg in universe.items()}
+
+        def times(vid, raw):
+            return letter_step(mode, (parities[vid], vid), raw, parities)
+
+        return ((), (), ()), times, lambda raw: from_straightened(mode, raw, parities)
 
     def format(self, a) -> str:
         return format_relfree(a)
@@ -97,6 +112,16 @@ class _TruncatedAdapter:
             for col, val in items:
                 out[(mkey, col)] = val
         return out
+
+    def raw_arithmetic(self, universe: dict):
+        """(empty word, letter times raw entry, raw entry -> polynomial)
+        over the entry variables of universe; raw entries are {word: c}
+        terms."""
+
+        def times(vid, raw):
+            return {(vid,) + w: c for w, c in raw.items()}
+
+        return (), times, lambda raw: NcPolynomial(raw, universe)
 
     def format(self, a) -> str:
         return format_poly(a, style="yz")
@@ -265,20 +290,37 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
     eval(f) = c*1 + sum_x xi_x*eval(q_x), and each q_x splits again. A
     memo local to the call keys every quotient by its sorted terms divided
     by the leading coefficient; that coefficient is put back on the
-    letter's generator. So the call does one matrix product per distinct
-    quotient (up to a scalar) and letter, not one per letter of every
+    letter. So the call does one Horner step per distinct quotient (up to
+    a scalar) and letter, not one matrix product per letter of every
     word: in a product of commutators most quotients repeat up to sign.
+
+    A step moves the entry letters of the generator into the quotient's
+    entries: entry (i,j) gains c * x_{i,l} * eval(q)_{l,j} for every l,
+    each term one insertion of a letter into raw backend terms, with no
+    generic matrix of the generator built. The entries become backend
+    elements once, at the end; zero entries are left out. A step forms at
+    most cfg.shape.n_entry_products() letter products: the `model eval`
+    guard bounds that count per step, not for the whole evaluation.
     """
     if not f.terms:
         return zero_matrix(cfg)
-    gens = {vid: make_generator(vid, deg, cfg) for vid, deg in f.universe.items()}
-    ident = identity_matrix(cfg)
+    ad = cfg.adapter()
+    # column l of generator x: the rows i and ids of its entry letters x_{i,l}
+    columns, universe = {}, {}
+    for x, deg in f.universe.items():
+        col = columns[x] = {}
+        for i, l in cfg.shape.positions():
+            vid = encode_entry_variable(i, l, x, deg, cfg)
+            universe[vid] = deg
+            col.setdefault(l, []).append((i, vid))
+    empty, times, finish = ad.raw_arithmetic(universe)
 
     def normalized(terms: dict):
-        """(leading coefficient, sorted terms divided by it)."""
+        """(leading coefficient, sorted terms divided by it), integral
+        coefficients as ints so that insertions multiply ints."""
         items = sorted(terms.items())
-        lead = items[0][1]
-        return lead, tuple((w, c / lead) for w, c in items)
+        lead = Fraction(items[0][1])
+        return integral(lead), tuple((w, integral(c / lead)) for w, c in items)
 
     def split(key):
         """Constant term, and the normalized left quotient by each first letter."""
@@ -290,7 +332,7 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
                 const = c
         return const, {x: normalized(q) for x, q in quotients.items()}
 
-    memo = {}  # normalized quotient -> its evaluation
+    memo = {}  # normalized quotient -> its raw entries {(i, j): raw}
     lead, root = normalized(f.terms)
     stack = [root]  # depth first without recursion: words may be long
     while stack:
@@ -303,11 +345,18 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
         if todo:
             stack.extend(todo)
             continue
-        acc = ident.scale(const) if const else zero_matrix(cfg)
+        acc = {(i, i): {empty: const} for i in range(1, cfg.n + 1)} if const else {}
         for x, (c, q) in quotients.items():
-            acc = acc + gens[x].scale(c) * memo[q]
-        memo[stack.pop()] = acc
-    return memo[root] if lead == 1 else memo[root].scale(lead)
+            col = columns[x]
+            for (l, j), raw in memo[q].items():
+                for i, vid in col[l]:
+                    add_scaled(acc.setdefault((i, j), {}), times(vid, raw), c)
+        memo[stack.pop()] = {pos: raw for pos, raw in acc.items() if raw}
+    entries = {
+        pos: finish(raw if lead == 1 else {w: lead * c for w, c in raw.items()})
+        for pos, raw in memo[root].items()
+    }
+    return GenericMatrix(cfg, entries, ad)
 
 
 def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:

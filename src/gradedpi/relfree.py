@@ -37,8 +37,9 @@ multiset of variable ids of a word.
 
 While a word straightens it is an (evens, odds, comms) tuple of ids; each
 output RelFreeWord is built once, at the end. Input is checked once, by the
-public RelFreeElement constructor; sums, scales, products and normal forms
-are built from checked elements and skip that check.
+public RelFreeElement constructor, which checks the declared parities and
+the mode's basis-word rules; sums, scales, products and normal forms are
+built from checked elements and skip that check.
 """
 
 from __future__ import annotations
@@ -212,6 +213,35 @@ def _times_letter(x, terms: dict) -> dict:
     return out
 
 
+def letter_step(mode: GradingMode, x, terms: dict, parities: dict) -> dict:
+    """The letter x = (parity, id) times sum(c * W) in the mode, over normal
+    words W as id tuples, with no zero coefficient in or out: the terms of
+    relfree_mul(normal_form(x), el), without building either element.
+
+    natural inserts x with the sign of the odds it passes, or drops W when
+    x repeats an odd id; kstar drops the words that x would take past k
+    odd occurrences, then inserts as infty does.
+    """
+    parity, a = x
+    if mode.kind == "natural":
+        out = {}
+        for (evens, odds, comms), c in terms.items():
+            if not parity:
+                i = bisect_left(evens, a)
+                out[(evens[:i] + (a,) + evens[i:], odds, comms)] = c
+                continue
+            i = bisect_left(odds, a)
+            if i == len(odds) or odds[i] != a:
+                out[(evens, odds[:i] + (a,) + odds[i:], comms)] = -c if i & 1 else c
+        return out
+    if mode.kind == "kstar":
+        room = mode.k - parity
+        terms = {
+            w: c for w, c in terms.items() if len(w[1]) + _odd_count(w[2], parities) <= room
+        }
+    return _times_letter(x, terms)
+
+
 def _insert_prefixes(nodes: dict, parities: dict) -> dict:
     """Straighten the sum over p of p * nodes[p], where p is a tuple of ids
     and nodes[p] a combination of normal words; returns
@@ -242,14 +272,15 @@ def _odd_count(ids, parities: dict) -> int:
     return sum(parities[v] for v in ids)
 
 
-def _integral(c):
+def integral(c):
     """c as an int when it is integral, so straightening multiplies ints."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _words(terms: dict) -> dict:
-    """{RelFreeWord: c} from straightened {(evens, odds, comms): c}."""
-    return {_word(*key): c for key, c in terms.items()}
+def from_straightened(mode: GradingMode, terms: dict, parities: dict) -> "RelFreeElement":
+    """The element of straightened {(evens, odds, comms): c}, with no zero
+    coefficient; parities declares at least the ids in use."""
+    return _element(mode, {_word(*key): c for key, c in terms.items()}, parities)
 
 
 def _used_parities(terms: dict, parities: dict) -> dict:
@@ -281,6 +312,10 @@ class RelFreeElement:
             for vid in w.odds:
                 if parities[vid] != 1:
                     raise DegreeConflictError(f"x{vid} used as odd but declared even")
+            if not is_basis_word(w, parities, mode):
+                raise MalformedElementError(
+                    f"{_format_word(w)} is not a normal-form word of mode {mode.token()}"
+                )
         self.mode = mode
         self.terms = clean
         self.parities = _used_parities(clean, parities)
@@ -317,7 +352,7 @@ class RelFreeElement:
         return self + (-other)
 
     def scale(self, c) -> "RelFreeElement":
-        c = _integral(Fraction(c))  # straightening's int coefficients stay int
+        c = integral(Fraction(c))  # straightening's int coefficients stay int
         terms = {w: c * x for w, x in self.terms.items()} if c else {}
         return _element(self.mode, terms, self.parities)
 
@@ -380,7 +415,7 @@ def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
     parities = _parities_of_poly(f)
     terms, nodes = {}, {}
     for w, c in f.terms.items():
-        c = _integral(c)
+        c = integral(c)
         if mode.kind == "kstar" and _odd_count(w, parities) > mode.k:
             continue
         if mode.kind == "natural":
@@ -390,7 +425,7 @@ def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
             nodes[w] = {((), (), ()): c}
     if mode.kind != "natural":
         terms = _insert_prefixes(nodes, parities)
-    return _element(mode, _words(terms), parities)
+    return from_straightened(mode, terms, parities)
 
 
 def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
@@ -406,11 +441,11 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
     parities = _merged_parities(a, b)
     terms, nodes = {}, {}
     right = [
-        (wb, _odd_count(wb.odds + wb.comms, parities), _integral(cb))
+        (wb, _odd_count(wb.odds + wb.comms, parities), integral(cb))
         for wb, cb in b.terms.items()
     ]
     for wa, ca in a.terms.items():
-        ca = _integral(ca)
+        ca = integral(ca)
         odd_a = _odd_count(wa.odds + wa.comms, parities)
         node = nodes.setdefault(wa.evens + wa.odds, {})
         for wb, odd_b, cb in right:
@@ -425,7 +460,7 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
                 add_scaled(node, {(wb.evens, wb.odds, tuple(sorted(tail))): ca * cb * sign})
     if mode.kind != "natural":
         terms = _insert_prefixes(nodes, parities)
-    return _element(mode, _words(terms), parities)
+    return from_straightened(mode, terms, parities)
 
 
 def expand(el: RelFreeElement) -> NcPolynomial:

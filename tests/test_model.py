@@ -357,6 +357,10 @@ def _commutator_polys(draw, max_degree=5):
 @example(f=NcPolynomial.constant(Fraction(-3, 2)), backend="natural", shape=(2, 1))
 @example(f=parse_poly("2*[z1,z2]*[y3,z4] - [z1,z2]*z4*y3 + 5", Z2), backend="infty", shape=(1, 1, 1))
 @example(f=parse_poly("[z1,z2]*y3 - [z1,z2]*y3 + z1*y3 - z1*y3", Z2), backend="truncated", shape=(1, 1))
+# the square block last, and kstar:0, where no odd letter survives: neither
+# is drawn by the strategy
+@example(f=parse_poly("2*[z1,y2]*z3 - y4*[z3,z1] + z1*y4*z3 + 1", Z2), backend="kstar:2", shape=(1, 2))
+@example(f=parse_poly("[y1,y2]*y3*[y4,z5] - y4*y3 + z5", Z2), backend="kstar:0", shape=(2, 1))
 def test_model_eval_matches_the_word_by_word_oracle(f, backend, shape):
     """Memoized Horner gives the same printed entries as multiplying out
     every word, on both backends."""

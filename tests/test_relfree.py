@@ -16,7 +16,9 @@ from gradedpi.relfree import (
     count_multilinear_basis_words,
     expand,
     format_relfree,
+    from_straightened,
     is_basis_word,
+    letter_step,
     multilinear_basis_words,
     normal_form,
     partial_multiplicativity_check,
@@ -258,6 +260,66 @@ def test_public_constructor_checks_parities():
         RelFreeElement(INF, {RelFreeWord((1,), (), ()): 1}, {1: 1})
     with pytest.raises(DegreeConflictError, match="x2 used as odd"):
         RelFreeElement(INF, {RelFreeWord((), (2,), ()): 1}, {2: 0})
+
+
+def test_public_constructor_rejects_words_outside_the_basis():
+    # natural words carry no commutator tail and repeat no odd id
+    not_basis = MalformedElementError
+    with pytest.raises(not_basis, match=r"^\[x1,x2\] is not a normal-form word of mode natural$"):
+        RelFreeElement(NAT, {RelFreeWord((), (), (1, 2)): 1}, {1: 1, 2: 1})
+    with pytest.raises(not_basis, match=r"^z1\*z1 is not a normal-form word of mode natural$"):
+        RelFreeElement(NAT, {RelFreeWord((), (1, 1), ()): 1}, {1: 1})
+    # kstar:1 words hold at most one odd occurrence, tail slots included
+    with pytest.raises(not_basis, match=r"^z1\*z3 is not a normal-form word of mode kstar:1$"):
+        RelFreeElement(K1, {RelFreeWord((), (1, 3), ()): 1}, {1: 1, 3: 1})
+    with pytest.raises(not_basis, match=r"^z3\*\[x1,x2\] is not a normal-form word of mode kstar:1$"):
+        RelFreeElement(K1, {RelFreeWord((), (3,), (1, 2)): 1}, {1: 1, 2: 0, 3: 1})
+    # a zero coefficient drops its word before the check
+    assert RelFreeElement(K1, {RelFreeWord((), (1, 3), ()): 0}, {1: 1, 3: 1}).is_zero()
+    # the same words are normal forms where the mode allows them
+    tail = RelFreeElement(INF, {RelFreeWord((), (), (1, 2)): 1}, {1: 1, 2: 1})
+    assert tail == normal_form(expand(tail), INF)
+    odds = RelFreeElement(K2, {RelFreeWord((), (1, 3), ()): 1}, {1: 1, 3: 1})
+    assert odds == normal_form(expand(odds), K2)
+
+
+@pytest.mark.parametrize(
+    "mode", [NAT, INF] + [GradingMode.kstar(k) for k in range(3)], ids=lambda m: m.token()
+)
+def test_letter_step_matches_relfree_mul(mode):
+    """letter_step(x, terms) is relfree_mul(normal_form(x), el) on the
+    straightened terms of el, for seeded normal-form elements: odd letters
+    that land exactly on the kstar cutoff or pass it, and (natural) odd
+    letters that repeat an odd id of a word."""
+    rng = random.Random(41 + (mode.k or 0))
+    ids = list(range(1, 7))
+    seen = dict.fromkeys(["on cutoff", "past cutoff", "repeated odd id"], 0)
+    for _ in range(150):
+        # at least two even ids, so kstar:0 has words to sample
+        parities = {v: 0 if v <= 2 else rng.randint(0, 1) for v in ids}
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            w = random_basis_word(mode, ids, parities, rng, 4)
+            terms[w] = rng.choice([-2, -1, 1, Fraction(1, 2)])
+        if rng.random() < 0.2:
+            terms[RelFreeWord((), (), ())] = 3
+        el = RelFreeElement(mode, terms, parities)
+        x = rng.choice(ids)
+        want = relfree_mul(normal_form(NcPolynomial.variable(x, (parities[x],)), mode), el)
+        raw = {(w.evens, w.odds, w.comms): c for w, c in el.terms.items()}
+        got = letter_step(mode, (parities[x], x), raw, parities)
+        assert got == {(w.evens, w.odds, w.comms): c for w, c in want.terms.items()}, (mode, x, el)
+        assert from_straightened(mode, got, parities) == want
+        for w in el.terms:
+            odd = len(w.odds) + sum(parities[v] for v in w.comms) + parities[x]
+            if mode.kind == "kstar" and parities[x]:
+                seen["on cutoff"] += odd == mode.k
+                seen["past cutoff"] += odd > mode.k
+            seen["repeated odd id"] += x in w.odds
+    if mode.kind == "kstar":
+        assert seen["past cutoff"] and (seen["on cutoff"] or mode.k == 0), seen
+    if mode.kind == "natural":
+        assert seen["repeated odd id"], seen
 
 
 @pytest.mark.parametrize("mode", [NAT, INF, K1, K2], ids=lambda m: m.token())
