@@ -41,13 +41,18 @@ non-multilinear polynomial with repeated odd ids, whose commutators meet a
 tail that already holds one of their ids, and a kstar:0 model evaluation,
 where no odd letter survives. One kstar:2 model evaluation in (1,2), with
 the square block last, has a word with three odd letters, which falls past
-the cutoff and drops, beside one whose value is non-zero. 37 commands in all.
+the cutoff and drops, beside one whose value is non-zero. One length-6
+infty identities command takes the eight Z2 triple commutators as its
+generators; they repeat one another up to sign under substitution, so the
+consequence route's dedupe across generators and its row count are
+covered. 38 commands in all.
 """
 
 from __future__ import annotations
 
 import difflib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -64,6 +69,11 @@ GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
 # the natural grading's presentation (spaces.presentation_natural)
 NATURAL_GENERATORS_FILE = "natural.txt"
 NATURAL_GENERATORS = "[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n"
+# the eight Z2 triple commutators (spaces.presentation_infty)
+TRIPLE_COMMUTATORS_FILE = "triples.txt"
+TRIPLE_COMMUTATORS = "".join(
+    f"[[{a}1, {b}2], {c}3]\n" for a, b, c in itertools.product("yz", repeat=3)
+)
 # (2,1) over (1,1) over E_5 with the natural grading
 NESTED_MATRIX_OVER = json.dumps({
     "kind": "matrix_over", "shape": [2, 1],
@@ -134,6 +144,9 @@ FACTOR_CLI_COMMANDS = [
     # the square block last; the second word passes the kstar:2 cutoff
     ["model", "eval", "--shape", "1,2", "--mode", "kstar:2",
      "--poly", "[z1,y2]*z3*y4 + z1*z5*z3*y4"],
+    # consequence rows of generators that repeat one another up to sign, at length 6
+    ["identities", "--algebra", "grassmann:deg=infty",
+     "--generators", TRIPLE_COMMUTATORS_FILE, "--sig", "0,1,0,1,1,0"],
 ]
 
 
@@ -191,6 +204,7 @@ def main(argv=None) -> int:
         for name, text in [
             (GENERATORS_FILE, ACCEPTANCE_GENERATORS),
             (NATURAL_GENERATORS_FILE, NATURAL_GENERATORS),
+            (TRIPLE_COMMUTATORS_FILE, TRIPLE_COMMUTATORS),
         ]:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)

@@ -3,12 +3,13 @@
 Elimination is incremental Gauss-Jordan over primitive integer rows (content
 divided out, leading entry positive). Each stored row starts at its pivot
 and is zero on every other pivot column. An incoming row clears the pivot
-columns it meets in one pass of fraction-free integer updates; when it
-raises the rank, its new pivot column is cleared from the rows already
-stored, so they stay fully reduced. finish() only divides each row by its
-leading entry to give the canonical reduced row echelon form over
-Fraction. RREF is unique per row space, so the order rows arrive in cannot
-change results, only intermediate growth.
+columns it meets in one pass of fraction-free integer updates, as a plain
+dict. Only a row that raises the rank becomes a sorted primitive tuple;
+its new pivot column is then cleared from the rows already stored, so they
+stay fully reduced. finish() only divides each row by its leading entry to
+give the canonical reduced row echelon form over Fraction. RREF is unique
+per row space, so the order rows arrive in cannot change results, only
+intermediate growth.
 
 No floats anywhere.
 """
@@ -92,16 +93,22 @@ def _primitive(items, guard: GuardLimits) -> tuple:
     return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
 
 
-def _primitive_int_row(row, guard: GuardLimits) -> tuple:
-    """Convert a sparse rational row to a primitive integer row, sign-normalized."""
-    items = sorted(row.items()) if isinstance(row, dict) else sorted(row)
-    items = [(c, v) for c, v in items if v]
-    if not all(type(v) is int for _, v in items):
+def _int_row(acc: dict, guard: GuardLimits) -> dict:
+    """A sparse row of nonzero values as an integer row with no content; an
+    integral row of content 1 is returned as it is. A rational row is scaled
+    by its denominators' lcm first. As in _primitive, the guard's max_bits
+    bounds the integer row before its content is divided out."""
+    if not all(type(v) is int for v in acc.values()):
         # scale by the denominators' lcm without building a Fraction per entry
-        items = [(c, v if isinstance(v, (int, Fraction)) else Fraction(v)) for c, v in items]
-        denom_lcm = math.lcm(*(v.denominator for _, v in items))
-        items = [(c, v.numerator * (denom_lcm // v.denominator)) for c, v in items]
-    return _primitive(items, guard)
+        acc = {c: v if isinstance(v, (int, Fraction)) else Fraction(v) for c, v in acc.items()}
+        denom_lcm = math.lcm(*(v.denominator for v in acc.values()))
+        acc = {c: v.numerator * (denom_lcm // v.denominator) for c, v in acc.items()}
+    vals = acc.values()
+    bits = max(max(vals), -min(vals)).bit_length()
+    if bits > guard.max_bits:
+        raise _bits_exceeded(bits, guard)
+    g = math.gcd(*vals)
+    return acc if g == 1 else {c: v // g for c, v in acc.items()}
 
 
 def cells_guard(n_rows: int, n_cols: int, guard: GuardLimits, what: str):
@@ -150,24 +157,27 @@ class RowReducer:
         return len(self.pivot_rows)
 
     def add(self, row) -> bool:
-        """Insert one row (dict or (col, value) pairs); True if rank grew."""
-        r = _primitive_int_row(row, self.guard)
-        if not r:
+        """Insert one row (dict or (col, value) pairs); True if rank grew.
+
+        The row is cleared as a plain dict; only a row that survives is
+        made a sorted primitive tuple.
+        """
+        acc = {c: v for c, v in (row.items() if isinstance(row, dict) else row) if v}
+        if not acc:
             return False
-        if r[-1][0] >= self.n_cols:
-            raise AmbientMismatchError(f"column {r[-1][0]} outside ambient {self.n_cols}")
+        acc = _int_row(acc, self.guard)
+        last = max(acc)
+        if last >= self.n_cols:
+            raise AmbientMismatchError(f"column {last} outside ambient {self.n_cols}")
         pivots = self.pivot_rows
         if len(pivots) == self.n_cols:
             return False  # full rank: every row lies in the span
-        hits = [c for c, _ in r if c in pivots]
-        if hits:
-            # clearing one pivot column touches no other pivot column
-            acc = dict(r)
-            for p in hits:
-                _clear(acc, p, pivots[p])
-            if not acc:
-                return False
-            r = _primitive(sorted(acc.items()), self.guard)
+        # clearing one pivot column touches no other pivot column
+        for p in sorted(acc.keys() & pivots.keys()):
+            _clear(acc, p, pivots[p])
+        if not acc:
+            return False
+        r = _primitive(sorted(acc.items()), self.guard)
         cells_guard(len(pivots) + 1, self.n_cols, self.guard, "elimination, kept")
         lead = r[0][0]
         holders = self._holders

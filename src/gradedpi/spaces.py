@@ -419,7 +419,11 @@ def identities_by_consequences(
 
     m_i runs over monomials in disjoint nonempty variable subsets whose
     degrees match f's variables; u0, u1 over the two halves of every
-    ordering of the remaining variables.
+    ordering of the remaining variables. Substitutions are visited one
+    family of k subsets at a time, in every slot order, for every generator
+    of arity k. A g = f(m) equal up to sign to one the same family gave
+    before has the same rows up to sign, so they are not fed again; meta
+    "rows" still counts them.
     """
     spec = presentation.spec
     sig = validate_signature(sig, spec)
@@ -434,36 +438,55 @@ def identities_by_consequences(
         for size in range(1, n + 1)
         for s in itertools.combinations(positions, size)
     }
-    n_rows = 0
+    # per arity, each generator as its variables' degrees and its terms as
+    # (variable slots, coefficient), an int when integral
+    by_arity = {}
     for f in presentation.generators:
         fvars = sorted(f.universe)
-        fdegs = [tuple(f.universe[v]) for v in fvars]
         slot = {v: j for j, v in enumerate(fvars)}
-        # each term as (variable slots, coefficient), an int when integral
         fterms = [
             (tuple(slot[v] for v in w), c.numerator if c.denominator == 1 else c)
             for w, c in f.terms.items()
         ]
-        for subsets, rest in _disjoint_subset_tuples(positions, len(fvars)):
-            # each image is one word whose degree is its variable's, so the
-            # substitution is graded
-            if any(subset_degree[sub] != d for sub, d in zip(subsets, fdegs)):
-                continue
-            for orders in itertools.product(
-                *(itertools.permutations(s) for s in subsets)
-            ):
-                g = add_scaled(
-                    {}, ((sum((orders[j] for j in slots), ()), c) for slots, c in fterms)
-                )
-                if not g:
-                    continue
-                gterms = list(g.items())
-                for border in itertools.permutations(rest):
-                    for cut in range(len(rest) + 1):
-                        u0, u1 = border[:cut], border[cut:]
-                        row = {idx[u0 + w + u1]: c for w, c in gterms}
-                        n_rows += 1
-                        reducer.add(row)
+        fdegs = tuple(tuple(f.universe[v]) for v in fvars)
+        by_arity.setdefault(len(fvars), []).append((fdegs, fterms))
+    n_rows = 0
+    for k, gens in by_arity.items():
+        for family, rest in _disjoint_subset_tuples(positions, k):
+            if any(a > b for a, b in zip(family, family[1:])):
+                continue  # each unordered family once, its blocks ascending
+            borders = [
+                (border[:cut], border[cut:])
+                for border in itertools.permutations(rest)
+                for cut in range(len(rest) + 1)
+            ]
+            seen = set()  # each g fed from this family, its first coefficient positive
+            for blocks in itertools.permutations(family):
+                # each image is one word whose degree is its variable's, so
+                # the substitution is graded
+                degs = tuple(subset_degree[b] for b in blocks)
+                for fdegs, fterms in gens:
+                    if degs != fdegs:
+                        continue
+                    for orders in itertools.product(
+                        *(itertools.permutations(b) for b in blocks)
+                    ):
+                        g = add_scaled(
+                            {},
+                            ((sum((orders[j] for j in slots), ()), c) for slots, c in fterms),
+                        )
+                        if not g:
+                            continue
+                        n_rows += len(borders)
+                        gterms = sorted(g.items())
+                        if gterms[0][1] < 0:
+                            gterms = [(w, -c) for w, c in gterms]
+                        gterms = tuple(gterms)
+                        if gterms in seen:
+                            continue
+                        seen.add(gterms)
+                        for u0, u1 in borders:
+                            reducer.add({idx[u0 + w + u1]: c for w, c in gterms})
     space = reducer.finish()
     meta = {"route": "consequences", "rows": n_rows, "presentation": presentation.name}
     return IdentitySubspace(sig, spec, space, meta)

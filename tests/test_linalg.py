@@ -248,6 +248,32 @@ def test_guard_trip_on_a_stored_row_leaves_the_reducer_unchanged():
     assert red.finish() == row_space([{0: 1, 2: 1}, {1: 1}], 3)
 
 
+def test_reducer_clears_int_rows_as_dicts_and_stores_them_primitive():
+    """An integral row is cleared on a copy of the caller's dict, and only a
+    row that raises the rank is stored, primitive. max_bits bounds the row as
+    given, before its content is divided out."""
+    red = RowReducer(3, GuardLimits(max_bits=5))
+    first = {0: -8, 1: -12}
+    assert red.add(first)
+    assert red.pivot_rows == {0: ((0, 2), (1, 3))}
+    stored = dict(red.pivot_rows)
+    # 33 needs 6 bits; 64 needs 7 although the row's primitive form is (2, 3)
+    for row, bits in (({0: 33, 1: 1}, 6), ({0: 64, 1: 96}, 7)):
+        with pytest.raises(GuardExceededError) as exc:
+            red.add(row)
+        assert exc.value.bits == bits
+        assert red.pivot_rows == stored
+    dependent = {0: 16, 1: 24}
+    assert not red.add(dependent)
+    assert red.pivot_rows == stored
+    assert red.add({0: 4, 1: 6, 2: 10})
+    assert red.pivot_rows == {0: ((0, 2), (1, 3)), 2: ((2, 1),)}
+    primitive = {0: 2, 1: 3, 2: 5}
+    assert not red.add(primitive)
+    assert first == {0: -8, 1: -12} and dependent == {0: 16, 1: 24}
+    assert primitive == {0: 2, 1: 3, 2: 5}
+
+
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 _sparse = st.dictionaries(st.integers(0, 7), _fractions.filter(bool), max_size=8)
 

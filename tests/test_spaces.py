@@ -30,6 +30,7 @@ from gradedpi.linalg import (
     Subspace,
     contains,
     kernel_basis,
+    row_space,
 )
 from gradedpi.relfree import GradingMode, count_multilinear_basis_words
 from gradedpi.spaces import (
@@ -273,8 +274,8 @@ def test_consequences_of_commutator_only():
 
 
 def _streamed_rows(monkeypatch, route, *args):
-    """The rows route(*args) hands to RowReducers, in order; its meta must
-    count them all."""
+    """The rows route(*args) hands to RowReducers, in order, and the
+    component it returns."""
     rows = []
 
     class Recording(RowReducer):
@@ -285,13 +286,34 @@ def _streamed_rows(monkeypatch, route, *args):
     with monkeypatch.context() as patched:
         patched.setattr(spaces, "RowReducer", Recording)
         comp = route(*args)
-    assert comp.meta["rows"] == len(rows)
-    return rows
+    return rows, comp
+
+
+def _up_to_sign(row):
+    """A sparse row as sorted (col, value) pairs, its first value positive."""
+    items = sorted((c, v) for c, v in row.items() if v)
+    if items and items[0][1] < 0:
+        items = [(c, -v) for c, v in items]
+    return tuple(items)
+
+
+def _check_consequence_rows(monkeypatch, pres, sig):
+    """The route's rows against the substitution oracle's: meta counts every
+    oracle row, each fed row is +- an oracle row and each oracle row +- a fed
+    row, and integral generators give int rows. Returns the fed rows, the
+    component and the oracle's rows."""
+    got, comp = _streamed_rows(monkeypatch, identities_by_consequences, pres, sig)
+    want = reference_consequence_rows(pres, sig)
+    assert comp.meta["rows"] == len(want), (pres.name, sig)
+    assert {_up_to_sign(r) for r in got} == {_up_to_sign(r) for r in want}, (pres.name, sig)
+    if all(c.denominator == 1 for f in pres.generators for c in f.terms.values()):
+        assert all(type(v) is int for r in got for v in r.values())
+    return got, comp, want
 
 
 def test_consequence_rows_match_substitution_oracle(monkeypatch):
-    """Rows built by word concatenation equal the substitution oracle's: the
-    same count, order and values, and integer rows for integral generators."""
+    """Rows built by word concatenation equal the substitution oracle's up to
+    sign, each g = f(m) fed once per family; meta counts every oracle row."""
     z2_sigs = [s for n in range(1, 5) for s in all_z2_sigs(n)]
     cases = [(presentation_trivial_grassmann(), [((),) * n for n in range(1, 6)])]
     for mode, sig5 in [
@@ -312,17 +334,40 @@ def test_consequence_rows_match_substitution_oracle(monkeypatch):
     )
     cases.append((user, z2_sigs + [((0,), (1,), (0,), (1,), (1,))]))
     for pres, sigs in cases:
-        integral = all(c.denominator == 1 for f in pres.generators for c in f.terms.values())
         for sig in sigs:
-            got = _streamed_rows(monkeypatch, identities_by_consequences, pres, sig)
-            want = reference_consequence_rows(pres, sig)
-            assert [primitive_int_row(r) for r in got] == [
-                primitive_int_row(r) for r in want
-            ], (pres.name, sig)
-            if integral:
-                assert all(type(v) is int for r in got for v in r.values())
+            got, _, _ = _check_consequence_rows(monkeypatch, pres, sig)
         if pres is user:
             assert any(type(v) is Fraction for r in got for v in r.values())
+
+
+def test_consequence_dedupe_catches_repeats_and_nothing_else(monkeypatch):
+    """Repeats up to sign within a family are fed once: across generators
+    ([y1,y2] and [y2,y1]) and across slot orders (the symmetrised y1*y2*y3).
+    A g that is no repeat (y1*y2 + 2*y2*y1 against its swap, equal degrees
+    but no symmetry) is fed, and so are rational generators' rows."""
+    gens = {
+        "commutators": ["[y1, y2]", "[y2, y1]"],
+        "symmetric": [
+            " + ".join("*".join(f"y{i}" for i in p) for p in itertools.permutations((1, 2, 3)))
+        ],
+        "skew": ["y1*y2 + 2*y2*y1"],
+        "rational": ["1/2*y1*z2 - 2/3*z2*y1"],
+    }
+    gens["all"] = [g for texts in gens.values() for g in texts]
+    sigs = [s for n in range(1, 5) for s in all_z2_sigs(n)] + [((0,), (1,), (0,), (0,), (1,))]
+    fed = {}
+    for name, texts in gens.items():
+        pres = TIdealPresentation(tuple(parse_poly(t, Z2) for t in texts), Z2, name=name)
+        for sig in sigs:
+            got, comp, want = _check_consequence_rows(monkeypatch, pres, sig)
+            assert comp.space == row_space(want, math.factorial(len(sig))), (name, sig)
+            fed[name, sig] = (len(got), len(want))
+    y = (0,)
+    # four g, all +-(y1*y2 - y2*y1); six slot orders of one symmetric g
+    assert fed["commutators", (y, y)] == (1, 4)
+    assert fed["symmetric", (y, y, y)] == (1, 6)
+    # y1*y2 + 2*y2*y1 and its swap y2*y1 + 2*y1*y2 are both fed
+    assert fed["skew", (y, y)] == (2, 2)
 
 
 @functools.cache
@@ -360,10 +405,14 @@ def test_presentations_are_multilinear():
 
 
 def test_triple_commutator_generators_z2():
+    """The eight Z2 triple commutators generate T(E) of the infty grading at
+    length 3: the evaluation route on E_6 and the normal-form count agree."""
     gens = triple_commutator_generators(Z2)
     assert len(gens) == 8
-    comp = identities_by_consequences(TIdealPresentation(gens, Z2), ((), ()) if False else ((0,), (0,), (0,)))
-    assert comp.dim > 0
+    sig = ((0,), (0,), (0,))
+    comp = identities_by_consequences(TIdealPresentation(gens, Z2), sig)
+    assert comp.space == identities_by_evaluation(E(6, "infty"), sig, method="limit").space
+    assert math.factorial(3) - comp.dim == count_multilinear_basis_words(GradingMode.infty(), sig)
 
 
 def test_tideal_product_bordered_crosscheck():
@@ -395,7 +444,10 @@ def test_product_rows_match_polynomial_oracle(monkeypatch):
                 # the oracle runs first, so every factor component is cached
                 # and only the outer product's rows are recorded
                 want = reference_product_rows(left, right, sig, Z2, bordered)
-                got = _streamed_rows(monkeypatch, tideal_product, left, right, sig, Z2, bordered)
+                got, comp = _streamed_rows(
+                    monkeypatch, tideal_product, left, right, sig, Z2, bordered
+                )
+                assert comp.meta["rows"] == len(got)
                 assert [primitive_int_row(r) for r in got] == [
                     primitive_int_row(r) for r in want
                 ], (sig, bordered)
