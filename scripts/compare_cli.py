@@ -45,7 +45,10 @@ the cutoff and drops, beside one whose value is non-zero. One length-6
 infty identities command takes the eight Z2 triple commutators as its
 generators; they repeat one another up to sign under substitution, so the
 consequence route's dedupe across generators and its row count are
-covered. 38 commands in all.
+covered. Two normal forms straighten whole polynomials by the letter step:
+a natural one with a repeated odd id, a Fraction coefficient and words that
+share a beginning, and a kstar:1 one whose words lie past the cutoff
+before any letter moves in. 40 commands in all.
 """
 
 from __future__ import annotations
@@ -147,6 +150,11 @@ FACTOR_CLI_COMMANDS = [
     # consequence rows of generators that repeat one another up to sign, at length 6
     ["identities", "--algebra", "grassmann:deg=infty",
      "--generators", TRIPLE_COMMUTATORS_FILE, "--sig", "0,1,0,1,1,0"],
+    # whole polynomials through the letter step: natural signs, and kstar:1 words past the cutoff
+    ["relfree", "nf", "--mode", "natural",
+     "--poly", "z1*y2*z1*y3 + 1/2*z4*y3*z1 - 3*z4*z1*y3*y3 + z5*y2*z4"],
+    ["relfree", "nf", "--mode", "kstar:1",
+     "--poly", "[z1,z4]*y3 + z1*y2*z4 - y2*[y3,z4] + 2*z4*y3*y2"],
 ]
 
 

@@ -377,7 +377,10 @@ class _Parser:
         kind, val = self.peek()
         if kind == "num":
             self.take()
-            return NcPolynomial.constant(Fraction(val))
+            try:
+                return NcPolynomial.constant(Fraction(val))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {val!r}") from None
         if kind == "var":
             self.take()
             return self._variable(val)

@@ -73,7 +73,7 @@ class _RelfreeAdapter:
         parities = {vid: deg[0] for vid, deg in universe.items()}
 
         def times(vid, raw):
-            return letter_step(mode, (parities[vid], vid), raw, parities)
+            return letter_step(mode, vid, raw, parities)
 
         return ((), (), ()), times, lambda raw: from_straightened(mode, raw, parities)
 
@@ -352,9 +352,11 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
                 for i, vid in col[l]:
                     add_scaled(acc.setdefault((i, j), {}), times(vid, raw), c)
         memo[stack.pop()] = {pos: raw for pos, raw in acc.items() if raw}
+    raws = memo.pop(root)
+    memo.clear()  # the quotients' entries go before the root's are finished
     entries = {
         pos: finish(raw if lead == 1 else {w: lead * c for w, c in raw.items()})
-        for pos, raw in memo[root].items()
+        for pos, raw in raws.items()
     }
     return GenericMatrix(cfg, entries, ad)
 

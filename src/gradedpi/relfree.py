@@ -31,9 +31,11 @@ coefficient +-1, so straightening multiplies ints unless the input has a
 non-integral coefficient. Which rule is applied first cannot change the
 result: every rule is an identity of the relatively free algebra, and the
 normal words are a basis of it (a codimension check against the
-consequence route and a leftmost-pair oracle in the tests pin this). The
-kstar cutoff is applied once, at entry, because every rule preserves the
-multiset of variable ids of a word.
+consequence route and a leftmost-pair oracle in the tests pin this).
+Every mode straightens by one letter step, letter_step. Every rule
+preserves the multiset of ids of a word, so letter_step drops a word at
+the odd letter that would take it past the kstar cutoff, and relfree_mul
+drops the pairs whose combined odd count already crosses it.
 
 While a word straightens it is an (evens, odds, comms) tuple of ids; each
 output RelFreeWord is built once, at the end. Input is checked once, by the
@@ -57,7 +59,7 @@ from .errors import (
     ParseError,
     UnsupportedFeatureError,
 )
-from .freealg import NcPolynomial, format_signed_sum, sort_sign, validate_signature
+from .freealg import NcPolynomial, format_signed_sum, merge_universes, sort_sign, validate_signature
 from .groups import Z2
 from .linalg import add_scaled, kernel_basis, row_space
 
@@ -174,16 +176,16 @@ def _with_commutator(comms: tuple, a: int, ia: int, b: int):
     return sign, comms[:ib] + (b,) + comms[ib:ia] + (a,) + comms[ia:]
 
 
-def _times_letter(x, terms: dict) -> dict:
-    """The letter x times sum(c * W), over normal words W = (evens, odds,
-    comms) id tuples, with no zero coefficient in or out.
+def _times_letter(parity: int, a: int, terms: dict) -> dict:
+    """The letter x_a, of the given parity, times sum(c * W), over normal
+    words W = (evens, odds, comms) id tuples, with no zero coefficient in
+    or out.
 
     x*W = (W with x inserted) + sum over the letters v < x of W of
     (W - v)*[x, v]: x moves right past each smaller letter by
     x v = v x + [x, v], and commutators are central. In the letter order
     (parity, id), an odd x passes every even letter.
     """
-    parity, a = x
     out = {}
 
     def put(word, c):
@@ -213,16 +215,17 @@ def _times_letter(x, terms: dict) -> dict:
     return out
 
 
-def letter_step(mode: GradingMode, x, terms: dict, parities: dict) -> dict:
-    """The letter x = (parity, id) times sum(c * W) in the mode, over normal
-    words W as id tuples, with no zero coefficient in or out: the terms of
-    relfree_mul(normal_form(x), el), without building either element.
+def letter_step(mode: GradingMode, a: int, terms: dict, parities: dict) -> dict:
+    """The letter x_a times sum(c * W) in the mode, over normal words W as
+    id tuples, with no zero coefficient in or out; parities declares a.
+    The one per-mode insertion: normal_form, relfree_mul and the generic
+    model's evaluation all move their letters in through it.
 
-    natural inserts x with the sign of the odds it passes, or drops W when
-    x repeats an odd id; kstar drops the words that x would take past k
+    natural inserts x_a with the sign of the odds it passes, or drops W when
+    x_a repeats an odd id; kstar drops the words that x_a would take past k
     odd occurrences, then inserts as infty does.
     """
-    parity, a = x
+    parity = parities[a]
     if mode.kind == "natural":
         out = {}
         for (evens, odds, comms), c in terms.items():
@@ -239,33 +242,24 @@ def letter_step(mode: GradingMode, x, terms: dict, parities: dict) -> dict:
         terms = {
             w: c for w, c in terms.items() if len(w[1]) + _odd_count(w[2], parities) <= room
         }
-    return _times_letter(x, terms)
+    return _times_letter(parity, a, terms)
 
 
-def _insert_prefixes(nodes: dict, parities: dict) -> dict:
-    """Straighten the sum over p of p * nodes[p], where p is a tuple of ids
-    and nodes[p] a combination of normal words; returns
+def _insert_prefixes(mode: GradingMode, nodes: dict, parities: dict) -> dict:
+    """Straighten the sum over p of p * nodes[p] in the mode, where p is a
+    tuple of ids and nodes[p] a combination of normal words; returns
     {(evens, odds, comms): c} with no zero coefficient.
 
     Longest prefixes first, the last letter x of p = q x moves into nodes[p]
-    by _times_letter, and the result joins nodes[q]. Prefixes that share
+    by letter_step, and the result joins nodes[q]. Prefixes that share
     their beginning share the insertions of its letters, and terms cancel
     before more letters move in. No recursion: words may be long.
     """
     for n in range(max(map(len, nodes), default=0), 0, -1):
         for p in [p for p in nodes if len(p) == n]:
-            x = p[-1]
-            add_scaled(nodes.setdefault(p[:-1], {}), _times_letter((parities[x], x), nodes.pop(p)))
+            step = letter_step(mode, p[-1], nodes.pop(p), parities)
+            add_scaled(nodes.setdefault(p[:-1], {}), step)
     return nodes.get((), {})
-
-
-def _natural(evens, odds, tail) -> dict:
-    """natural: evens are central and odds anticommute, so a word is one
-    signed normal word, or zero when an odd id repeats."""
-    if tail:
-        raise MalformedElementError("natural mode words carry no commutator tail")
-    sign = sort_sign(odds)
-    return {(tuple(sorted(evens)), tuple(sorted(odds)), ()): sign} if sign else {}
 
 
 def _odd_count(ids, parities: dict) -> int:
@@ -341,7 +335,7 @@ class RelFreeElement:
         if self.mode != other.mode:
             raise MalformedElementError("cannot add elements of different modes")
         terms = add_scaled(dict(self.terms), other.terms)
-        return _element(self.mode, terms, _merged_parities(self, other))
+        return _element(self.mode, terms, merge_universes(self.parities, other.parities))
 
     __radd__ = __add__
 
@@ -398,34 +392,15 @@ def _parities_of_poly(f: NcPolynomial) -> dict:
     return out
 
 
-def _merged_parities(a: RelFreeElement, b: RelFreeElement) -> dict:
-    parities = dict(a.parities)
-    for v, p in b.parities.items():
-        if parities.setdefault(v, p) != p:
-            raise DegreeConflictError(f"x{v} declared with both parities")
-    return parities
-
-
 def normal_form(f: NcPolynomial, mode: GradingMode) -> RelFreeElement:
     """Class of a free polynomial in the relatively free algebra of the mode.
 
-    infty and kstar straighten f as a whole: each word w is w * 1, and
-    _insert_prefixes moves the letters of all words in together.
+    f straightens as a whole: each word w is w * 1, and _insert_prefixes
+    moves the letters of all words in together.
     """
     parities = _parities_of_poly(f)
-    terms, nodes = {}, {}
-    for w, c in f.terms.items():
-        c = integral(c)
-        if mode.kind == "kstar" and _odd_count(w, parities) > mode.k:
-            continue
-        if mode.kind == "natural":
-            odds = [v for v in w if parities[v]]
-            add_scaled(terms, _natural([v for v in w if not parities[v]], odds, ()), c)
-        else:
-            nodes[w] = {((), (), ()): c}
-    if mode.kind != "natural":
-        terms = _insert_prefixes(nodes, parities)
-    return from_straightened(mode, terms, parities)
+    nodes = {w: {((), (), ()): integral(c)} for w, c in f.terms.items()}
+    return from_straightened(mode, _insert_prefixes(mode, nodes, parities), parities)
 
 
 def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
@@ -433,13 +408,14 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
 
     Commutators are central, so a word wa times a word wb is the prefix of
     wa times wb with the two tails merged. wb is already a normal word:
-    only the letters of wa's prefix move in.
+    only the letters of wa's prefix move in. A pair past the kstar cutoff
+    is dropped here, since a wa with no prefix meets no letter step.
     """
     if a.mode != b.mode:
         raise MalformedElementError("cannot multiply elements of different modes")
     mode = a.mode
-    parities = _merged_parities(a, b)
-    terms, nodes = {}, {}
+    parities = merge_universes(a.parities, b.parities)
+    nodes = {}
     right = [
         (wb, _odd_count(wb.odds + wb.comms, parities), integral(cb))
         for wb, cb in b.terms.items()
@@ -452,15 +428,10 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
             if mode.kind == "kstar" and odd_a + odd_b > mode.k:
                 continue
             tail = wa.comms + wb.comms
-            if mode.kind == "natural":
-                add_scaled(terms, _natural(wa.evens + wb.evens, wa.odds + wb.odds, tail), ca * cb)
-                continue
             sign = sort_sign(tail)
             if sign:
                 add_scaled(node, {(wb.evens, wb.odds, tuple(sorted(tail))): ca * cb * sign})
-    if mode.kind != "natural":
-        terms = _insert_prefixes(nodes, parities)
-    return from_straightened(mode, terms, parities)
+    return from_straightened(mode, _insert_prefixes(mode, nodes, parities), parities)
 
 
 def expand(el: RelFreeElement) -> NcPolynomial:

@@ -405,6 +405,19 @@ def test_bad_kstar_level_exits_1(capsys):
             assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+def test_zero_denominator_exits_1(capsys, tmp_path):
+    gens = tmp_path / "gens.txt"
+    gens.write_text("1/0*y1*y2\n", encoding="utf-8")
+    for argv in (
+        ["relfree", "nf", "--mode", "infty", "--poly", "1/0*z1"],
+        ["identities", "--generators", str(gens), "--sig", "0,0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err, err
+        assert "zero denominator in '1/0'" in err, err
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["identities", "--algebra", "grassmann:deg=natural"])  # no --sig

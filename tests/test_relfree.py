@@ -286,11 +286,11 @@ def test_public_constructor_rejects_words_outside_the_basis():
 @pytest.mark.parametrize(
     "mode", [NAT, INF] + [GradingMode.kstar(k) for k in range(3)], ids=lambda m: m.token()
 )
-def test_letter_step_matches_relfree_mul(mode):
-    """letter_step(x, terms) is relfree_mul(normal_form(x), el) on the
-    straightened terms of el, for seeded normal-form elements: odd letters
-    that land exactly on the kstar cutoff or pass it, and (natural) odd
-    letters that repeat an odd id of a word."""
+def test_letter_step_matches_leftmost_pair_oracle(mode):
+    """letter_step(x, terms) is the leftmost-pair rewriting of x times el,
+    for seeded normal-form elements el: odd letters that land exactly on
+    the kstar cutoff or pass it, and (natural) odd letters that repeat an
+    odd id of a word."""
     rng = random.Random(41 + (mode.k or 0))
     ids = list(range(1, 7))
     seen = dict.fromkeys(["on cutoff", "past cutoff", "repeated odd id"], 0)
@@ -305,11 +305,13 @@ def test_letter_step_matches_relfree_mul(mode):
             terms[RelFreeWord((), (), ())] = 3
         el = RelFreeElement(mode, terms, parities)
         x = rng.choice(ids)
-        want = relfree_mul(normal_form(NcPolynomial.variable(x, (parities[x],)), mode), el)
+        # the word x as it stands, unstraightened: the oracle applies the cutoff
+        letter = ((), (x,), ()) if parities[x] else ((x,), (), ())
+        want = reference_relfree_mul(from_straightened(mode, {letter: 1}, parities), el)
         raw = {(w.evens, w.odds, w.comms): c for w, c in el.terms.items()}
-        got = letter_step(mode, (parities[x], x), raw, parities)
-        assert got == {(w.evens, w.odds, w.comms): c for w, c in want.terms.items()}, (mode, x, el)
-        assert from_straightened(mode, got, parities) == want
+        got = letter_step(mode, x, raw, parities)
+        assert got == {(w.evens, w.odds, w.comms): c for w, c in want.items()}, (mode, x, el)
+        assert from_straightened(mode, got, parities).terms == want
         for w in el.terms:
             odd = len(w.odds) + sum(parities[v] for v in w.comms) + parities[x]
             if mode.kind == "kstar" and parities[x]:
