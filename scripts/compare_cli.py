@@ -48,7 +48,11 @@ consequence route's dedupe across generators and its row count are
 covered. Two normal forms straighten whole polynomials by the letter step:
 a natural one with a repeated odd id, a Fraction coefficient and words that
 share a beginning, and a kstar:1 one whose words lie past the cutoff
-before any letter moves in. 40 commands in all.
+before any letter moves in. One length-6 identities command takes
+generators of arities 3 and 2, one with Fraction coefficients, at an
+unsorted signature: the consequence route renames the shorter components
+it computes at sorted degree sequences into every order that signature
+needs. 41 commands in all.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
 # the natural grading's presentation (spaces.presentation_natural)
 NATURAL_GENERATORS_FILE = "natural.txt"
 NATURAL_GENERATORS = "[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n"
+# generators of mixed arities, one of them with Fraction coefficients
+MIXED_GENERATORS_FILE = "mixed.txt"
+MIXED_GENERATORS = "[[z1,y2],z3]\n1/2*y1*y2 - 1/2*y2*y1\n"
 # the eight Z2 triple commutators (spaces.presentation_infty)
 TRIPLE_COMMUTATORS_FILE = "triples.txt"
 TRIPLE_COMMUTATORS = "".join(
@@ -155,6 +162,8 @@ FACTOR_CLI_COMMANDS = [
      "--poly", "z1*y2*z1*y3 + 1/2*z4*y3*z1 - 3*z4*z1*y3*y3 + z5*y2*z4"],
     ["relfree", "nf", "--mode", "kstar:1",
      "--poly", "[z1,z4]*y3 + z1*y2*z4 - y2*[y3,z4] + 2*z4*y3*y2"],
+    # consequence rows of shorter components renamed into an unsorted signature
+    ["identities", "--generators", MIXED_GENERATORS_FILE, "--sig", "0,1,1,0,0,1"],
 ]
 
 
@@ -213,6 +222,7 @@ def main(argv=None) -> int:
             (GENERATORS_FILE, ACCEPTANCE_GENERATORS),
             (NATURAL_GENERATORS_FILE, NATURAL_GENERATORS),
             (TRIPLE_COMMUTATORS_FILE, TRIPLE_COMMUTATORS),
+            (MIXED_GENERATORS_FILE, MIXED_GENERATORS),
         ]:
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 fh.write(text)

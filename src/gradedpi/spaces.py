@@ -412,34 +412,9 @@ def _disjoint_subset_tuples(pool: tuple, m: int):
                 yield (comb,) + tail, remaining
 
 
-def identities_by_consequences(
-    presentation: TIdealPresentation, sig, guard: GuardLimits = DEFAULT_GUARD
-) -> IdentitySubspace:
-    """Span of the multilinear consequences u0 f(m_1..m_k) u1 at sig.
-
-    m_i runs over monomials in disjoint nonempty variable subsets whose
-    degrees match f's variables; u0, u1 over the two halves of every
-    ordering of the remaining variables. Substitutions are visited one
-    family of k subsets at a time, in every slot order, for every generator
-    of arity k. A g = f(m) equal up to sign to one the same family gave
-    before has the same rows up to sign, so they are not fed again; meta
-    "rows" still counts them.
-    """
-    spec = presentation.spec
-    sig = validate_signature(sig, spec)
-    n = len(sig)
-    reducer = RowReducer(len(_multilinear_basis(n, guard)), guard)
-    idx = monomial_index(n)
-    positions = tuple(range(1, n + 1))
-    # the degree of every position subset, keyed as _disjoint_subset_tuples
-    # yields the subsets (ascending tuples)
-    subset_degree = {
-        s: spec.sum(sig[p - 1] for p in s)
-        for size in range(1, n + 1)
-        for s in itertools.combinations(positions, size)
-    }
-    # per arity, each generator as its variables' degrees and its terms as
-    # (variable slots, coefficient), an int when integral
+def _generator_terms(presentation: TIdealPresentation) -> dict:
+    """Per arity, each generator as its variables' degrees and its terms as
+    (variable slots, coefficient), an int when integral."""
     by_arity = {}
     for f in presentation.generators:
         fvars = sorted(f.universe)
@@ -450,45 +425,129 @@ def identities_by_consequences(
         ]
         fdegs = tuple(tuple(f.universe[v]) for v in fvars)
         by_arity.setdefault(len(fvars), []).append((fdegs, fterms))
+    return by_arity
+
+
+def _subset_degrees(spec: GroupSpec, sig) -> dict:
+    """The degree of every nonempty position subset, keyed as
+    _disjoint_subset_tuples yields the subsets (ascending tuples)."""
+    positions = range(1, len(sig) + 1)
+    return {
+        s: spec.sum(sig[p - 1] for p in s)
+        for size in range(1, len(sig) + 1)
+        for s in itertools.combinations(positions, size)
+    }
+
+
+def _spanning_row_count(by_arity: dict, spec: GroupSpec, sig) -> int:
+    """The rows u0 f(m) u1 of the whole spanning set at sig: per ordered
+    tuple of blocks and matching generator, prod |b_i|! monomial orders,
+    each with (|rest| + 1)! border placements. No f(m) vanishes, since a
+    generator's words share their variables and the blocks are disjoint."""
+    degree = _subset_degrees(spec, sig)
+    positions = tuple(range(1, len(sig) + 1))
     n_rows = 0
     for k, gens in by_arity.items():
-        for family, rest in _disjoint_subset_tuples(positions, k):
-            if any(a > b for a, b in zip(family, family[1:])):
-                continue  # each unordered family once, its blocks ascending
-            borders = [
-                (border[:cut], border[cut:])
-                for border in itertools.permutations(rest)
-                for cut in range(len(rest) + 1)
-            ]
-            seen = set()  # each g fed from this family, its first coefficient positive
-            for blocks in itertools.permutations(family):
-                # each image is one word whose degree is its variable's, so
-                # the substitution is graded
-                degs = tuple(subset_degree[b] for b in blocks)
-                for fdegs, fterms in gens:
-                    if degs != fdegs:
-                        continue
-                    for orders in itertools.product(
-                        *(itertools.permutations(b) for b in blocks)
-                    ):
-                        g = add_scaled(
-                            {},
-                            ((sum((orders[j] for j in slots), ()), c) for slots, c in fterms),
-                        )
-                        if not g:
-                            continue
-                        n_rows += len(borders)
-                        gterms = sorted(g.items())
-                        if gterms[0][1] < 0:
-                            gterms = [(w, -c) for w, c in gterms]
-                        gterms = tuple(gterms)
-                        if gterms in seen:
-                            continue
-                        seen.add(gterms)
-                        for u0, u1 in borders:
-                            reducer.add({idx[u0 + w + u1]: c for w, c in gterms})
-    space = reducer.finish()
-    meta = {"route": "consequences", "rows": n_rows, "presentation": presentation.name}
+        matching = Counter(fdegs for fdegs, _ in gens)
+        for blocks, rest in _disjoint_subset_tuples(positions, k):
+            count = matching[tuple(degree[b] for b in blocks)]
+            if count:
+                orders = math.prod(math.factorial(len(b)) for b in blocks)
+                n_rows += count * orders * math.factorial(len(rest) + 1)
+    return n_rows
+
+
+def _consequence_reducer(
+    by_arity: dict, spec: GroupSpec, sig, guard: GuardLimits, memo: dict
+) -> RowReducer:
+    """Elimination of the component at sig. For every position x it feeds
+    the stored primitive rows of I(P\\x)'s elimination with x put after
+    them, then before them; memo maps each sorted degree sequence to those
+    rows, computed on first use, and the component on P\\x is renamed
+    from it by matching positions in (degree, position) order. The rows
+    f(m) whose monomials cover every position come last, each g = f(m)
+    once up to sign: the bordered rows bring most of the rank, so fewer
+    covering rows need clearing."""
+    n = len(sig)
+    idx = monomial_index(n)
+    reducer = RowReducer(len(idx), guard)
+    positions = tuple(range(1, n + 1))
+    sub_words = multilinear_monomials(n - 1) if n > 1 else ((),)
+    for x in positions:
+        # variable j of the sorted shorter signature is position order[j - 1]
+        order = sorted((p for p in positions if p != x), key=lambda p: (sig[p - 1], p))
+        sub = tuple(sig[p - 1] for p in order)
+        rows = memo.get(sub)
+        if rows is None:
+            sub_reducer = _consequence_reducer(by_arity, spec, sub, guard, memo)
+            rows = memo[sub] = tuple(sub_reducer.pivot_rows.values())
+        if not rows:
+            continue
+        words = [tuple(order[v - 1] for v in w) for w in sub_words]
+        for cols in ([idx[w + (x,)] for w in words], [idx[(x,) + w] for w in words]):
+            for row in rows:
+                reducer.add({cols[c]: v for c, v in row})
+    degree = _subset_degrees(spec, sig)
+    seen = set()  # each covering g fed, its first coefficient positive
+    for k, gens in by_arity.items():
+        if not k:
+            continue  # a constant covers no position; it enters through memo[()]
+        # the last block of a covering family is what the first k - 1 leave
+        for head, last in _disjoint_subset_tuples(positions, k - 1):
+            if not last:
+                continue
+            blocks = head + (last,)
+            degs = tuple(degree[b] for b in blocks)
+            for fdegs, fterms in gens:
+                if degs != fdegs:
+                    continue
+                for orders in itertools.product(*(itertools.permutations(b) for b in blocks)):
+                    # distinct words of f stay distinct: the blocks are disjoint
+                    row = sorted(
+                        (idx[sum((orders[j] for j in slots), ())], c) for slots, c in fterms
+                    )
+                    if row[0][1] < 0:
+                        row = [(col, -c) for col, c in row]
+                    row = tuple(row)
+                    if row not in seen:
+                        seen.add(row)
+                        reducer.add(row)
+    return reducer
+
+
+def identities_by_consequences(
+    presentation: TIdealPresentation, sig, guard: GuardLimits = DEFAULT_GUARD
+) -> IdentitySubspace:
+    """Span of the multilinear consequences u0 f(m_1..m_k) u1 at sig.
+
+    m_i runs over monomials in disjoint nonempty variable subsets whose
+    degrees match f's variables; u0, u1 over the two halves of every
+    ordering of the remaining variables. A T-ideal is a two-sided ideal
+    closed under degree-preserving renaming of variables, so with P the
+    positions of sig
+
+        I(P) = span{f(m) : the m_i cover P} + sum over x of (I(P\\x) x + x I(P\\x)):
+
+    a row whose u1 ends in x lies in I(P\\x) x, and one with u1 empty and
+    u0 starting with x in x I(P\\x). So only the covering substitutions
+    are built at sig, and the shorter components give the rest (see
+    _consequence_reducer). meta "rows" counts the whole spanning set
+    u0 g u1, in closed form. The guard bounds n x n! before any shorter
+    component is computed; each elimination, at sig or shorter, bounds
+    the rows it keeps.
+    """
+    spec = presentation.spec
+    sig = validate_signature(sig, spec)
+    _multilinear_basis(len(sig), guard)  # n x n! cells, before any shorter level
+    by_arity = _generator_terms(presentation)
+    # the length-0 component: the constant generators, if there are any
+    memo = {(): (((0, 1),),) if 0 in by_arity else ()}
+    space = _consequence_reducer(by_arity, spec, sig, guard, memo).finish()
+    meta = {
+        "route": "consequences",
+        "rows": _spanning_row_count(by_arity, spec, sig),
+        "presentation": presentation.name,
+    }
     return IdentitySubspace(sig, spec, space, meta)
 
 

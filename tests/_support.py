@@ -333,9 +333,10 @@ def reference_relfree_mul(a, b):
 
 
 def reference_consequence_rows(presentation, sig):
-    """The rows identities_by_consequences streams, in order, by substituting
-    one NcPolynomial word per generator variable with NcPolynomial.substitute
-    and reading off the terms of the result."""
+    """Every row u0 f(m) u1 of the spanning set identities_by_consequences
+    spans and counts, by substituting one NcPolynomial word per generator
+    variable with NcPolynomial.substitute, reading off the terms of the
+    result and putting every border on it."""
     import math
 
     from gradedpi.freealg import NcPolynomial, monomial_index, validate_signature

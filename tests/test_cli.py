@@ -189,6 +189,28 @@ def test_identities_guard_exits_3(capsys):
     assert "guard of 10 cells" in err and "max_cells 10" in err
 
 
+def test_consequence_guard_exits_3_where_the_component_does_not_fit(capsys, tmp_path):
+    """The consequence route exits 3 exactly when the component's dim x n!
+    exceeds --max-cells: dim I(P) >= dim I(P minus x), so a shorter
+    component trips only where the full one would. The message names the
+    elimination that tripped first, here the one at length 5."""
+    gens = tmp_path / "natural.txt"
+    gens.write_text("[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n", encoding="utf-8")
+    argv = ["identities", "--generators", str(gens), "--sig", "0,1,0,1,1,0", "--max-cells"]
+    code, out, err = run_cli(capsys, *argv, "4500")
+    assert code == 3 and out == ""
+    assert err == (
+        "resource guard: elimination, kept: 38 rows of 120 columns (4560 cells) exceeds "
+        "the guard of 4500 cells [cells 4560 > max_cells 4500]\n"
+    )
+    # the component keeps 719 rows of 720 columns
+    code, out, err = run_cli(capsys, *argv, str(719 * 720 - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: elimination, kept: 719 rows of 720 columns")
+    code, out, _ = run_cli(capsys, *argv, str(719 * 720))
+    assert code == 0 and cert_from(out)["result"]["dim"] == 719
+
+
 def test_evaluation_guard_exits_3(capsys):
     # the field builds within any guard, so the evaluation guard trips first
     code, out, err = run_cli(

@@ -22,7 +22,13 @@ from gradedpi.errors import (
     MalformedElementError,
     TruncationError,
 )
-from gradedpi.freealg import format_poly, parse_poly, zvar
+from gradedpi.freealg import (
+    format_poly,
+    monomial_index,
+    multilinear_monomials,
+    parse_poly,
+    zvar,
+)
 from gradedpi.linalg import (
     DEFAULT_GUARD,
     GuardLimits,
@@ -274,46 +280,62 @@ def test_consequences_of_commutator_only():
 
 
 def _streamed_rows(monkeypatch, route, *args):
-    """The rows route(*args) hands to RowReducers, in order, and the
-    component it returns."""
+    """The rows route(*args) hands to the RowReducer of its result's
+    ambient, n! columns, in order, and the component it returns. Rows fed
+    to reducers of shorter components are not recorded."""
     rows = []
 
     class Recording(RowReducer):
         def add(self, row):
-            rows.append(dict(row))
+            rows.append((self.n_cols, dict(row)))
             return super().add(row)
 
     with monkeypatch.context() as patched:
         patched.setattr(spaces, "RowReducer", Recording)
         comp = route(*args)
-    return rows, comp
+    return [row for n_cols, row in rows if n_cols == comp.space.ambient_dim], comp
 
 
-def _up_to_sign(row):
-    """A sparse row as sorted (col, value) pairs, its first value positive."""
-    items = sorted((c, v) for c, v in row.items() if v)
-    if items and items[0][1] < 0:
-        items = [(c, -v) for c, v in items]
-    return tuple(items)
+@functools.cache
+def _oracle(pres, sig):
+    """The substitution oracle's rows at sig and their span, computed once
+    per presentation and signature for every test that asks."""
+    rows = reference_consequence_rows(pres, sig)
+    return rows, row_space(rows, math.factorial(len(sig)))
 
 
 def _check_consequence_rows(monkeypatch, pres, sig):
-    """The route's rows against the substitution oracle's: meta counts every
-    oracle row, each fed row is +- an oracle row and each oracle row +- a fed
-    row, and integral generators give int rows. Returns the fed rows, the
-    component and the oracle's rows."""
+    """The route's rows against the substitution oracle's: the component is
+    the span of the oracle's rows, every fed row lies in it, meta counts
+    every oracle row, and integral generators give int rows. Returns the
+    fed rows, the component and the oracle's rows."""
     got, comp = _streamed_rows(monkeypatch, identities_by_consequences, pres, sig)
-    want = reference_consequence_rows(pres, sig)
+    want, span = _oracle(pres, sig)
+    assert comp.space == span, (pres.name, sig)
+    assert all(contains(span, r) for r in got), (pres.name, sig)
     assert comp.meta["rows"] == len(want), (pres.name, sig)
-    assert {_up_to_sign(r) for r in got} == {_up_to_sign(r) for r in want}, (pres.name, sig)
     if all(c.denominator == 1 for f in pres.generators for c in f.terms.values()):
         assert all(type(v) is int for r in got for v in r.values())
     return got, comp, want
 
 
+def _user_presentation():
+    """A commutator and a rational generator of arity 3."""
+    return TIdealPresentation(
+        (
+            parse_poly("[y1, z2]", Z2),
+            parse_poly("1/2*y1*z2*z3 - 3/4*z3*y1*z2 + 5*z2*z3*y1", Z2),
+        ),
+        Z2,
+        name="user",
+    )
+
+
 def test_consequence_rows_match_substitution_oracle(monkeypatch):
-    """Rows built by word concatenation equal the substitution oracle's up to
-    sign, each g = f(m) fed once per family; meta counts every oracle row."""
+    """The rows fed at the signature's own length (covering substitutions
+    built from words, and the bordered rows of shorter components) span
+    the same space as the substitution oracle's rows; meta counts every
+    oracle row."""
     z2_sigs = [s for n in range(1, 5) for s in all_z2_sigs(n)]
     cases = [(presentation_trivial_grassmann(), [((),) * n for n in range(1, 6)])]
     for mode, sig5 in [
@@ -324,27 +346,61 @@ def test_consequence_rows_match_substitution_oracle(monkeypatch):
     ]:
         pres = presentation_for_mode(GradingMode.parse(mode))
         cases.append((pres, z2_sigs + [tuple((d,) for d in sig5)]))
-    user = TIdealPresentation(
-        (
-            parse_poly("[y1, z2]", Z2),
-            parse_poly("1/2*y1*z2*z3 - 3/4*z3*y1*z2 + 5*z2*z3*y1", Z2),
-        ),
-        Z2,
-        name="user",
-    )
+    user = _user_presentation()
     cases.append((user, z2_sigs + [((0,), (1,), (0,), (1,), (1,))]))
     for pres, sigs in cases:
-        for sig in sigs:
-            got, _, _ = _check_consequence_rows(monkeypatch, pres, sig)
+        fed = [
+            row for sig in sigs for row in _check_consequence_rows(monkeypatch, pres, sig)[0]
+        ]
         if pres is user:
-            assert any(type(v) is Fraction for r in got for v in r.values())
+            assert any(type(v) is Fraction for r in fed for v in r.values())
+
+
+def _renamed_oracle(pres, sig):
+    """The oracle's row count at sig and the span of its rows, from its span
+    at the sorted signature. A degree-preserving bijection of positions maps
+    the substitutions at one order onto those at the other, so any such
+    bijection will do; this one matches equal degrees in reverse."""
+    n = len(sig)
+    rows, span = _oracle(pres, tuple(sorted(sig)))
+    # variable j of the sorted signature becomes position image[j - 1]
+    image = sorted(range(1, n + 1), key=lambda p: (sig[p - 1], -p))
+    words, index = multilinear_monomials(n), monomial_index(n)
+    renamed = (
+        {index[tuple(image[v - 1] for v in words[col])]: c for col, c in row}
+        for row in span.rows
+    )
+    return len(rows), row_space(renamed, math.factorial(n))
+
+
+def test_consequence_components_match_oracle_in_every_order():
+    """Every Z2 signature up to length 5, in every order, against the span of
+    the substitution oracle's rows: the four modes, a rational user
+    presentation, kstar:0 (arities 1 and 3), the ungraded triple commutator
+    and a constant. The route computes a shorter component once per sorted
+    degree sequence and renames it, so an unsorted order is where a wrong
+    renaming or memo key would show. The oracle runs once per multiset of
+    degrees, its span renamed to each order."""
+    sigs = [s for n in range(1, 6) for s in all_z2_sigs(n)]
+    modes = ["natural", "infty", "kstar:1", "kstar:2", "kstar:0"]
+    cases = [(presentation_for_mode(GradingMode.parse(m)), sigs) for m in modes]
+    cases.append((_user_presentation(), sigs))
+    cases.append((presentation_trivial_grassmann(), [((),) * n for n in range(1, 6)]))
+    cases.append((TIdealPresentation((parse_poly("3", Z2),), Z2, name="constant"), sigs[:14]))
+    for pres, pres_sigs in cases:
+        for sig in pres_sigs:
+            comp = identities_by_consequences(pres, sig)
+            n_rows, span = _renamed_oracle(pres, sig)
+            assert comp.space == span, (pres.name, sig)
+            assert comp.meta["rows"] == n_rows, (pres.name, sig)
 
 
 def test_consequence_dedupe_catches_repeats_and_nothing_else(monkeypatch):
-    """Repeats up to sign within a family are fed once: across generators
-    ([y1,y2] and [y2,y1]) and across slot orders (the symmetrised y1*y2*y3).
-    A g that is no repeat (y1*y2 + 2*y2*y1 against its swap, equal degrees
-    but no symmetry) is fed, and so are rational generators' rows."""
+    """Covering substitutions that repeat up to sign are fed once: across
+    generators ([y1,y2] and [y2,y1]) and across slot orders (the symmetrised
+    y1*y2*y3). A g that is no repeat (y1*y2 + 2*y2*y1 against its swap,
+    equal degrees but no symmetry) is fed, and so are rational generators'
+    rows."""
     gens = {
         "commutators": ["[y1, y2]", "[y2, y1]"],
         "symmetric": [
@@ -360,7 +416,6 @@ def test_consequence_dedupe_catches_repeats_and_nothing_else(monkeypatch):
         pres = TIdealPresentation(tuple(parse_poly(t, Z2) for t in texts), Z2, name=name)
         for sig in sigs:
             got, comp, want = _check_consequence_rows(monkeypatch, pres, sig)
-            assert comp.space == row_space(want, math.factorial(len(sig))), (name, sig)
             fed[name, sig] = (len(got), len(want))
     y = (0,)
     # four g, all +-(y1*y2 - y2*y1); six slot orders of one symmetric g
@@ -608,9 +663,21 @@ def test_streaming_guards_name_their_limit():
     assert info.value.cells > 100
 
 
+def test_consequence_guard_bounds_the_column_basis_first():
+    """n x n! is checked before any shorter component is computed: at length
+    5 and 500 cells the length-4 elimination (23 rows of 24 columns) would
+    trip too, but the basis guard names the length that was asked for."""
+    sig = tuple((d,) for d in (0, 1, 0, 1, 1))
+    with pytest.raises(GuardExceededError) as info:
+        identities_by_consequences(presentation_natural(), sig, GuardLimits(max_cells=500))
+    assert str(info.value).startswith("multilinear column basis: 5 rows of 120 columns")
+
+
 def test_consequence_guard_counts_kept_rows_not_streamed_rows():
-    # 18,144 streamed rows x 720 columns exceed the default 8,000,000 cells;
-    # the 719 kept rows do not
+    # the spanning set's 18,144 rows x 720 columns exceed the default
+    # 8,000,000 cells. The route feeds 3,228 rows instead: the covering
+    # substitutions, and the stored rows of the length-5 components with a
+    # letter put on either side. The guard counts only the 719 kept rows.
     sig = ((0,), (0,), (0,), (1,), (1,), (1,))
     comp = identities_by_consequences(presentation_natural(), sig, DEFAULT_GUARD)
     assert comp.space.dim == 719
