@@ -52,7 +52,9 @@ before any letter moves in. One length-6 identities command takes
 generators of arities 3 and 2, one with Fraction coefficients, at an
 unsorted signature: the consequence route renames the shorter components
 it computes at sorted degree sequences into every order that signature
-needs. 41 commands in all.
+needs. One length-6 infty identities command exits 3: E's component keeps
+688 rows of 720 columns, more than its --max-cells allows, and the guard
+trips before the kernel is built. 42 commands in all.
 """
 
 from __future__ import annotations
@@ -164,6 +166,9 @@ FACTOR_CLI_COMMANDS = [
      "--poly", "[z1,z4]*y3 + z1*y2*z4 - y2*[y3,z4] + 2*z4*y3*y2"],
     # consequence rows of shorter components renamed into an unsorted signature
     ["identities", "--generators", MIXED_GENERATORS_FILE, "--sig", "0,1,1,0,0,1"],
+    # the evaluation route's kernel past --max-cells, bounded before it is built
+    ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1,0,1,1,0",
+     "--max-cells", "400000"],
 ]
 
 

@@ -17,7 +17,6 @@ from types import MappingProxyType
 
 from .errors import (
     DegreeConflictError,
-    GradedSubstitutionError,
     MalformedElementError,
     ParseError,
 )
@@ -169,32 +168,6 @@ class NcPolynomial:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def substitute(self, images: dict, spec: GroupSpec) -> "NcPolynomial":
-        """Replace variables by homogeneous polynomials of the same degree.
-
-        Unmapped variables are left alone. A degree-mismatched image is an
-        error; so is an image that is not degree-homogeneous.
-        """
-        for vid, img in images.items():
-            if vid not in self.universe:
-                continue
-            if not isinstance(img, NcPolynomial):
-                raise GradedSubstitutionError(f"image of x{vid} is not a polynomial")
-            if img.is_zero():
-                continue
-            d = img.homogeneous_degree(spec)
-            if d is None or d != tuple(self.universe[vid]):
-                raise GradedSubstitutionError(
-                    f"image of x{vid} must be homogeneous of degree {self.universe[vid]}"
-                )
-        out = NcPolynomial.zero()
-        for w, c in self.terms.items():
-            piece = NcPolynomial.constant(c)
-            for vid in w:
-                piece = piece * images.get(vid, NcPolynomial.variable(vid, self.universe[vid]))
-            out = out + piece
-        return out
 
     def rename_variables(self, id_map: dict) -> "NcPolynomial":
         """Relabel variable ids; the map must be injective on used ids."""

@@ -9,7 +9,9 @@ its new pivot column is then cleared from the rows already stored, so they
 stay fully reduced. finish() only divides each row by its leading entry to
 give the canonical reduced row echelon form over Fraction. RREF is unique
 per row space, so the order rows arrive in cannot change results, only
-intermediate growth.
+intermediate growth. kernel_basis runs the same elimination on the columns
+in reverse order, and reads the kernel's RREF off the stored rows with no
+second elimination.
 
 No floats anywhere.
 """
@@ -225,19 +227,40 @@ def row_space(rows, n_cols: int, guard: GuardLimits = DEFAULT_GUARD) -> Subspace
     return red.finish()
 
 
-def kernel_basis(space: Subspace, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
-    """Canonical RREF basis of the right kernel {v : r . v = 0 for every row r}."""
-    pivots = list(space.pivots)
-    pivot_set = set(pivots)
-    gens = {f: {f: Fraction(1)} for f in range(space.ambient_dim) if f not in pivot_set}
-    # an RREF row is zero on every other pivot column: its entries off its
-    # own pivot all sit in free columns
-    for prow, p in zip(space.rows, pivots):
-        for f, entry in prow:
-            if f != p:
-                gens[f][p] = -entry
-    # highest free column first: each new pivot then meets few stored rows
-    return row_space(reversed(gens.values()), space.ambient_dim, guard)
+def kernel_basis(rows, n_cols: int, guard: GuardLimits = DEFAULT_GUARD) -> Subspace:
+    """Canonical RREF basis of the right kernel {v : r . v = 0 for every row r}
+    of a row iterable (dicts or (col, value) pairs), from one elimination.
+
+    Each row is fed with column c renamed n_cols - 1 - c, so each stored row
+    ends, in true columns, at its pivot q and is zero on every other pivot.
+    For each free column f the kernel row e_f - sum_q (row_q[f] / lead_q) e_q
+    then starts at f and is zero on every other free column: these rows are
+    the kernel's canonical RREF as they stand. Before the first is built,
+    (n_cols - rank) x n_cols must fit the guard's max_cells, as kept rows do
+    in elimination. Kernel entries need no max_bits check: both parts of
+    row_q[f] / lead_q in lowest terms are at most the stored entries, which
+    the reducer has already bounded.
+    """
+    top = n_cols - 1
+    red = RowReducer(n_cols, guard)
+    for row in rows:
+        items = row.items() if isinstance(row, dict) else row
+        mirrored = {top - c: v for c, v in items if v}
+        if mirrored and min(mirrored) < 0:
+            raise AmbientMismatchError(f"column {top - min(mirrored)} outside ambient {n_cols}")
+        red.add(mirrored)
+    stored = red.pivot_rows
+    if (n_cols - len(stored)) * n_cols > guard.max_cells:
+        cells_guard(guard.max_cells // n_cols + 1, n_cols, guard, "elimination, kept")
+    kernel = {f: [(f, Fraction(1))] for f in range(n_cols) if top - f not in stored}
+    # true pivots ascending, so each kernel row is built sorted; each stored
+    # row is dropped once it is read
+    for m in sorted(stored, reverse=True):
+        row = stored.pop(m)
+        q, lead = top - m, row[0][1]
+        for c, v in row[1:]:
+            kernel[top - c].append((q, Fraction(-v, lead)))
+    return Subspace(n_cols, tuple(map(tuple, kernel.values())), tuple(kernel))
 
 
 def reduce_vector(vec: dict, space: Subspace) -> dict:

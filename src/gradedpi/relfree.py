@@ -61,7 +61,7 @@ from .errors import (
 )
 from .freealg import NcPolynomial, format_signed_sum, merge_universes, sort_sign, validate_signature
 from .groups import Z2
-from .linalg import add_scaled, kernel_basis, row_space
+from .linalg import add_scaled, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -651,15 +651,14 @@ def partial_multiplicativity_check(
                 return MultiplicativityReport(
                     mode, sample + 1, "fails", f"{label} = 0 in the relatively free algebra"
                 )
-        # one row per word, over the products: row rank equals column rank,
-        # and the kernel of these rows is the space of vanishing combinations
+        # one row per word, over the products: the kernel of these rows is
+        # the space of vanishing combinations
         cols = {}
         for i, el in enumerate(products):
             for w, c in el.terms.items():
                 cols.setdefault(w, {})[i] = c
-        space = row_space(cols.values(), len(products))
-        if space.dim < len(products):
-            combo = kernel_basis(space)
+        combo = kernel_basis(cols.values(), len(products))
+        if combo.dim:
             coeffs = dict(combo.rows[0])
             terms = " + ".join(
                 f"{c}*{_product_label(pairs[i], mode, parities)}" for i, c in sorted(coeffs.items())

@@ -46,7 +46,6 @@ from .freealg import (
     multilinear_coordinates,
     multilinear_monomials,
     poly_from_coordinates,
-    sort_sign,
     validate_signature,
     yvar,
     zvar,
@@ -300,8 +299,21 @@ def grassmann_fast_rows(
     column_sets = _unit_chain_columns(positions, perms, guard)
     used = parity_patterns(gspec, sig, limit)
     # per used pattern, each column's sign of sorting the odd-parity blocks
-    # back to ascending order; then one row per column set
-    signs = ([sort_sign(v for v in perm if p[v - 1]) for perm in perms] for p in used)
+    # back to ascending order: the parity of the column's inversions among
+    # pairs of odd variables, one bit per variable pair; then one row per
+    # column set
+    pairs = itertools.combinations(range(1, len(sig) + 1), 2)
+    pair_bit = {pair: 1 << k for k, pair in enumerate(pairs)}
+    inversions = [
+        sum(pair_bit[b, a] for t, a in enumerate(perm) for b in perm[t + 1 :] if b < a)
+        for perm in perms
+    ]
+    odd_pairs = (
+        sum(bit for (a, b), bit in pair_bit.items() if p[a - 1] and p[b - 1]) for p in used
+    )
+    signs = (
+        [-1 if (inv & mask).bit_count() & 1 else 1 for inv in inversions] for mask in odd_pairs
+    )
     rows = (tuple((col, s[col]) for col in cols) for s in signs for cols in column_sets)
     return rows, {"semantics": "limit" if limit else "truncated"}
 
@@ -319,6 +331,10 @@ def identities_by_evaluation(
     the reduced rows with untruncated semantics, i.e. the identities of
     the infinite-generator algebra this one truncates. "auto" picks fast
     when available, else full.
+
+    The distinct rows stream into kernel_basis, one elimination; a row
+    whose negation was fed before spans nothing new and is not fed. The
+    rows meta counts the distinct signed rows.
     """
     sig = validate_signature(sig, algebra.group)
     if method == "auto":
@@ -329,16 +345,21 @@ def identities_by_evaluation(
         rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
     else:
         raise MalformedElementError(f"unknown evaluation method {method!r}")
-    reducer = RowReducer(math.factorial(len(sig)), guard)
-    seen = set()  # a repeated row adds nothing; rows counts the distinct ones
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            reducer.add(row)
-    meta = {"route": "evaluation", "method": method, "rows": len(seen), **info}
-    space = reducer.finish()
-    del reducer, seen  # free elimination's state before the kernel's
-    return IdentitySubspace(sig, algebra.group, kernel_basis(space, guard), meta)
+    meta = {"route": "evaluation", "method": method}
+
+    def distinct():
+        # a repeated row adds nothing, nor does the negation of a row fed
+        # before; rows counts the distinct signed rows
+        seen = set()
+        for row in rows:
+            if row not in seen:
+                seen.add(row)
+                if tuple([(c, -v) for c, v in row]) not in seen:
+                    yield row
+        meta["rows"] = len(seen)
+
+    space = kernel_basis(distinct(), math.factorial(len(sig)), guard)
+    return IdentitySubspace(sig, algebra.group, space, {**meta, **info})
 
 
 # -- consequence route -------------------------------------------------------

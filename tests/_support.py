@@ -1,9 +1,10 @@
 """Shared test helpers: a dense rational Gauss-Jordan oracle used to
 cross-check the sparse row reduction, the direct evaluation-row
 enumeration and per-kind pattern table used to cross-check
-grassmann_fast_rows and parity_patterns, the substitution-based
-consequence rows used to cross-check identities_by_consequences, the
-polynomial-product rows used to cross-check tideal_product, the
+grassmann_fast_rows and parity_patterns, graded substitution and the
+consequence rows built by it, used to cross-check
+identities_by_consequences, the polynomial-product rows used to
+cross-check tideal_product, the
 randrange-drawn construction self-check used to cross-check
 StructureConstantAlgebra._check, the leftmost-pair rewriting used to
 cross-check relfree's straightening, plus small conversion utilities."""
@@ -332,11 +333,51 @@ def reference_relfree_mul(a, b):
 # -- consequence-row oracle -------------------------------------------------------
 
 
+def substitute(f, images, spec):
+    """f with variables replaced by homogeneous polynomials of the same
+    degree; unmapped variables are left alone. An image that is not a
+    polynomial, or not degree-homogeneous of its variable's degree, raises
+    GradedSubstitutionError. Each word of f is multiplied out letter by
+    letter into one terms dict."""
+    from gradedpi.errors import GradedSubstitutionError
+    from gradedpi.freealg import NcPolynomial, merge_universes
+    from gradedpi.linalg import add_scaled
+
+    universe = {}
+    for vid, deg in f.universe.items():
+        img = images.get(vid)
+        if img is None:
+            universe = merge_universes(universe, {vid: deg})
+            continue
+        if not isinstance(img, NcPolynomial):
+            raise GradedSubstitutionError(f"image of x{vid} is not a polynomial")
+        if img.is_zero():
+            continue
+        d = img.homogeneous_degree(spec)
+        if d is None or d != tuple(deg):
+            raise GradedSubstitutionError(
+                f"image of x{vid} must be homogeneous of degree {deg}"
+            )
+        universe = merge_universes(universe, img.universe)
+    terms = {}
+    for w, c in f.terms.items():
+        pieces = {(): c}
+        for vid in w:
+            img = images.get(vid)
+            image_terms = img.terms if img is not None else {(vid,): 1}
+            product = {}
+            for w1, c1 in pieces.items():
+                add_scaled(product, ((w1 + w2, c2) for w2, c2 in image_terms.items()), c1)
+            pieces = product
+        add_scaled(terms, pieces)
+    return NcPolynomial(terms, universe)
+
+
 def reference_consequence_rows(presentation, sig):
     """Every row u0 f(m) u1 of the spanning set identities_by_consequences
     spans and counts, by substituting one NcPolynomial word per generator
-    variable with NcPolynomial.substitute, reading off the terms of the
-    result and putting every border on it."""
+    variable with substitute, reading off the terms of the result and
+    putting every border on it."""
     import math
 
     from gradedpi.freealg import NcPolynomial, monomial_index, validate_signature
@@ -363,7 +404,7 @@ def reference_consequence_rows(presentation, sig):
                     fvars[j]: NcPolynomial.word(orders[j], {p: sig[p - 1] for p in orders[j]})
                     for j in range(len(fvars))
                 }
-                g = f.substitute(images, spec)
+                g = substitute(f, images, spec)
                 if g.is_zero():
                     continue
                 for border in itertools.permutations(rest):

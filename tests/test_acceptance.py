@@ -323,7 +323,7 @@ def test_criterion_10_invariant_suites_exhaustive():
                 for i in range(n_rows)
             ]
             space = row_space(rows, n_cols)
-            ker = kernel_basis(row_space(rows[::-1], n_cols))
+            ker = kernel_basis(rows[::-1], n_cols)
             assert space.dim + ker.dim == n_cols
             # canonicity: swapping rows and adding one row to the other
             # must leave the reduced basis unchanged

@@ -211,6 +211,25 @@ def test_consequence_guard_exits_3_where_the_component_does_not_fit(capsys, tmp_
     assert code == 0 and cert_from(out)["result"]["dim"] == 719
 
 
+def test_kernel_guard_exits_3_before_the_kernel_is_built(capsys):
+    """The evaluation route bounds its kernel, (n! - rank) x n!, by
+    --max-cells before building it; the message names the row past the
+    guard, as when the kernel was eliminated row by row. E's own rows have
+    rank 32 at this signature, so the component keeps 688 rows of 720."""
+    argv = ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1,0,1,1,0"]
+    code, out, err = run_cli(capsys, *argv, "--max-cells", "400000")
+    assert code == 3 and out == ""
+    assert err == (
+        "resource guard: elimination, kept: 556 rows of 720 columns (400320 cells) exceeds "
+        "the guard of 400000 cells [cells 400320 > max_cells 400000]\n"
+    )
+    code, out, err = run_cli(capsys, *argv, "--max-cells", str(688 * 720 - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: elimination, kept: 688 rows of 720 columns")
+    code, out, _ = run_cli(capsys, *argv, "--max-cells", str(688 * 720))
+    assert code == 0 and cert_from(out)["result"]["dim"] == 688
+
+
 def test_evaluation_guard_exits_3(capsys):
     # the field builds within any guard, so the evaluation guard trips first
     code, out, err = run_cli(

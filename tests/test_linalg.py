@@ -116,7 +116,7 @@ def test_rank_nullity_exhaustive_small():
                 chunk = combo[i * n_cols : (i + 1) * n_cols]
                 rows.append({c: Fraction(v) for c, v in enumerate(chunk) if v})
             space = row_space(rows, n_cols)
-            ker = kernel_basis(space)
+            ker = kernel_basis(rows, n_cols)
             assert space.dim + ker.dim == n_cols
             # kernel vectors annihilate every row
             for kv in ker.rows:
@@ -132,10 +132,107 @@ def test_kernel_matches_dense_oracle():
         n_rows = rng.randint(1, 7)
         n_cols = rng.randint(1, 7)
         rows = rand_sparse_rows(rng, n_rows, n_cols)
-        ker = kernel_basis(row_space(rows, n_cols))
+        ker = kernel_basis(rows, n_cols)
         oracle = dense_kernel(rows, n_cols)
         assert ker.dim == len(oracle)
         assert subspace_dense(ker) == dense_rows(oracle, n_cols)
+
+
+def _negated(row):
+    return {c: -v for c, v in row.items()}
+
+
+_streams = st.integers(1, 7).flatmap(
+    lambda n_cols: st.tuples(
+        st.just(n_cols),
+        st.lists(
+            st.dictionaries(
+                st.integers(0, n_cols - 1),
+                st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)),
+                max_size=n_cols,
+            ),
+            max_size=8,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_streams, st.data())
+def test_kernel_of_a_row_stream_matches_dense_oracle(stream, data):
+    """kernel_basis of a row stream is the kernel's canonical RREF, whatever
+    the stream repeats or negates, and with zero entries, zero rows and
+    Fraction entries in it; as dicts, as (col, value) pairs or lazily."""
+    n_cols, rows = stream
+    extra = data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []
+    fed = rows + extra + [_negated(r) for r in extra] + [{}, {0: 0}]
+    order = data.draw(st.permutations(range(len(fed))))
+    fed = [fed[i] for i in order]
+    kernel = dense_kernel(rows, n_cols)
+    want = row_space([dict(enumerate(v)) for v in kernel], n_cols)
+    assert kernel_basis(fed, n_cols) == want
+    assert kernel_basis((sorted(r.items()) for r in fed), n_cols) == want
+
+
+def test_kernel_at_rank_zero_and_full_rank():
+    for rows in ([], [{}], [{0: 0, 2: 0}]):
+        ker = kernel_basis(rows, 3)
+        assert ker.rows == tuple(((c, Fraction(1)),) for c in range(3))
+        assert ker.pivots == (0, 1, 2)
+    full = [{0: 1, 1: 2}, {1: Fraction(1, 2), 2: 1}, {2: -3}, {0: -1, 1: -2}, {2: 1}]
+    ker = kernel_basis(full, 3)
+    assert ker.dim == 0 and ker.rows == () and ker.ambient_dim == 3
+
+
+def test_kernel_rows_are_read_off_one_elimination(monkeypatch):
+    """kernel_basis builds one reducer, which stores columns in reverse
+    order, and never back-substitutes through finish()."""
+    reducers = []
+
+    class Recording(RowReducer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reducers.append(self)
+
+        def finish(self):
+            raise AssertionError("finish() called")
+
+    monkeypatch.setattr(linalg, "RowReducer", Recording)
+    # x0 + x3 = 0 and x1 - 2 x3 + x4 = 0: the stored rows end at the true
+    # pivots 3 and 4, e0 + e3 and 2 e0 + e1 + e4, so 0, 1 and 2 are free
+    rows = [{0: 1, 3: 1}, {1: 1, 3: -2, 4: 1}, {0: 2, 3: 2}]
+    ker = kernel_basis(rows, 5)
+    assert len(reducers) == 1
+    assert ker.pivots == (0, 1, 2)
+    assert ker.rows == (
+        ((0, Fraction(1)), (3, Fraction(-1)), (4, Fraction(-2))),
+        ((1, Fraction(1)), (4, Fraction(-1))),
+        ((2, Fraction(1)),),
+    )
+
+
+def test_kernel_guard_bounds_the_kernel_before_building_it():
+    """(n_cols - rank) x n_cols must fit max_cells; the message names the
+    row the elimination would have kept past the guard, as it did when the
+    kernel was eliminated row by row."""
+    rows = [{0: 1, 1: 1}]  # rank 1, kernel 9 rows of 10 columns
+    with pytest.raises(GuardExceededError) as exc:
+        kernel_basis(rows, 10, GuardLimits(max_cells=89))
+    assert str(exc.value) == (
+        "elimination, kept: 9 rows of 10 columns (90 cells) exceeds the guard of 89 cells"
+    )
+    assert exc.value.cells == 90
+    with pytest.raises(GuardExceededError, match="6 rows of 10 columns"):
+        kernel_basis(rows, 10, GuardLimits(max_cells=50))
+    assert kernel_basis(rows, 10, GuardLimits(max_cells=90)).dim == 9
+
+
+def test_kernel_ambient_mismatch():
+    with pytest.raises(AmbientMismatchError, match="column 5 outside ambient 3"):
+        kernel_basis([{0: 1}, {5: 1}], 3)
+    with pytest.raises(AmbientMismatchError, match="column 3 outside ambient 3"):
+        kernel_basis([[(1, 2), (3, 1)]], 3)
+    assert kernel_basis([{5: 0}], 3).dim == 3
 
 
 def test_reduce_vector_and_contains():
@@ -152,7 +249,7 @@ def test_zero_and_empty_inputs():
     assert row_space([], 5).dim == 0
     assert row_space([{}, {0: 0}], 5).dim == 0
     assert row_space([], 4).rows == ()
-    full = kernel_basis(row_space([{}], 3))
+    full = kernel_basis([{}], 3)
     assert full.dim == 3
 
 
@@ -304,10 +401,11 @@ _matrices = st.integers(1, 6).flatmap(
 @given(_matrices)
 def test_sparse_rref_and_kernel_match_dense_oracle(matrix):
     n_cols, dense = matrix
-    space = row_space([dict(enumerate(r)) for r in dense], n_cols)
+    rows = [dict(enumerate(r)) for r in dense]
+    space = row_space(rows, n_cols)
     assert subspace_dense(space) == dense_rows(dense, n_cols)
     kernel = dense_kernel(dense, n_cols)
-    assert subspace_dense(kernel_basis(space)) == dense_rows(kernel, n_cols)
+    assert subspace_dense(kernel_basis(rows, n_cols)) == dense_rows(kernel, n_cols)
 
 
 _entries = st.one_of(st.integers(-4, 4), _fractions).filter(bool)

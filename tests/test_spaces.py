@@ -174,14 +174,16 @@ def test_parity_patterns_match_the_per_kind_table():
 
 def test_full_route_counts_rows_past_full_rank(monkeypatch):
     """The full route's rows meta counts every distinct row, also the ones
-    that reach the reducer after its rank is full and add nothing."""
+    that reach the reducer after its rank is full and add nothing, and the
+    ones not fed because their negation was fed before them."""
     M = build_matrix_over(E(4, "infty"), BlockShape((1, 1)))
-    past_full = []
+    fed, past_full = [], []
     add = RowReducer.add
 
     def counting_add(self, row):
         at_full = self.rank == self.n_cols
         grew = add(self, row)
+        fed.append(row)
         if at_full:
             past_full.append(grew)
         return grew
@@ -190,7 +192,36 @@ def test_full_route_counts_rows_past_full_rank(monkeypatch):
     comp = identities_by_evaluation(M, ((1,), (0,), (1,)), method="full")
     assert comp.dim == 0
     assert comp.meta == {"route": "evaluation", "method": "full", "rows": 46, "tuples": 13824}
-    assert past_full == [False] * 40
+    # 23 of the 46 distinct rows are negations of rows fed before them
+    assert len(fed) == 23
+    assert past_full == [False] * 17
+
+
+def test_evaluation_feeds_no_row_whose_negation_was_fed(monkeypatch):
+    """A distinct row whose negation was fed before it spans nothing new and
+    is not fed; the rows meta still counts it, and the component is the
+    kernel of every distinct row."""
+    M = build_matrix_over(E(8, "infty"), BlockShape((1, 1)))
+    sig = ((0,), (1,), (1,))
+    distinct = list(dict.fromkeys(grassmann_fast_rows(M, sig)[0]))
+    want = [
+        dict(r) for i, r in enumerate(distinct)
+        if tuple((c, -v) for c, v in r) not in distinct[:i]
+    ]
+    fed = []
+    add = RowReducer.add
+
+    def recording_add(self, row):
+        # kernel_basis feeds column c as n! - 1 - c
+        fed.append({self.n_cols - 1 - c: v for c, v in row.items()})
+        return add(self, row)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(RowReducer, "add", recording_add)
+        comp = identities_by_evaluation(M, sig)
+    assert comp.meta["rows"] == len(distinct) == 34
+    assert fed == want and len(fed) == 23
+    assert comp.space == kernel_basis(distinct, 6)
 
 
 def test_fast_route_stops_at_full_rank():
@@ -206,7 +237,7 @@ def test_fast_route_stops_at_full_rank():
         if full_at is None and reducer.rank == 24:
             full_at = i
     assert full_at is not None and full_at < len(rows) - 1
-    fed_all = kernel_basis(reducer.finish())
+    fed_all = kernel_basis(rows, 24)
     comp = identities_by_evaluation(M, sig)
     assert comp.space == fed_all and comp.dim == 0
     assert comp.meta["rows"] == len(rows)
