@@ -54,7 +54,10 @@ unsorted signature: the consequence route renames the shorter components
 it computes at sorted degree sequences into every order that signature
 needs. One length-6 infty identities command exits 3: E's component keeps
 688 rows of 720 columns, more than its --max-cells allows, and the guard
-trips before the kernel is built. 42 commands in all.
+trips before the kernel is built. Two commands read signatures over the
+rank-0 group, whose only degree is 0: an identities command over the
+trivially graded exterior algebra, and a factor-check sweep over the field
+with no --targets. 44 commands in all.
 """
 
 from __future__ import annotations
@@ -169,6 +172,9 @@ FACTOR_CLI_COMMANDS = [
     # the evaluation route's kernel past --max-cells, bounded before it is built
     ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1,0,1,1,0",
      "--max-cells", "400000"],
+    # signatures over the rank-0 group
+    ["identities", "--algebra", "grassmann:deg=trivial", "--sig", "0,0,0,0"],
+    ["factor-check", "--shape", "1,1", "--entries", "field", "--sweep", "3"],
 ]
 
 

@@ -9,7 +9,6 @@ matrix model tying them together. All arithmetic is exact rational.
 
 from .algebras import (
     BlockShape,
-    GradingMap,
     GrassmannSpec,
     StructureConstantAlgebra,
     algebra_from_descriptor,
@@ -28,7 +27,6 @@ from .errors import (
     DegreeConflictError,
     GradedEvaluationError,
     GradedPIError,
-    GradedSubstitutionError,
     GuardExceededError,
     InternalInconsistencyError,
     MalformedElementError,
@@ -62,7 +60,6 @@ from .model import (
     GenericMatrix,
     ModelConfig,
     RectangularStrip,
-    column_projection,
     decode_entry_variable,
     encode_entry_variable,
     extract_blocks,

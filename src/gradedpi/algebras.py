@@ -34,17 +34,6 @@ MAX_GENERATORS = 4096
 
 
 @dataclass(frozen=True)
-class GradingMap:
-    """Degree targets for matrix rows/columns; position (i,j) has degree
-    targets[j] - targets[i]."""
-
-    targets: tuple  # tuple[GroupElement, ...]
-
-    def __len__(self):
-        return len(self.targets)
-
-
-@dataclass(frozen=True)
 class BlockShape:
     """Sizes of the diagonal blocks of a block-triangular matrix pattern."""
 
@@ -278,10 +267,12 @@ def evaluate(f: NcPolynomial, assignment: dict, algebra: StructureConstantAlgebr
     return out
 
 
-def is_g_regular(grading: GradingMap, spec: GroupSpec):
-    """Check surjectivity with equipotent fibers; returns (bool, report)."""
+def is_g_regular(targets, spec: GroupSpec):
+    """Whether the elementary grading by row degrees targets (position
+    (i,j) of degree targets[j] - targets[i]) is surjective with equipotent
+    fibers; returns (bool, report)."""
     fibers = {g: 0 for g in spec.elements()}
-    for t in grading.targets:
+    for t in targets:
         fibers[spec.validate(tuple(t))] += 1
     counts = set(fibers.values())
     surjective = 0 not in counts
@@ -478,10 +469,20 @@ def _required(desc: dict, key: str):
     return desc[key]
 
 
-def _grading(desc: dict) -> dict:
+def _known_keys(obj: dict, allowed: tuple, what: str) -> None:
+    unknown = sorted(set(obj) - set(allowed), key=str)
+    if unknown:
+        raise ParseError(
+            f"{what} has unknown key {unknown[0]!r}; allowed: {', '.join(sorted(allowed))}"
+        )
+
+
+def _grading(desc: dict, key: str) -> dict:
+    """The descriptor's grading object, whose only key may be key."""
     grading = desc.get("grading", {})
     if not isinstance(grading, dict):
         raise ParseError(f"'grading' must be an object, got {grading!r}")
+    _known_keys(grading, (key,), f"{desc['kind']} grading")
     return grading
 
 
@@ -535,10 +536,23 @@ def _grassmann_descriptor(g: GrassmannSpec) -> dict:
     }
 
 
+# the keys each kind may have
+_KEYS = {
+    "field": ("kind", "group"),
+    "matrix": ("kind", "group", "grading"),
+    "block_triangular": ("kind", "group", "grading", "shape"),
+    "grassmann": ("kind", "generators", "group", "grading"),
+    "matrix_over": ("kind", "shape", "entries", "group"),
+}
+
+
 def _resolve(desc) -> _Resolved:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ParseError("descriptor must be an object with a 'kind' field")
     kind = desc["kind"]
+    if not isinstance(kind, str) or kind not in _KEYS:
+        raise ParseError(f"unknown algebra kind {kind!r}")
+    _known_keys(desc, _KEYS[kind], f"{kind} descriptor")
     if kind == "field":
         spec = _group(desc)
         return _Resolved(
@@ -546,7 +560,7 @@ def _resolve(desc) -> _Resolved:
         )
     if kind in ("matrix", "block_triangular"):
         spec = _group(desc)
-        raw = _grading(desc).get("targets")
+        raw = _grading(desc, "targets").get("targets")
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ParseError(f"{kind} descriptor needs grading.targets")
         targets = [spec.validate(_ints(t, "grading targets")) for t in raw]
@@ -570,26 +584,25 @@ def _resolve(desc) -> _Resolved:
     if kind == "grassmann":
         stated = "generators" in desc
         n = _int(desc["generators"], "generators") if stated else 0
-        gspec = _grassmann_spec(_grading(desc).get("deg", "natural"), n)
+        gspec = _grassmann_spec(_grading(desc, "deg").get("deg", "natural"), n)
         spec = _group(desc, gspec.group())
         canon = _grassmann_descriptor(gspec)
         if not stated:
             del canon["generators"]
         return _Resolved(canon, spec, gspec, lambda: build_grassmann(gspec), 2**n, 1)
-    if kind == "matrix_over":
-        shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
-        inner = _resolve(_required(desc, "entries"))
-        spec = _group(desc, inner.group)
-        canon = {"kind": kind, "shape": list(shape.sizes), "entries": inner.desc}
-        return _Resolved(
-            canon,
-            spec,
-            inner.exterior,
-            lambda: build_matrix_over(inner.build(), shape),
-            inner.dim * shape.n_positions(),
-            inner.unit_terms * shape.n,
-        )
-    raise ParseError(f"unknown algebra kind {kind!r}")
+    # kind == "matrix_over"
+    shape = BlockShape(_ints(_required(desc, "shape"), "block sizes"))
+    inner = _resolve(_required(desc, "entries"))
+    spec = _group(desc, inner.group)
+    canon = {"kind": kind, "shape": list(shape.sizes), "entries": inner.desc}
+    return _Resolved(
+        canon,
+        spec,
+        inner.exterior,
+        lambda: build_matrix_over(inner.build(), shape),
+        inner.dim * shape.n_positions(),
+        inner.unit_terms * shape.n,
+    )
 
 
 def normalize_descriptor(desc) -> dict:

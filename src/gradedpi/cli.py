@@ -22,7 +22,6 @@ import sys
 
 from .algebras import (
     BlockShape,
-    GradingMap,
     algebra_from_descriptor,
     build_matrix_algebra,
     build_matrix_over,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .freealg import format_poly, parse_poly, parse_signature
 from .groups import TRIVIAL_GROUP, GroupSpec, Z2
-from .linalg import GuardLimits, cells_guard
+from .linalg import GuardLimits
 from .model import ModelConfig, model_eval
 from .relfree import (
     GradingMode,
@@ -57,6 +56,7 @@ from .spaces import (
     TIdealPresentation,
     check_factoring,
     default_truncation,
+    guard_column_basis,
     identities_by_consequences,
     identities_by_evaluation,
 )
@@ -78,7 +78,7 @@ def _guard(args) -> GuardLimits:
 
 def _parse_ints(text: str, what: str) -> tuple:
     try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ParseError(f"{what} must be comma-separated integers, got {text!r}") from None
 
@@ -99,19 +99,6 @@ def _parse_shape(text: str) -> BlockShape:
     return BlockShape(_parse_ints(text, "block sizes"))
 
 
-def _parse_sig(text: str, spec: GroupSpec):
-    """Signature text; over the trivial group each entry must be "0"."""
-    if spec.orders == ():
-        parts = [p.strip() for p in text.split(",") if p.strip()]
-        if not parts:
-            raise ParseError("empty signature")
-        for p in parts:
-            if p != "0":
-                raise ParseError(f"the trivial group has only degree 0, got {p!r}")
-        return tuple(() for _ in parts)
-    return parse_signature(text, spec)
-
-
 def _sig_json(sig) -> list:
     return [list(t) for t in sig]
 
@@ -120,24 +107,32 @@ def _sig_text(sig) -> str:
     return ",".join(".".join(map(str, t)) if t else "0" for t in sig)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of an input file; a file that cannot be read or
+    decoded is malformed input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} file: {exc}") from exc
+
+
 def _load_descriptor(text: str) -> dict:
     """Canonical descriptor from a JSON file, JSON text or the inline form."""
     text = text.strip()
+    if os.path.isfile(text):
+        text = _read_text(text, "descriptor")
+    elif not text.startswith("{"):
+        return parse_inline_descriptor(text)
     try:
-        if os.path.isfile(text):
-            with open(text, encoding="utf-8") as fh:
-                return normalize_descriptor(json.load(fh))
-        if text.startswith("{"):
-            return normalize_descriptor(json.loads(text))
+        return normalize_descriptor(json.loads(text))
     except ValueError as exc:
         raise ParseError(f"bad descriptor JSON: {exc}") from exc
-    return parse_inline_descriptor(text)
 
 
 def _poly_text(arg: str) -> str:
     if os.path.isfile(arg):
-        with open(arg, encoding="utf-8") as fh:
-            return " ".join(fh.read().split())
+        return " ".join(_read_text(arg, "polynomial").split())
     return arg
 
 
@@ -145,7 +140,11 @@ def _atomic_write(path: str, text: str):
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def _emit(command: str, config: dict, result: dict, lines, out_path) -> None:
@@ -174,8 +173,8 @@ def _json_meta(meta: dict) -> dict:
 
 def cmd_regularity(args) -> int:
     spec = _parse_group(args.group)
-    targets = _parse_sig(args.targets, spec)
-    regular, report = is_g_regular(GradingMap(tuple(targets)), spec)
+    targets = parse_signature(args.targets, spec)
+    regular, report = is_g_regular(targets, spec)
     lines = [f"regular: {'yes' if regular else 'no'}"]
     lines.append(f"surjective: {'yes' if report['surjective'] else 'no'}")
     lines.append(f"equipotent fibers: {'yes' if report['equipotent'] else 'no'}")
@@ -190,13 +189,8 @@ def cmd_regularity(args) -> int:
 
 
 def _read_generators(path: str, spec: GroupSpec):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read generator file: {exc}") from exc
     gens = []
-    for line in raw.splitlines():
+    for line in _read_text(path, "generator").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -215,7 +209,7 @@ def cmd_identities(args) -> int:
         spec = _own_group(args, descriptor_group(desc), "the algebra's")
     else:
         spec = _parse_group("2" if args.group is None else args.group)
-    sig = _parse_sig(args.sig, spec)
+    sig = parse_signature(args.sig, spec)
 
     comp_eval = scan = None
     if desc is not None:
@@ -331,14 +325,14 @@ def cmd_identities(args) -> int:
 def _signatures(args, spec: GroupSpec):
     """The --sig signature, or every --sweep signature up to its bound."""
     if args.sig is not None:
-        return [_parse_sig(args.sig, spec)]
+        return [parse_signature(args.sig, spec)]
     if args.sweep < 1:
         raise ParseError("sweep bound must be at least 1")
     els = spec.elements()
     out = []
     for n in range(1, args.sweep + 1):
         # a length no column basis fits ends the sweep before it is listed
-        cells_guard(n, math.factorial(n), _guard(args), "multilinear column basis")
+        guard_column_basis(n, _guard(args))
         out.extend(itertools.combinations_with_replacement(els, n))
     return out
 
@@ -356,7 +350,7 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
     else:
         spec = Z2 if args.targets else TRIVIAL_GROUP
     if args.targets:
-        targets = _parse_sig(args.targets, spec)
+        targets = parse_signature(args.targets, spec)
         if len(targets) != shape.n:
             raise ParseError(
                 f"{len(targets)} grading targets for {shape.n} matrix rows"
@@ -451,9 +445,7 @@ def cmd_factor_check(args) -> int:
     rows = []
     lines = []
     for sig in sigs:
-        v = check_factoring(
-            target, factors, sig, spec, bordered_crosscheck=args.bordered, guard=guard
-        )
+        v = check_factoring(target, factors, sig, args.bordered, guard)
         witness = format_poly(v.witness, style="yz") if v.witness else None
         rows.append(
             {

@@ -17,10 +17,6 @@ class ParseError(GradedPIError):
     """Text input does not match the polynomial or descriptor grammar."""
 
 
-class GradedSubstitutionError(GradedPIError):
-    """A substitution image is not homogeneous of the replaced variable's degree."""
-
-
 class GradedEvaluationError(GradedPIError):
     """An assigned algebra element is not homogeneous of the variable's degree."""
 

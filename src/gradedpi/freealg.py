@@ -20,11 +20,10 @@ from .errors import (
     MalformedElementError,
     ParseError,
 )
-from .groups import Z2, GroupElement, GroupSpec
+from .groups import Z2, GroupSpec
 from .linalg import add_scaled
 
-Word = tuple  # tuple[int, ...]
-Signature = tuple  # tuple[GroupElement, ...], one degree per variable 1..n
+Signature = tuple  # one group element per variable 1..n
 
 
 def merge_universes(a: dict, b: dict) -> dict:
@@ -35,10 +34,6 @@ def merge_universes(a: dict, b: dict) -> dict:
             raise DegreeConflictError(f"variable x{vid} declared with degrees {out[vid]} and {deg}")
         out[vid] = deg
     return out
-
-
-def word_key(w: Word):
-    return (len(w), w)
 
 
 def sort_sign(keys) -> int:
@@ -159,12 +154,9 @@ class NcPolynomial:
     def max_degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def word_degree(self, w: Word, spec: GroupSpec) -> GroupElement:
-        return spec.sum(self.universe[v] for v in w)
-
     def homogeneous_degree(self, spec: GroupSpec):
         """Common degree of all words, or None if mixed. Zero returns None."""
-        degs = {self.word_degree(w, spec) for w in self.terms}
+        degs = {spec.sum(self.universe[v] for v in w) for w in self.terms}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -180,7 +172,7 @@ class NcPolynomial:
         return NcPolynomial(terms, uni)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: word_key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: (len(item[0]), item[0]))
 
 
 def commutator(f: NcPolynomial, g: NcPolynomial) -> NcPolynomial:
@@ -454,12 +446,21 @@ def format_signed_sum(terms) -> str:
 
 
 def parse_signature(text: str, spec: GroupSpec) -> Signature:
-    """Parse e.g. "0,1,1" (rank-1 groups) or "0.1,1.0" (dots inside tuples)."""
-    parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
+    """Parse e.g. "0,1,1" (rank-1 groups) or "0.1,1.0" (dots inside tuples).
+    Over the rank-0 group every entry is 0, its only degree. No entry may
+    be empty."""
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
         raise ParseError("empty signature")
     out = []
     for p in parts:
+        if not p:
+            raise ParseError(f"empty entry in signature {text!r}")
+        if not spec.orders:
+            if p != "0":
+                raise ParseError(f"the trivial group has only degree 0, got {p!r}")
+            out.append(())
+            continue
         try:
             residues = [int(q) for q in p.split(".")]
         except ValueError as exc:

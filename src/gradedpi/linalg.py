@@ -81,10 +81,9 @@ def _bits_exceeded(bits: int, guard: GuardLimits) -> GuardExceededError:
 
 
 def _primitive(items, guard: GuardLimits) -> tuple:
-    """Divide sorted nonzero (col, int) pairs by their content, leading
-    entry positive. The largest entry must fit the guard's max_bits."""
-    if not items:
-        return ()
+    """Divide sorted nonzero (col, int) pairs, at least one, by their
+    content, leading entry positive. The largest entry must fit the guard's
+    max_bits."""
     vals = [v for _, v in items]
     bits = max(max(vals), -min(vals)).bit_length()
     if bits > guard.max_bits:
@@ -204,18 +203,15 @@ class RowReducer:
         return True
 
     def finish(self) -> Subspace:
-        """The canonical RREF: each stored row divided by its leading entry."""
+        """The canonical RREF: each stored row divided by its leading entry.
+        Needs no max_bits check: both parts of v / lead in lowest terms are
+        at most the stored entries, which add() has already bounded."""
         pivots = sorted(self.pivot_rows)
         rows = []
         for p in pivots:
             stored = self.pivot_rows[p]
             lead = stored[0][1]
-            row = tuple((c, Fraction(v, lead)) for c, v in stored)
-            # a Fraction's size is that of its larger part
-            bits = max(max(abs(v.numerator), v.denominator) for _, v in row).bit_length()
-            if bits > self.guard.max_bits:
-                raise _bits_exceeded(bits, self.guard)
-            rows.append(row)
+            rows.append(tuple((c, Fraction(v, lead)) for c, v in stored))
         return Subspace(self.n_cols, tuple(rows), tuple(pivots))
 
 
@@ -250,8 +246,7 @@ def kernel_basis(rows, n_cols: int, guard: GuardLimits = DEFAULT_GUARD) -> Subsp
             raise AmbientMismatchError(f"column {top - min(mirrored)} outside ambient {n_cols}")
         red.add(mirrored)
     stored = red.pivot_rows
-    if (n_cols - len(stored)) * n_cols > guard.max_cells:
-        cells_guard(guard.max_cells // n_cols + 1, n_cols, guard, "elimination, kept")
+    cells_guard(n_cols - len(stored), n_cols, guard, "kernel")
     kernel = {f: [(f, Fraction(1))] for f in range(n_cols) if top - f not in stored}
     # true pivots ascending, so each kernel row is built sorted; each stored
     # row is dropped once it is read

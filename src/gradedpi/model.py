@@ -43,7 +43,6 @@ class _RelfreeAdapter:
 
     def __init__(self, mode: GradingMode):
         self.mode = mode
-        self.spec = Z2
 
     def zero(self):
         return zero_element(self.mode)
@@ -89,7 +88,6 @@ class _TruncatedAdapter:
 
     def __init__(self, backend: TruncatedQuotientBackend):
         self.backend = backend
-        self.spec = backend.spec
 
     def zero(self):
         return NcPolynomial.zero()
@@ -384,14 +382,6 @@ def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:
             id_map[vid] = encode_entry_variable(i % n + 1, j % n + 1, k, deg, cfg)
         out[pos] = ad.rename(el, id_map)
     return GenericMatrix(cfg, out, ad)
-
-
-def column_projection(M: GenericMatrix, k: int):
-    """The k-th column as a tuple of backend elements, rows 1..n."""
-    n = M.cfg.n
-    if not (1 <= k <= n):
-        raise MalformedElementError(f"column {k} outside 1..{n}")
-    return tuple(M.entry(i, k) for i in range(1, n + 1))
 
 
 def _independent(matrices, positions, guard: GuardLimits) -> bool:

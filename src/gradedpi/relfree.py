@@ -78,31 +78,17 @@ class GradingMode:
             raise MalformedElementError(f"mode {self.kind} takes no k")
 
     @staticmethod
-    def natural() -> "GradingMode":
-        return GradingMode("natural")
-
-    @staticmethod
-    def infty() -> "GradingMode":
-        return GradingMode("infty")
-
-    @staticmethod
-    def kstar(k: int) -> "GradingMode":
-        return GradingMode("kstar", k)
-
-    @staticmethod
     def parse(text: str) -> "GradingMode":
         text = text.strip()
-        if text == "natural":
-            return GradingMode.natural()
-        if text == "infty":
-            return GradingMode.infty()
+        if text in ("natural", "infty"):
+            return GradingMode(text)
         if text.startswith("kstar:"):
             level = text.split(":", 1)[1]
             try:
                 k = int(level)
             except ValueError:
                 raise ParseError(f"kstar level must be an integer, got {level!r}") from None
-            return GradingMode.kstar(k)
+            return GradingMode("kstar", k)
         if text == "degk" or text.startswith("degk:"):
             raise UnsupportedFeatureError(
                 "unsupported mode 'degk': its defining generator polynomials "

@@ -123,10 +123,16 @@ class TIdealPresentation:
 # -- evaluation route --------------------------------------------------------
 
 
+def guard_column_basis(n: int, guard: GuardLimits) -> None:
+    """Bound the n x n! cells of the monomial basis of a length-n component
+    by the guard's max_cells, before the basis is built."""
+    cells_guard(n, math.factorial(n), guard, "multilinear column basis")
+
+
 def _multilinear_basis(n: int, guard: GuardLimits) -> tuple:
     """The n! monomials that index the columns of a length-n component,
-    built only once their n x n! cells fit the guard."""
-    cells_guard(n, math.factorial(n), guard, "multilinear column basis")
+    built only once guard_column_basis passes."""
+    guard_column_basis(n, guard)
     return multilinear_monomials(n)
 
 
@@ -478,6 +484,14 @@ def _spanning_row_count(by_arity: dict, spec: GroupSpec, sig) -> int:
     return n_rows
 
 
+def _placed_words(positions) -> list:
+    """The words of multilinear_monomials(len(positions)), by column, with
+    variable v put at positions[v - 1]; the empty word for no positions."""
+    if not positions:
+        return [()]
+    return [tuple(positions[v - 1] for v in w) for w in multilinear_monomials(len(positions))]
+
+
 def _consequence_reducer(
     by_arity: dict, spec: GroupSpec, sig, guard: GuardLimits, memo: dict
 ) -> RowReducer:
@@ -493,7 +507,6 @@ def _consequence_reducer(
     idx = monomial_index(n)
     reducer = RowReducer(len(idx), guard)
     positions = tuple(range(1, n + 1))
-    sub_words = multilinear_monomials(n - 1) if n > 1 else ((),)
     for x in positions:
         # variable j of the sorted shorter signature is position order[j - 1]
         order = sorted((p for p in positions if p != x), key=lambda p: (sig[p - 1], p))
@@ -504,7 +517,7 @@ def _consequence_reducer(
             rows = memo[sub] = tuple(sub_reducer.pivot_rows.values())
         if not rows:
             continue
-        words = [tuple(order[v - 1] for v in w) for w in sub_words]
+        words = _placed_words(order)
         for cols in ([idx[w + (x,)] for w in words], [idx[(x,) + w] for w in words]):
             for row in rows:
                 reducer.add({cols[c]: v for c, v in row})
@@ -559,7 +572,7 @@ def identities_by_consequences(
     """
     spec = presentation.spec
     sig = validate_signature(sig, spec)
-    _multilinear_basis(len(sig), guard)  # n x n! cells, before any shorter level
+    guard_column_basis(len(sig), guard)  # before any shorter level
     by_arity = _generator_terms(presentation)
     # the length-0 component: the constant generators, if there are any
     memo = {(): (((0, 1),),) if 0 in by_arity else ()}
@@ -618,12 +631,9 @@ class ConsequenceProvider(_ComponentCache):
 def _component_terms(provider, positions, sig):
     """Basis of the provider's component on a position subset: per row, its
     (word over those positions, coefficient) pairs."""
-    comp = provider.component(tuple(sig[p - 1] for p in positions))
-    mons = multilinear_monomials(len(positions))
-    return [
-        [(tuple(positions[v - 1] for v in mons[col]), c) for col, c in row]
-        for row in comp.space.rows
-    ]
+    rows = provider.component(tuple(sig[p - 1] for p in positions)).space.rows
+    words = _placed_words(positions)
+    return [[(words[col], c) for col, c in row] for row in rows]
 
 
 def tideal_product(
@@ -718,26 +728,21 @@ def check_factoring(
     target,
     factor_providers,
     sig,
-    spec: GroupSpec | None = None,
     bordered_crosscheck: bool = False,
     guard: GuardLimits = DEFAULT_GUARD,
 ) -> FactoringVerdict:
-    """Compare an algebra's identity component with its diagonal factors'
-    T-ideal product.
+    """Compare the identity component of a block-triangular algebra with
+    its diagonal factors' T-ideal product.
 
-    target is a block-triangular algebra (or any component provider for
-    its identities); the product is always contained in the identities, so
-    a violation is reported as an internal inconsistency, not a verdict.
+    target and the factors are component providers over target.spec, e.g.
+    EvaluationProvider(R) for the algebra R; guard bounds the product. The
+    product is always contained in the identities, so a violation is
+    reported as an internal inconsistency, not a verdict.
     """
-    if hasattr(target, "component"):
-        target_provider = target
-        spec = spec or target.spec
-    else:
-        target_provider = EvaluationProvider(target, guard)
-        spec = spec or target.group
+    spec = target.spec
     sig = validate_signature(sig, spec)
     product = ProductProvider(list(factor_providers), spec, False, guard)
-    t_comp = target_provider.component(sig)
+    t_comp = target.component(sig)
     p_comp = product.component(sig)
     # canonical RREF is unique: equal spaces have equal rows
     equal = p_comp.space.rows == t_comp.space.rows
@@ -863,9 +868,6 @@ class TruncatedQuotientBackend:
         self.max_degree = max_degree
         self._identities = EvaluationProvider(algebra, guard)
 
-    def multilinear_identities(self, sig) -> IdentitySubspace:
-        return self._identities.component(sig)
-
     def residue(self, f: NcPolynomial) -> dict:
         """Canonical residue profile {multidegree key: reduced coordinates}."""
         out = {}
@@ -883,7 +885,7 @@ class TruncatedQuotientBackend:
                 )
             lin, sig = full_multilinearization(part, self.spec)
             coords = multilinear_coordinates(lin, sig, self.spec)
-            res = reduce_vector(coords, self.multilinear_identities(sig).space)
+            res = reduce_vector(coords, self._identities.component(sig).space)
             if res:
                 out[key] = tuple(sorted(res.items()))
         return out

@@ -333,13 +333,17 @@ def reference_relfree_mul(a, b):
 # -- consequence-row oracle -------------------------------------------------------
 
 
+class GradedSubstitutionError(Exception):
+    """A substitution image is not a polynomial homogeneous of the replaced
+    variable's degree."""
+
+
 def substitute(f, images, spec):
     """f with variables replaced by homogeneous polynomials of the same
     degree; unmapped variables are left alone. An image that is not a
     polynomial, or not degree-homogeneous of its variable's degree, raises
     GradedSubstitutionError. Each word of f is multiplied out letter by
     letter into one terms dict."""
-    from gradedpi.errors import GradedSubstitutionError
     from gradedpi.freealg import NcPolynomial, merge_universes
     from gradedpi.linalg import add_scaled
 

@@ -18,7 +18,6 @@ import pytest
 from gradedpi import Z2
 from gradedpi.algebras import (
     BlockShape,
-    GradingMap,
     GrassmannSpec,
     build_grassmann,
     build_matrix_algebra,
@@ -128,7 +127,7 @@ def test_criterion_03_factoring_ut11_exterior():
                 A = E(N, kind)
                 R = build_matrix_over(A, BlockShape((1, 1)))
                 v = check_factoring(
-                    R, [EvaluationProvider(A), EvaluationProvider(A)], sig
+                    EvaluationProvider(R), [EvaluationProvider(A), EvaluationProvider(A)], sig
                 )
                 assert v.relation == "equal", (kind, sig, N)
                 dims.append((v.dim_identities, v.dim_product))
@@ -163,7 +162,7 @@ def test_criterion_04_factoring_fails_for_kstar():
         A = E(k + 5, "kstar", k=k)
         R = build_matrix_over(A, BlockShape((1, 1)))
         factors = [EvaluationProvider(A), EvaluationProvider(A)]
-        v = check_factoring(R, factors, sig)
+        v = check_factoring(EvaluationProvider(R), factors, sig)
         assert v.relation == "product_strictly_inside", k
         zword = parse_poly("*".join(f"z{i}" for i in range(1, k + 2)), Z2)
         assert (v.witness - zword).is_zero(), k
@@ -178,13 +177,13 @@ def test_criterion_05_factoring_two_m2_blocks():
     label = "two M_2 blocks with targets (0,1,0,1): factoring holds at sigs up to length 3"
     acceptance_start(5, label)
     t0 = time.monotonic()
-    ok, _report = is_g_regular(GradingMap(((0,), (1,))), Z2)
+    ok, _report = is_g_regular(((0,), (1,)), Z2)
     assert ok  # each diagonal block carries a regular grading
     R = build_matrix_algebra(((0,), (1,), (0,), (1,)), Z2, BlockShape((2, 2)))
     blk = build_matrix_algebra(((0,), (1,)), Z2)
     factors = [EvaluationProvider(blk), EvaluationProvider(blk)]
     for sig in z2_sigs_up_to(3):
-        v = check_factoring(R, factors, sig)
+        v = check_factoring(EvaluationProvider(R), factors, sig)
         assert v.relation == "equal", sig
     elapsed = time.monotonic() - t0
     assert elapsed < 600

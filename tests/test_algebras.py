@@ -10,7 +10,6 @@ from gradedpi.algebras import (
     CHECK_ASSOC_EXHAUSTIVE_DIM,
     CHECK_PAIR_EXHAUSTIVE_DIM,
     BlockShape,
-    GradingMap,
     GrassmannSpec,
     StructureConstantAlgebra,
     algebra_from_descriptor,
@@ -240,14 +239,14 @@ def test_build_field():
 
 
 def test_is_g_regular_examples():
-    ok, rep = is_g_regular(GradingMap(((0,), (1,))), Z2)
+    ok, rep = is_g_regular(((0,), (1,)), Z2)
     assert ok and rep["regular"] and rep["surjective"] and rep["equipotent"]
     assert rep["fibers"] == {"0": 1, "1": 1}
-    ok, rep = is_g_regular(GradingMap(((0,), (0,), (1,))), Z2)
+    ok, rep = is_g_regular(((0,), (0,), (1,)), Z2)
     assert not ok and rep["surjective"] and not rep["equipotent"]
-    ok, rep = is_g_regular(GradingMap(((0,), (0,))), Z2)
+    ok, rep = is_g_regular(((0,), (0,)), Z2)
     assert not ok and not rep["surjective"]
-    ok, rep = is_g_regular(GradingMap(((0, 0), (1, 1), (0, 1), (1, 0))), GroupSpec((2, 2)))
+    ok, rep = is_g_regular(((0, 0), (1, 1), (0, 1), (1, 0)), GroupSpec((2, 2)))
     assert ok
 
 

@@ -213,19 +213,19 @@ def test_consequence_guard_exits_3_where_the_component_does_not_fit(capsys, tmp_
 
 def test_kernel_guard_exits_3_before_the_kernel_is_built(capsys):
     """The evaluation route bounds its kernel, (n! - rank) x n!, by
-    --max-cells before building it; the message names the row past the
-    guard, as when the kernel was eliminated row by row. E's own rows have
-    rank 32 at this signature, so the component keeps 688 rows of 720."""
+    --max-cells before building it, and the message names that kernel. E's
+    own rows have rank 32 at this signature, so the component keeps 688
+    rows of 720."""
     argv = ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1,0,1,1,0"]
     code, out, err = run_cli(capsys, *argv, "--max-cells", "400000")
     assert code == 3 and out == ""
     assert err == (
-        "resource guard: elimination, kept: 556 rows of 720 columns (400320 cells) exceeds "
-        "the guard of 400000 cells [cells 400320 > max_cells 400000]\n"
+        "resource guard: kernel: 688 rows of 720 columns (495360 cells) exceeds "
+        "the guard of 400000 cells [cells 495360 > max_cells 400000]\n"
     )
     code, out, err = run_cli(capsys, *argv, "--max-cells", str(688 * 720 - 1))
     assert code == 3 and out == ""
-    assert err.startswith("resource guard: elimination, kept: 688 rows of 720 columns")
+    assert err.startswith("resource guard: kernel: 688 rows of 720 columns")
     code, out, _ = run_cli(capsys, *argv, "--max-cells", str(688 * 720))
     assert code == 0 and cert_from(out)["result"]["dim"] == 688
 
@@ -322,6 +322,28 @@ def test_malformed_descriptor_exits_with_one_line(capsys, desc, want):
         code, out, err = run_cli(capsys, *argv)
         assert code == want, (argv, err)
         assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        ('{"kind":"grassmann","generators":2,"gradng":{"deg":"infty"}}',
+         "grassmann descriptor has unknown key 'gradng'; allowed: generators, grading, group, kind"),
+        ('{"kind":"grassmann","generators":2,"grading":{"explicit":[1,0]}}',
+         "grassmann grading has unknown key 'explicit'; allowed: deg"),
+        ('{"kind":"field","shape":[3]}', "field descriptor has unknown key 'shape'; allowed: group, kind"),
+        ('{"kind":"matrix_over","shape":[1,1],"entries":{"kind":"field","grading":{}}}',
+         "field descriptor has unknown key 'grading'; allowed: group, kind"),
+    ],
+    ids=["misspelt-grading", "grading-without-deg", "field-with-shape", "nested-entries"],
+)
+def test_unknown_descriptor_keys_exit_1_naming_the_allowed_ones(capsys, desc, message):
+    for argv in (
+        ["identities", "--algebra", desc, "--sig", "0"],
+        ["factor-check", "--shape", "1,1", "--entries", desc, "--sig", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
 def test_identities_accepts_descriptor_of_matrix_over(capsys):
@@ -486,6 +508,24 @@ def test_bad_signature_exits_1(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1 and err.startswith("error:"), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--algebra", "grassmann:deg=natural", "--sig", "0,,1"],
+        ["identities", "--algebra", "grassmann:deg=natural", "--sig", "0,1,"],
+        ["identities", "--algebra", "grassmann:deg=trivial", "--sig", "0,,0"],
+        ["regularity", "--group", "2", "--targets", "0,,1"],
+        ["regularity", "--group", "2,,2", "--targets", "0.0"],
+        ["factor-check", "--shape", "1,,1", "--sig", "0"],
+        ["factor-check", "--shape", "1,1", "--targets", "0,1,", "--sig", "0"],
+    ],
+)
+def test_empty_entries_in_comma_separated_values_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_factor_check_field_takes_the_descriptor_group(capsys):
@@ -856,6 +896,50 @@ def test_out_path_unwritable_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["identities", "--generators", "FILE", "--sig", "0,1"], "generator"),
+        (["relfree", "nf", "--mode", "infty", "--poly", "FILE"], "polynomial"),
+        (["model", "eval", "--shape", "1,1", "--mode", "infty", "--poly", "FILE"], "polynomial"),
+        (["identities", "--algebra", "FILE", "--sig", "0,1"], "descriptor"),
+    ],
+)
+def test_undecodable_input_file_exits_1(capsys, tmp_path, argv, what):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot read {what} file: ") and err.count("\n") == 1
+
+
+def test_out_naming_a_directory_leaves_no_temporary_file(capsys, tmp_path):
+    target = tmp_path / "dir"
+    target.mkdir()
+    code, _, err = run_cli(
+        capsys, "regularity", "--group", "2", "--targets", "0,1", "--out", str(target)
+    )
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+
+
+def test_descriptor_and_poly_files_give_the_inline_certificate(capsys, tmp_path):
+    desc = tmp_path / "entries.json"
+    desc.write_text('{"kind": "grassmann", "grading": {"deg": "infty"}}\n')
+    poly = tmp_path / "poly.txt"
+    poly.write_text("[z1, z2]\n  * y3\n")
+    names = {"DESC": ("grassmann:deg=infty", str(desc)), "POLY": ("[z1, z2] * y3", str(poly))}
+    for argv in (
+        ["identities", "--algebra", "DESC", "--sig", "0,1,1"],
+        ["factor-check", "--shape", "1,1", "--entries", "DESC", "--sig", "0,1,1"],
+        ["model", "eval", "--shape", "1,1", "--mode", "infty", "--poly", "POLY"],
+        ["relfree", "nf", "--mode", "infty", "--poly", "POLY"],
+    ):
+        inline = run_cli(capsys, *[names[a][0] if a in names else a for a in argv])
+        from_file = run_cli(capsys, *[names[a][1] if a in names else a for a in argv])
+        assert inline[0] == 0 and from_file == inline, argv
 
 
 def test_console_entry_point():

@@ -24,7 +24,7 @@ from gradedpi.freealg import (
 )
 from gradedpi.spaces import full_multilinearization, multidegree_components
 
-from _support import substitute
+from _support import GradedSubstitutionError, substitute
 
 
 def rand_poly(rng, uni, n_terms=4, max_len=3):
@@ -161,8 +161,6 @@ def test_substitute_is_homomorphism():
 
 
 def test_substitute_checks_degrees():
-    from gradedpi.errors import GradedSubstitutionError
-
     f = zvar(1) * zvar(2)
     with pytest.raises(GradedSubstitutionError):
         substitute(f, {1: yvar(3)}, Z2)
@@ -210,6 +208,11 @@ def test_signature_parsing_and_validation():
         parse_signature("", Z2)
     with pytest.raises(ParseError):
         parse_signature("0,a", Z2)
+    # over the rank-0 group the only degree is 0; no entry may be empty
+    assert parse_signature("0, 0", TRIVIAL_GROUP) == ((), ())
+    for text, spec in [("0,1", TRIVIAL_GROUP), ("0,,1", Z2), ("0,1,", Z2), (",0", TRIVIAL_GROUP)]:
+        with pytest.raises(ParseError):
+            parse_signature(text, spec)
 
 
 def test_multilinear_coordinates_round_trip():

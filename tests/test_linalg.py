@@ -213,16 +213,13 @@ def test_kernel_rows_are_read_off_one_elimination(monkeypatch):
 
 def test_kernel_guard_bounds_the_kernel_before_building_it():
     """(n_cols - rank) x n_cols must fit max_cells; the message names the
-    row the elimination would have kept past the guard, as it did when the
-    kernel was eliminated row by row."""
+    kernel it bounds, whatever the limit."""
     rows = [{0: 1, 1: 1}]  # rank 1, kernel 9 rows of 10 columns
     with pytest.raises(GuardExceededError) as exc:
         kernel_basis(rows, 10, GuardLimits(max_cells=89))
-    assert str(exc.value) == (
-        "elimination, kept: 9 rows of 10 columns (90 cells) exceeds the guard of 89 cells"
-    )
+    assert str(exc.value) == "kernel: 9 rows of 10 columns (90 cells) exceeds the guard of 89 cells"
     assert exc.value.cells == 90
-    with pytest.raises(GuardExceededError, match="6 rows of 10 columns"):
+    with pytest.raises(GuardExceededError, match="kernel: 9 rows of 10 columns"):
         kernel_basis(rows, 10, GuardLimits(max_cells=50))
     assert kernel_basis(rows, 10, GuardLimits(max_cells=90)).dim == 9
 

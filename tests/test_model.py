@@ -15,7 +15,6 @@ from gradedpi.model import (
     GenericMatrix,
     ModelConfig,
     RectangularStrip,
-    column_projection,
     decode_entry_variable,
     encode_entry_variable,
     extract_blocks,
@@ -33,7 +32,7 @@ from gradedpi.spaces import TruncatedQuotientBackend
 
 from _support import word_by_word_model_eval
 
-NAT = GradingMode.natural()
+NAT = GradingMode("natural")
 
 
 def cfg_nat(sizes):
@@ -213,18 +212,6 @@ def test_shift_requires_single_block():
         shift_automorphism(make_generator(1, (0,), cfg), cfg)
 
 
-def test_column_projection():
-    cfg = cfg_nat((2,))
-    g = make_generator(1, (1,), cfg)
-    col = column_projection(g, 1)
-    assert len(col) == 2
-    ad = cfg.adapter()
-    assert ad.is_zero(col[0] - g.entry(1, 1))
-    assert ad.is_zero(col[1] - g.entry(2, 1))
-    with pytest.raises(MalformedElementError):
-        column_projection(g, 3)
-
-
 def test_independence_basic():
     cfg = cfg_nat((2,))
     a = make_generator(1, (0,), cfg)
@@ -297,6 +284,32 @@ def test_truncated_backend_agrees_with_relfree_backend():
     for text in samples:
         f = parse_poly(text, Z2)
         assert model_eval(f, cfg_t).is_zero() == model_eval(f, cfg_r).is_zero(), text
+
+
+def test_truncated_backend_shift_and_independence_agree_with_relfree_backend():
+    """The congruence backend renames entries for the shift and keys their
+    residues for independence; every verdict matches the rewriting
+    backend's on M_2 over E."""
+    E = build_grassmann(GrassmannSpec(8, "natural"))
+    cfg_t = ModelConfig(BlockShape((2,)), Z2, TruncatedQuotientBackend(E, max_degree=3))
+
+    def verdicts(cfg):
+        A, B = make_generator(1, (0,), cfg), make_generator(2, (1,), cfg)
+        C = model_eval(parse_poly("[y1, z2]", Z2), cfg)  # A*B - B*A
+        out = []
+        for M in (A, B, A * B, C):
+            S = shift_automorphism(M, cfg)
+            out += [S.equal(M), shift_automorphism(S, cfg).equal(M)]
+        SA, SB = shift_automorphism(A, cfg), shift_automorphism(B, cfg)
+        out.append(shift_automorphism(A * B, cfg).equal(SA * SB))
+        for mats in ([A, B, A * B, C], [A, B, A + B.scale(2)], [A * B, B * A, C]):
+            out += [independent_full(mats), independent_by_columns(mats, 1),
+                    independent_by_columns(mats, 2)]
+        return out
+
+    got = verdicts(cfg_t)
+    assert got == verdicts(cfg_nat((2,)))
+    assert any(got) and not all(got)
 
 
 def test_truncated_backend_group_must_match():

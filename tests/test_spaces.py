@@ -277,9 +277,9 @@ def test_known_identity_membership():
 def test_routes_agree_on_sample_signatures():
     """Evaluation kernels against consequence spans for each catalogued mode."""
     mode_algs = [
-        (GradingMode.natural(), E(8, "natural")),
-        (GradingMode.infty(), E(8, "infty")),
-        (GradingMode.kstar(1), E(8, "kstar", k=1)),
+        (GradingMode("natural"), E(8, "natural")),
+        (GradingMode("infty"), E(8, "infty")),
+        (GradingMode("kstar", 1), E(8, "kstar", k=1)),
     ]
     sigs = all_z2_sigs(2) + [((1,), (1,), (0,)), ((0,), (0,), (1,))]
     for mode, alg in mode_algs:
@@ -498,7 +498,7 @@ def test_triple_commutator_generators_z2():
     sig = ((0,), (0,), (0,))
     comp = identities_by_consequences(TIdealPresentation(gens, Z2), sig)
     assert comp.space == identities_by_evaluation(E(6, "infty"), sig, method="limit").space
-    assert math.factorial(3) - comp.dim == count_multilinear_basis_words(GradingMode.infty(), sig)
+    assert math.factorial(3) - comp.dim == count_multilinear_basis_words(GradingMode("infty"), sig)
 
 
 def test_tideal_product_bordered_crosscheck():
@@ -555,7 +555,7 @@ def test_factoring_ut11_natural_small():
     R = build_matrix_over(E(8, "natural"), BlockShape((1, 1)))
     factors = [EvaluationProvider(E(8, "natural")), EvaluationProvider(E(8, "natural"))]
     for sig in all_z2_sigs(2):
-        v = check_factoring(R, factors, sig)
+        v = check_factoring(EvaluationProvider(R), factors, sig)
         assert v.relation == "equal", sig
         assert v.factors
         assert v.dim_identities == v.dim_product
@@ -567,7 +567,7 @@ def test_factoring_kstar_strictly_inside():
     A = E(6, "kstar", k=k)
     R = build_matrix_over(A, BlockShape((1, 1)))
     factors = [EvaluationProvider(A), EvaluationProvider(A)]
-    v = check_factoring(R, factors, sig)
+    v = check_factoring(EvaluationProvider(R), factors, sig)
     assert v.relation == "product_strictly_inside"
     assert not v.factors
     assert v.witness is not None
@@ -592,7 +592,33 @@ def test_factoring_inconsistency_detected():
     A = E(6, "natural")
     target = EvaluationProvider(A)
     with pytest.raises(InternalInconsistencyError):
-        check_factoring(target, [FakeProvider(), FakeProvider()], ((1,), (1,)), spec=Z2)
+        check_factoring(target, [FakeProvider(), FakeProvider()], ((1,), (1,)))
+
+
+def test_three_factor_product_matches_nested_reference_products():
+    """ProductProvider of three factors is (T1 T2) T3: the same space as
+    reference_product_rows applied twice, for the elementary blocks of the
+    (1,1,1) field algebra with targets 0,1,0, plain and bordered."""
+
+    class Reference:
+        spec = Z2
+
+        def __init__(self, left, right):
+            self.left, self.right = left, right
+
+        def component(self, sig):
+            rows = reference_product_rows(self.left, self.right, sig, Z2)
+            return IdentitySubspace(sig, Z2, row_space(rows, math.factorial(len(sig))))
+
+    factors = [EvaluationProvider(build_matrix_algebra((t,), Z2)) for t in ((0,), (1,), (0,))]
+    want_provider = Reference(Reference(factors[0], factors[1]), factors[2])
+    proper = []
+    for sig in [s for n in (2, 3, 4) for s in all_z2_sigs(n)]:
+        want = want_provider.component(sig).space
+        for bordered in (False, True):
+            assert ProductProvider(factors, Z2, bordered).component(sig).space == want, sig
+        proper.append(0 < want.dim < want.ambient_dim)
+    assert any(proper)  # some products are proper, some not
 
 
 def test_product_provider_needs_two():
@@ -740,7 +766,7 @@ def test_truncated_backend_agrees_with_normal_forms():
     """Congruence modulo T(E) matches the rewriting engine's verdicts."""
     from gradedpi.relfree import normal_form
 
-    for kind, mode in [("natural", GradingMode.natural()), ("infty", GradingMode.infty())]:
+    for kind, mode in [("natural", GradingMode("natural")), ("infty", GradingMode("infty"))]:
         alg = E(10, kind)
         backend = TruncatedQuotientBackend(alg, max_degree=4)
         samples = [
@@ -767,6 +793,10 @@ def test_truncated_backend_residue_linearity():
     # mixed degrees split and reassemble
     h = parse_poly("z1*z2 + z2*z1 + [y3, y4]", Z2)
     assert backend.is_zero(h)
+    # a constant term is a component of its own, and no identity
+    c = parse_poly("3 + z1*z2 + z2*z1", Z2)
+    assert backend.residue(c) == {(): ((0, 3),)}
+    assert backend.congruent(c, parse_poly("3", Z2))
 
 
 def test_truncated_backend_degree_bound():
