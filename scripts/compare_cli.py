@@ -78,13 +78,13 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 from _support import ACCEPTANCE_GENERATORS, acceptance_commands  # noqa: E402
 
 GENERATORS_FILE = "gens.txt"  # relative to the working directory of every run
-# the natural grading's presentation (spaces.presentation_natural)
+# the natural grading's presentation (spaces.presentation_for_mode)
 NATURAL_GENERATORS_FILE = "natural.txt"
 NATURAL_GENERATORS = "[y1, y2]\n[y1, z2]\nz1*z2 + z2*z1\n"
 # generators of mixed arities, one of them with Fraction coefficients
 MIXED_GENERATORS_FILE = "mixed.txt"
 MIXED_GENERATORS = "[[z1,y2],z3]\n1/2*y1*y2 - 1/2*y2*y1\n"
-# the eight Z2 triple commutators (spaces.presentation_infty)
+# the eight Z2 triple commutators (spaces.presentation_for_mode, infty)
 TRIPLE_COMMUTATORS_FILE = "triples.txt"
 TRIPLE_COMMUTATORS = "".join(
     f"[[{a}1, {b}2], {c}3]\n" for a, b, c in itertools.product("yz", repeat=3)

@@ -102,9 +102,6 @@ from .spaces import (
     membership,
     multidegree_components,
     presentation_for_mode,
-    presentation_infty,
-    presentation_kstar,
-    presentation_natural,
     presentation_trivial_grassmann,
     tideal_product,
     triple_commutator_generators,

@@ -278,9 +278,7 @@ def _tokenize(text: str):
     out = []
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
+        if not m:
             raise ParseError(f"unexpected input at {text[pos:pos + 16]!r}")
         pos = m.end()
         if m.group("num") is not None:

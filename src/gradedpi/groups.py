@@ -24,10 +24,6 @@ class GroupSpec:
         if any((not isinstance(n, int)) or n < 1 for n in self.orders):
             raise MalformedElementError(f"cyclic orders must be positive ints: {self.orders!r}")
 
-    @property
-    def rank(self) -> int:
-        return len(self.orders)
-
     def order(self) -> int:
         out = 1
         for n in self.orders:

@@ -74,22 +74,28 @@ def add_scaled(out: dict, items, c=1) -> dict:
     return out
 
 
-def _bits_exceeded(bits: int, guard: GuardLimits) -> GuardExceededError:
-    return GuardExceededError(
-        f"a coefficient exceeded {guard.max_bits} bits during elimination", bits=bits
-    )
+def integral(c):
+    """A Fraction as an int when it is integral, so arithmetic on it
+    multiplies ints."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _content(vals, guard: GuardLimits) -> int:
+    """The gcd of nonzero ints, at least one, once the largest fits the
+    guard's max_bits."""
+    bits = max(max(vals), -min(vals)).bit_length()
+    if bits > guard.max_bits:
+        raise GuardExceededError(
+            f"a coefficient exceeded {guard.max_bits} bits during elimination", bits=bits
+        )
+    return math.gcd(*vals)
 
 
 def _primitive(items, guard: GuardLimits) -> tuple:
     """Divide sorted nonzero (col, int) pairs, at least one, by their
-    content, leading entry positive. The largest entry must fit the guard's
-    max_bits."""
-    vals = [v for _, v in items]
-    bits = max(max(vals), -min(vals)).bit_length()
-    if bits > guard.max_bits:
-        raise _bits_exceeded(bits, guard)
-    g = math.gcd(*vals)
-    if vals[0] < 0:
+    content, leading entry positive."""
+    g = _content([v for _, v in items], guard)
+    if items[0][1] < 0:
         g = -g
     return tuple(items) if g == 1 else tuple([(c, v // g) for c, v in items])
 
@@ -97,18 +103,14 @@ def _primitive(items, guard: GuardLimits) -> tuple:
 def _int_row(acc: dict, guard: GuardLimits) -> dict:
     """A sparse row of nonzero values as an integer row with no content; an
     integral row of content 1 is returned as it is. A rational row is scaled
-    by its denominators' lcm first. As in _primitive, the guard's max_bits
-    bounds the integer row before its content is divided out."""
+    by its denominators' lcm first, and the integer row is bounded before
+    its content is divided out."""
     if not all(type(v) is int for v in acc.values()):
         # scale by the denominators' lcm without building a Fraction per entry
         acc = {c: v if isinstance(v, (int, Fraction)) else Fraction(v) for c, v in acc.items()}
         denom_lcm = math.lcm(*(v.denominator for v in acc.values()))
         acc = {c: v.numerator * (denom_lcm // v.denominator) for c, v in acc.items()}
-    vals = acc.values()
-    bits = max(max(vals), -min(vals)).bit_length()
-    if bits > guard.max_bits:
-        raise _bits_exceeded(bits, guard)
-    g = math.gcd(*vals)
+    g = _content(acc.values(), guard)
     return acc if g == 1 else {c: v // g for c, v in acc.items()}
 
 

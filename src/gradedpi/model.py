@@ -20,7 +20,7 @@ from .algebras import BlockShape
 from .errors import MalformedElementError, UnsupportedFeatureError
 from .freealg import NcPolynomial, format_poly
 from .groups import Z2, GroupSpec
-from .linalg import DEFAULT_GUARD, GuardLimits, RowReducer, add_scaled
+from .linalg import DEFAULT_GUARD, GuardLimits, RowReducer, add_scaled, integral
 from .relfree import (
     GradingMode,
     RelFreeWord,
@@ -28,7 +28,6 @@ from .relfree import (
     expand,
     format_relfree,
     from_straightened,
-    integral,
     letter_step,
     normal_form,
     zero_element,
@@ -127,6 +126,9 @@ class _TruncatedAdapter:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """A model's shape, group and backend; equal configs are one model.
+    The backend's entry arithmetic, its adapter, is built once, here."""
+
     shape: BlockShape
     group: GroupSpec
     backend: object  # GradingMode or TruncatedQuotientBackend
@@ -137,20 +139,21 @@ class ModelConfig:
                 raise MalformedElementError(
                     "the normal-form backend carries the group of order 2"
                 )
+            adapter = _RelfreeAdapter(self.backend)
         elif isinstance(self.backend, TruncatedQuotientBackend):
             if self.backend.spec != self.group:
                 raise MalformedElementError("backend group differs from the model group")
+            adapter = _TruncatedAdapter(self.backend)
         else:
             raise MalformedElementError(f"unsupported backend {self.backend!r}")
+        object.__setattr__(self, "_adapter", adapter)
 
     @property
     def n(self) -> int:
         return self.shape.n
 
     def adapter(self):
-        if isinstance(self.backend, GradingMode):
-            return _RelfreeAdapter(self.backend)
-        return _TruncatedAdapter(self.backend)
+        return self._adapter
 
 
 def encode_entry_variable(i: int, j: int, k: int, degree, cfg: ModelConfig) -> int:
@@ -183,11 +186,10 @@ def decode_entry_variable(vid: int, cfg: ModelConfig):
 class GenericMatrix:
     """Block-triangular matrix of backend elements."""
 
-    __slots__ = ("cfg", "entries", "_adapter")
+    __slots__ = ("cfg", "entries")
 
-    def __init__(self, cfg: ModelConfig, entries: dict, adapter=None):
+    def __init__(self, cfg: ModelConfig, entries: dict):
         self.cfg = cfg
-        self._adapter = adapter or cfg.adapter()
         clean = {}
         for (i, j), el in entries.items():
             if not cfg.shape.allowed(i, j):
@@ -199,14 +201,10 @@ class GenericMatrix:
 
     def entry(self, i: int, j: int):
         el = self.entries.get((i, j))
-        return self._adapter.zero() if el is None else el
+        return self.cfg.adapter().zero() if el is None else el
 
     def same_model(self, other: "GenericMatrix") -> bool:
-        return (
-            self.cfg.shape == other.cfg.shape
-            and self.cfg.group == other.cfg.group
-            and self.cfg.backend == other.cfg.backend
-        )
+        return self.cfg == other.cfg
 
     def _require_same(self, other):
         if not isinstance(other, GenericMatrix) or not self.same_model(other):
@@ -217,15 +215,13 @@ class GenericMatrix:
         out = dict(self.entries)
         for pos, el in other.entries.items():
             out[pos] = out[pos] + el if pos in out else el
-        return GenericMatrix(self.cfg, out, self._adapter)
+        return GenericMatrix(self.cfg, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c) -> "GenericMatrix":
-        return GenericMatrix(
-            self.cfg, {pos: el * c for pos, el in self.entries.items()}, self._adapter
-        )
+        return GenericMatrix(self.cfg, {pos: el * c for pos, el in self.entries.items()})
 
     def __mul__(self, other):
         self._require_same(other)
@@ -237,20 +233,21 @@ class GenericMatrix:
                 prod = a * b
                 pos = (i, j)
                 out[pos] = out[pos] + prod if pos in out else prod
-        return GenericMatrix(self.cfg, out, self._adapter)
+        return GenericMatrix(self.cfg, out)
 
     def is_zero(self) -> bool:
-        return all(self._adapter.is_zero(el) for el in self.entries.values())
+        ad = self.cfg.adapter()
+        return all(ad.is_zero(el) for el in self.entries.values())
 
     def equal(self, other) -> bool:
         self._require_same(other)
-        ad = self._adapter
+        ad = self.cfg.adapter()
         positions = set(self.entries) | set(other.entries)
         return all(ad.is_zero(self.entry(i, j) - other.entry(i, j)) for i, j in positions)
 
     def entry_strings(self) -> dict:
         """Printable entries keyed "i,j" over the allowed positions."""
-        ad = self._adapter
+        ad = self.cfg.adapter()
         return {
             f"{i},{j}": ad.format(self.entry(i, j))
             for i, j in self.cfg.shape.positions()
@@ -262,7 +259,7 @@ def zero_matrix(cfg: ModelConfig) -> GenericMatrix:
 
 def identity_matrix(cfg: ModelConfig) -> GenericMatrix:
     ad = cfg.adapter()
-    return GenericMatrix(cfg, {(i, i): ad.one() for i in range(1, cfg.n + 1)}, ad)
+    return GenericMatrix(cfg, {(i, i): ad.one() for i in range(1, cfg.n + 1)})
 
 
 def make_generator(k: int, degree, cfg: ModelConfig) -> GenericMatrix:
@@ -274,7 +271,7 @@ def make_generator(k: int, degree, cfg: ModelConfig) -> GenericMatrix:
     for i, j in cfg.shape.positions():
         vid = encode_entry_variable(i, j, k, degree, cfg)
         entries[(i, j)] = ad.variable(vid, degree)
-    return GenericMatrix(cfg, entries, ad)
+    return GenericMatrix(cfg, entries)
 
 
 def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
@@ -302,7 +299,6 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
     """
     if not f.terms:
         return zero_matrix(cfg)
-    ad = cfg.adapter()
     # column l of generator x: the rows i and ids of its entry letters x_{i,l}
     columns, universe = {}, {}
     for x, deg in f.universe.items():
@@ -311,7 +307,7 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
             vid = encode_entry_variable(i, l, x, deg, cfg)
             universe[vid] = deg
             col.setdefault(l, []).append((i, vid))
-    empty, times, finish = ad.raw_arithmetic(universe)
+    empty, times, finish = cfg.adapter().raw_arithmetic(universe)
 
     def normalized(terms: dict):
         """(leading coefficient, sorted terms divided by it), integral
@@ -356,7 +352,7 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
         pos: finish(raw if lead == 1 else {w: lead * c for w, c in raw.items()})
         for pos, raw in raws.items()
     }
-    return GenericMatrix(cfg, entries, ad)
+    return GenericMatrix(cfg, entries)
 
 
 def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:
@@ -371,7 +367,7 @@ def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:
             "the shift substitution is defined on single-block models only"
         )
     n = cfg.n
-    ad = M._adapter
+    ad = M.cfg.adapter()
     out = {}
     for pos, el in M.entries.items():
         # both element types declare exactly the ids they use
@@ -381,7 +377,7 @@ def shift_automorphism(M: GenericMatrix, cfg: ModelConfig) -> GenericMatrix:
             i, j, k, deg = decode_entry_variable(vid, cfg)
             id_map[vid] = encode_entry_variable(i % n + 1, j % n + 1, k, deg, cfg)
         out[pos] = ad.rename(el, id_map)
-    return GenericMatrix(cfg, out, ad)
+    return GenericMatrix(cfg, out)
 
 
 def _independent(matrices, positions, guard: GuardLimits) -> bool:
@@ -393,7 +389,7 @@ def _independent(matrices, positions, guard: GuardLimits) -> bool:
     first = matrices[0]
     for m in matrices[1:]:
         first._require_same(m)
-    ad = first._adapter
+    ad = first.cfg.adapter()
     cells = positions(first.cfg.n)
     vectors = [
         {
@@ -458,7 +454,6 @@ def extract_blocks(M: GenericMatrix, cfg: ModelConfig):
     nl = cfg.n - d_last
     lead_cfg = ModelConfig(BlockShape(sizes[:-1]), cfg.group, cfg.backend)
     corner_cfg = ModelConfig(BlockShape((d_last,)), cfg.group, cfg.backend)
-    ad = M._adapter
     lead, corner, strip = {}, {}, {}
     for (i, j), el in M.entries.items():
         if i <= nl and j <= nl:
@@ -468,8 +463,8 @@ def extract_blocks(M: GenericMatrix, cfg: ModelConfig):
         else:
             strip[(i, j - nl)] = el
     return (
-        GenericMatrix(lead_cfg, lead, ad),
-        GenericMatrix(corner_cfg, corner, ad),
+        GenericMatrix(lead_cfg, lead),
+        GenericMatrix(corner_cfg, corner),
         RectangularStrip(nl, d_last, strip),
     )
 

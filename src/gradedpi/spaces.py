@@ -34,6 +34,7 @@ from .algebras import (
     homogeneous_indices,
 )
 from .errors import (
+    AmbientMismatchError,
     InternalInconsistencyError,
     MalformedElementError,
     TruncationError,
@@ -59,6 +60,7 @@ from .linalg import (
     add_scaled,
     cells_guard,
     contains,
+    integral,
     kernel_basis,
     reduce_vector,
 )
@@ -389,42 +391,25 @@ def presentation_trivial_grassmann() -> TIdealPresentation:
     )
 
 
-def presentation_infty() -> TIdealPresentation:
-    """Identities of the exterior algebra with alternating generator degrees."""
-    return TIdealPresentation(
-        tuple(triple_commutator_generators(Z2)), Z2, name="infty"
-    )
-
-
-def presentation_kstar(k: int) -> TIdealPresentation:
-    """Identities with k degree-1 generators: triple commutator plus the
-    length-(k+1) product of odd variables."""
-    if k < 0:
-        raise MalformedElementError("k must be >= 0")
-    zword = NcPolynomial.word(
-        tuple(range(1, k + 2)), {i: (1,) for i in range(1, k + 2)}
-    )
-    return TIdealPresentation(
-        tuple(triple_commutator_generators(Z2)) + (zword,), Z2, name=f"kstar:{k}"
-    )
-
-
-def presentation_natural() -> TIdealPresentation:
-    """Supercommutativity: even variables central, odd ones anticommuting."""
-    gens = (
-        left_normed_commutator([yvar(1), yvar(2)]),
-        left_normed_commutator([yvar(1), zvar(2)]),
-        zvar(1) * zvar(2) + zvar(2) * zvar(1),
-    )
-    return TIdealPresentation(gens, Z2, name="natural")
-
-
 def presentation_for_mode(mode) -> TIdealPresentation:
+    """The identities of the exterior algebra graded as the mode says.
+
+    natural: supercommutativity, even variables central and odd ones
+    anticommuting. infty: the Z2 triple commutators. kstar:k: those plus
+    the product of k + 1 odd variables.
+    """
     if mode.kind == "natural":
-        return presentation_natural()
-    if mode.kind == "infty":
-        return presentation_infty()
-    return presentation_kstar(mode.k)
+        gens = [
+            left_normed_commutator([yvar(1), yvar(2)]),
+            left_normed_commutator([yvar(1), zvar(2)]),
+            zvar(1) * zvar(2) + zvar(2) * zvar(1),
+        ]
+    else:
+        gens = triple_commutator_generators(Z2)
+    if mode.kind == "kstar":
+        odd = range(1, mode.k + 2)
+        gens.append(NcPolynomial.word(tuple(odd), {i: (1,) for i in odd}))
+    return TIdealPresentation(gens, Z2, name=mode.token())
 
 
 def _disjoint_subset_tuples(pool: tuple, m: int):
@@ -446,10 +431,7 @@ def _generator_terms(presentation: TIdealPresentation) -> dict:
     for f in presentation.generators:
         fvars = sorted(f.universe)
         slot = {v: j for j, v in enumerate(fvars)}
-        fterms = [
-            (tuple(slot[v] for v in w), c.numerator if c.denominator == 1 else c)
-            for w, c in f.terms.items()
-        ]
+        fterms = [(tuple(slot[v] for v in w), integral(c)) for w, c in f.terms.items()]
         fdegs = tuple(tuple(f.universe[v]) for v in fvars)
         by_arity.setdefault(len(fvars), []).append((fdegs, fterms))
     return by_arity
@@ -628,6 +610,16 @@ class ConsequenceProvider(_ComponentCache):
         return identities_by_consequences(self.presentation, sig, self.guard)
 
 
+def _shared_group(providers) -> GroupSpec:
+    """The one group that every provider is graded by."""
+    specs = {p.spec for p in providers}
+    if len(specs) != 1:
+        raise AmbientMismatchError(
+            f"providers over different groups: {sorted(s.orders for s in specs)}"
+        )
+    return specs.pop()
+
+
 def _component_terms(provider, positions, sig):
     """Basis of the provider's component on a position subset: per row, its
     (word over those positions, coefficient) pairs."""
@@ -637,14 +629,10 @@ def _component_terms(provider, positions, sig):
 
 
 def tideal_product(
-    left,
-    right,
-    sig,
-    spec: GroupSpec,
-    bordered: bool = False,
-    guard: GuardLimits = DEFAULT_GUARD,
+    left, right, sig, *, bordered: bool = False, guard: GuardLimits = DEFAULT_GUARD
 ) -> IdentitySubspace:
-    """Multilinear component of the ideal product T1*T2 at a signature.
+    """Multilinear component of the ideal product T1*T2 at a signature,
+    over the group the two providers share.
 
     In characteristic zero this is the sum over nonempty proper position
     subsets S of (T1's component on S)*(T2's component on the complement);
@@ -654,6 +642,7 @@ def tideal_product(
     by concatenating words: f, the middle and g sit on disjoint positions,
     so no two terms of a product share a word.
     """
+    spec = _shared_group((left, right))
     sig = validate_signature(sig, spec)
     n = len(sig)
     reducer = RowReducer(len(_multilinear_basis(n, guard)), guard)
@@ -683,28 +672,25 @@ def tideal_product(
 
 
 class ProductProvider(_ComponentCache):
-    """Left-associated iterated T-ideal product of component providers."""
+    """Left-associated iterated T-ideal product of component providers
+    over one group."""
 
-    def __init__(
-        self,
-        factors,
-        spec: GroupSpec,
-        bordered: bool = False,
-        guard: GuardLimits = DEFAULT_GUARD,
-    ):
+    def __init__(self, factors, *, bordered: bool = False, guard: GuardLimits = DEFAULT_GUARD):
         factors = list(factors)
         if len(factors) < 2:
             raise MalformedElementError("a product needs at least two factors")
-        super().__init__(spec, guard)
+        super().__init__(_shared_group(factors), guard)
         self.bordered = bordered
         if len(factors) == 2:
             self.left, self.right = factors
         else:
-            self.left = ProductProvider(factors[:-1], spec, bordered, guard)
+            self.left = ProductProvider(factors[:-1], bordered=bordered, guard=guard)
             self.right = factors[-1]
 
     def _compute(self, sig) -> IdentitySubspace:
-        return tideal_product(self.left, self.right, sig, self.spec, self.bordered, self.guard)
+        return tideal_product(
+            self.left, self.right, sig, bordered=self.bordered, guard=self.guard
+        )
 
 
 # -- factoring ----------------------------------------------------------------
@@ -734,14 +720,15 @@ def check_factoring(
     """Compare the identity component of a block-triangular algebra with
     its diagonal factors' T-ideal product.
 
-    target and the factors are component providers over target.spec, e.g.
+    target and the factors are component providers over one group, e.g.
     EvaluationProvider(R) for the algebra R; guard bounds the product. The
     product is always contained in the identities, so a violation is
     reported as an internal inconsistency, not a verdict.
     """
-    spec = target.spec
+    factor_providers = list(factor_providers)
+    spec = _shared_group([target, *factor_providers])
     sig = validate_signature(sig, spec)
-    product = ProductProvider(list(factor_providers), spec, False, guard)
+    product = ProductProvider(factor_providers, guard=guard)
     t_comp = target.component(sig)
     p_comp = product.component(sig)
     # canonical RREF is unique: equal spaces have equal rows
@@ -752,7 +739,7 @@ def check_factoring(
             "one of the routes is computing the wrong space"
         )
     if bordered_crosscheck:
-        p2 = ProductProvider(list(factor_providers), spec, True, guard).component(sig)
+        p2 = ProductProvider(factor_providers, bordered=True, guard=guard).component(sig)
         if p2.space.rows != p_comp.space.rows:
             raise InternalInconsistencyError(
                 f"bordered product span disagrees with the plain span at {sig}"

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gradedpi.algebras import (
     descriptor_of,
 )
 from gradedpi.cli import main
+from gradedpi.freealg import format_poly
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +191,28 @@ def test_identities_guard_exits_3(capsys):
     assert "guard of 10 cells" in err and "max_cells 10" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1", "--max-cells", "-1"],
+        ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1", "--max-cells", "0"],
+        ["identities", "--algebra", "grassmann:deg=infty", "--sig", "0,1", "--max-bits", "0"],
+        ["factor-check", "--shape", "1,1", "--sig", "0,1", "--max-bits", "-5"],
+        ["model", "eval", "--shape", "1,1", "--mode", "infty", "--poly", "z1*z2",
+         "--max-cells", "-1"],
+    ],
+)
+def test_non_positive_guard_limits_exit_1(capsys, argv):
+    """A guard limit below 1 is malformed input, as --max-cells abc is: it
+    exits 1 from argparse and names the flag, and trips no guard."""
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 1
+    *usage, last = capsys.readouterr().err.splitlines()
+    assert usage[0].startswith("usage:") and not any("error" in ln for ln in usage)
+    assert last.endswith(f"error: argument {argv[-2]}: must be a positive integer, got '{argv[-1]}'")
+
+
 def test_consequence_guard_exits_3_where_the_component_does_not_fit(capsys, tmp_path):
     """The consequence route exits 3 exactly when the component's dim x n!
     exceeds --max-cells: dim I(P) >= dim I(P minus x), so a shorter
@@ -346,6 +370,29 @@ def test_unknown_descriptor_keys_exit_1_naming_the_allowed_ones(capsys, desc, me
         assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
 
+@pytest.mark.parametrize("over", [None, (1, 1)])
+def test_identities_evaluates_an_explicit_grading_once(capsys, over):
+    """An explicit grading lists one degree per generator, so it fixes its
+    algebra: identities evaluates that algebra, alone or inside a
+    matrix_over, and writes no stabilization scan."""
+    algebra = build_grassmann(GrassmannSpec(3, "explicit", explicit=(1, 0, 1)))
+    desc = {"kind": "grassmann", "generators": 3, "grading": {"deg": {"explicit": [1, 0, 1]}}}
+    if over:
+        algebra = build_matrix_over(algebra, BlockShape(over))
+        desc = {"kind": "matrix_over", "shape": list(over), "entries": desc}
+    for method in ("auto", "full"):
+        code, out, err = run_cli(
+            capsys, "identities", "--algebra", json.dumps(desc), "--sig", "1,1",
+            "--method", method, "--basis",
+        )
+        assert code == 0, err
+        want = spaces.identities_by_evaluation(algebra, ((1,), (1,)), method)
+        result = cert_from(out)["result"]
+        assert result["stabilization"] is None
+        assert result["dim"] == want.dim
+        assert result["basis"] == [format_poly(p, style="yz") for p in want.basis_polynomials()]
+
+
 def test_identities_accepts_descriptor_of_matrix_over(capsys):
     M = build_matrix_over(build_grassmann(GrassmannSpec(2, "natural")), BlockShape((1, 1)))
     desc = json.dumps(descriptor_of(M))
@@ -423,12 +470,25 @@ def test_fuzzed_input_never_escapes(desc, sig, command, shape):
         argv = ["identities", "--algebra", desc, "--sig", sig]
     else:
         argv = ["factor-check", "--shape", shape, "--entries", desc, "--sig", sig]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    _assert_exit_code_and_one_line(argv)
+
+
+def _assert_exit_code_and_one_line(argv):
+    """main(argv) ends in an exit code from 0 to 4. A nonzero exit that is
+    not an argparse usage error writes exactly one stderr line, and no
+    traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3, 4)
+            code = exc.code  # argparse usage: a usage line and an error line
+        else:
+            if code:
+                assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+                assert err.getvalue().endswith("\n"), argv
+    assert code in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 _MODE_TEXTS = ["natural", "infty", "kstar:1", "kstar:x", "kstar:", "degk", "bogus"]
@@ -449,12 +509,35 @@ def test_fuzzed_mode_and_poly_never_escape(command, mode, poly, shape):
         argv = ["model", "eval", "--shape", shape, "--mode", mode, "--poly", poly]
     else:
         argv = ["relfree", "nf", "--mode", mode, "--poly", poly]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 1, 2, 3, 4)
+    _assert_exit_code_and_one_line(argv)
+
+
+_HUGE = ["100000000", str(10**30)]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(["regularity", "multbasis"]),
+    group=st.sampled_from(["2", "3", "2,2", "1", "0", "-2", "x", "", "65537", "256,257"] + _HUGE),
+    targets=st.sampled_from(["0,1", "0", "1,2", "0.1,1.0", "-1", "a", ""] + _HUGE),
+    mode=st.sampled_from(["natural", "infty", "kstar:1", "kstar:x", "degk"]),
+    bound=st.sampled_from(["1", "3", "0", "-2", "b"] + _HUGE),
+    samples=st.sampled_from(["1", "3", "0", "-4", "y"] + _HUGE),
+    seed=st.sampled_from(["0", "-1", "z"] + _HUGE),
+)
+def test_fuzzed_regularity_and_multbasis_values_never_escape(
+    command, group, targets, mode, bound, samples, seed
+):
+    """Generated --group and --targets values for regularity, and --bound,
+    --samples and --seed values for relfree multbasis, huge ones included,
+    end in an exit code, with one stderr line on an error: huge groups,
+    bounds and sample counts trip a guard before any work."""
+    if command == "regularity":
+        argv = ["regularity", "--group", group, "--targets", targets]
+    else:
+        argv = ["relfree", "multbasis", "--mode", mode, "--bound", bound,
+                "--samples", samples, "--seed", seed]
+    _assert_exit_code_and_one_line(argv)
 
 
 def test_bad_kstar_level_exits_1(capsys):
@@ -850,6 +933,19 @@ def test_relfree_multbasis_needs_a_positive_bound_and_sample_count(capsys, flag,
     code, out, err = run_cli(capsys, "relfree", "multbasis", "--mode", "infty", flag, value)
     assert code == 1 and out == ""
     assert err == "error: degree bound and sample count must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--samples", "100000000"], ["--bound", "100000000", "--samples", "1"]]
+)
+def test_relfree_multbasis_bounds_its_work_before_the_first_sample(capsys, argv):
+    """samples x (bound^3 + 2^14) is bounded before any sample is drawn."""
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "relfree", "multbasis", "--mode", "infty", *argv)
+    assert time.monotonic() - t0 < 1
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: multiplicativity probe: ")
+    assert err.endswith(f"past the limit of {2**26}\n") and err.count("\n") == 1
 
 
 def test_certificates_byte_identical(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedpi import Z2, TRIVIAL_GROUP, spaces
+from gradedpi import Z2, TRIVIAL_GROUP, GroupSpec, spaces
 from gradedpi.algebras import (
     BlockShape,
     GrassmannSpec,
@@ -17,6 +17,7 @@ from gradedpi.algebras import (
     build_matrix_over,
 )
 from gradedpi.errors import (
+    AmbientMismatchError,
     GuardExceededError,
     InternalInconsistencyError,
     MalformedElementError,
@@ -55,7 +56,6 @@ from gradedpi.spaces import (
     multidegree_components,
     parity_patterns,
     presentation_for_mode,
-    presentation_natural,
     presentation_trivial_grassmann,
     tideal_product,
     triple_commutator_generators,
@@ -490,6 +490,35 @@ def test_presentations_are_multilinear():
                 assert len(set(w)) == len(w)
 
 
+_TRIPLE_COMMUTATORS = [
+    "y1*y2*y3 - y2*y1*y3 - y3*y1*y2 + y3*y2*y1",
+    "y1*y2*z3 - y2*y1*z3 - z3*y1*y2 + z3*y2*y1",
+    "y1*z2*y3 - z2*y1*y3 - y3*y1*z2 + y3*z2*y1",
+    "y1*z2*z3 - z2*y1*z3 - z3*y1*z2 + z3*z2*y1",
+    "z1*y2*y3 - y2*z1*y3 - y3*z1*y2 + y3*y2*z1",
+    "z1*y2*z3 - y2*z1*z3 - z3*z1*y2 + z3*y2*z1",
+    "z1*z2*y3 - z2*z1*y3 - y3*z1*z2 + y3*z2*z1",
+    "z1*z2*z3 - z2*z1*z3 - z3*z1*z2 + z3*z2*z1",
+]
+
+
+@pytest.mark.parametrize(
+    "mode, want",
+    [
+        ("natural", ["y1*y2 - y2*y1", "y1*z2 - z2*y1", "z1*z2 + z2*z1"]),
+        ("infty", _TRIPLE_COMMUTATORS),
+        ("kstar:0", _TRIPLE_COMMUTATORS + ["z1"]),
+        ("kstar:1", _TRIPLE_COMMUTATORS + ["z1*z2"]),
+        ("kstar:2", _TRIPLE_COMMUTATORS + ["z1*z2*z3"]),
+    ],
+)
+def test_presentation_of_each_mode(mode, want):
+    """Each mode's presentation: its name and its generators in order."""
+    pres = presentation_for_mode(GradingMode.parse(mode))
+    assert pres.name == mode and pres.spec == Z2
+    assert [format_poly(f, style="yz") for f in pres.generators] == want
+
+
 def test_triple_commutator_generators_z2():
     """The eight Z2 triple commutators generate T(E) of the infty grading at
     length 3: the evaluation route on E_6 and the normal-form count agree."""
@@ -503,12 +532,12 @@ def test_triple_commutator_generators_z2():
 
 def test_tideal_product_bordered_crosscheck():
     """Bordered and plain spans of T(A)T(B) agree at small signatures."""
-    pres = presentation_natural()
+    pres = presentation_for_mode(GradingMode("natural"))
     left = ConsequenceProvider(pres)
     right = ConsequenceProvider(pres)
     for sig in [((1,), (1,), (1,)), ((0,), (1,), (1,)), ((0,), (0,), (1,), (1,))]:
-        plain = tideal_product(left, right, sig, Z2, bordered=False)
-        bordered = tideal_product(left, right, sig, Z2, bordered=True)
+        plain = tideal_product(left, right, sig, bordered=False)
+        bordered = tideal_product(left, right, sig, bordered=True)
         assert plain.space == bordered.space, sig
 
 
@@ -521,7 +550,7 @@ def test_product_rows_match_polynomial_oracle(monkeypatch):
     cases = [
         (E8, E8, [tuple((d,) for d in s) for s in [(0, 1, 0, 1), (0, 0, 1, 1, 1)]]),
         (blocks[0], blocks[1], [s for n in (2, 3) for s in all_z2_sigs(n)]),
-        (ProductProvider(blocks[:2], Z2), blocks[2], [s for n in (3, 4) for s in all_z2_sigs(n)]),
+        (ProductProvider(blocks[:2]), blocks[2], [s for n in (3, 4) for s in all_z2_sigs(n)]),
     ]
     nonzero = 0
     for left, right, sigs in cases:
@@ -531,7 +560,8 @@ def test_product_rows_match_polynomial_oracle(monkeypatch):
                 # and only the outer product's rows are recorded
                 want = reference_product_rows(left, right, sig, Z2, bordered)
                 got, comp = _streamed_rows(
-                    monkeypatch, tideal_product, left, right, sig, Z2, bordered
+                    monkeypatch, functools.partial(tideal_product, bordered=bordered),
+                    left, right, sig,
                 )
                 assert comp.meta["rows"] == len(got)
                 assert [primitive_int_row(r) for r in got] == [
@@ -542,11 +572,11 @@ def test_product_rows_match_polynomial_oracle(monkeypatch):
 
 
 def test_tideal_product_inside_both_factors():
-    pres = presentation_natural()
+    pres = presentation_for_mode(GradingMode("natural"))
     left = ConsequenceProvider(pres)
     right = ConsequenceProvider(pres)
     sig = ((1,), (1,), (1,))
-    prod = tideal_product(left, right, sig, Z2)
+    prod = tideal_product(left, right, sig)
     t_comp = left.component(sig)
     assert all(contains(t_comp.space, dict(r)) for r in prod.space.rows)
 
@@ -574,7 +604,7 @@ def test_factoring_kstar_strictly_inside():
     # z1*z2 itself is an identity of R outside the product
     comp = EvaluationProvider(R).component(sig)
     assert membership(zvar(1) * zvar(2), comp)
-    prod = ProductProvider(factors, Z2).component(sig)
+    prod = ProductProvider(factors).component(sig)
     assert not membership(zvar(1) * zvar(2), prod)
 
 
@@ -616,14 +646,31 @@ def test_three_factor_product_matches_nested_reference_products():
     for sig in [s for n in (2, 3, 4) for s in all_z2_sigs(n)]:
         want = want_provider.component(sig).space
         for bordered in (False, True):
-            assert ProductProvider(factors, Z2, bordered).component(sig).space == want, sig
+            assert ProductProvider(factors, bordered=bordered).component(sig).space == want, sig
         proper.append(0 < want.dim < want.ambient_dim)
     assert any(proper)  # some products are proper, some not
 
 
+def test_products_need_one_group():
+    """A product's group is its factors': a Z2 target with Z3-graded factors,
+    or factors over two groups, is an ambient mismatch, not a verdict."""
+    Z3 = GroupSpec((3,))
+    target = EvaluationProvider(build_matrix_algebra(((0,), (1,)), Z2, BlockShape((1, 1))))
+    z2_block = EvaluationProvider(build_matrix_algebra(((0,),), Z2))
+    z3_block = EvaluationProvider(build_matrix_algebra(((0,),), Z3))
+    sig = ((0,), (0,))
+    with pytest.raises(AmbientMismatchError):
+        check_factoring(target, [z3_block, z3_block], sig)
+    with pytest.raises(AmbientMismatchError):
+        ProductProvider([z2_block, z3_block])
+    with pytest.raises(AmbientMismatchError):
+        tideal_product(z2_block, z3_block, sig)
+    assert ProductProvider([z3_block, z3_block]).spec == Z3
+
+
 def test_product_provider_needs_two():
     with pytest.raises(MalformedElementError):
-        ProductProvider([EvaluationProvider(E(4, "natural"))], Z2)
+        ProductProvider([EvaluationProvider(E(4, "natural"))])
 
 
 def test_provider_caching():
@@ -712,11 +759,11 @@ def test_streaming_guards_name_their_limit():
     guard = GuardLimits(max_cells=100, max_bits=20000)
     sig = ((0,), (0,), (1,), (1,))
     with pytest.raises(GuardExceededError, match="guard of 100 cells") as info:
-        identities_by_consequences(presentation_natural(), sig, guard)
+        identities_by_consequences(presentation_for_mode(GradingMode("natural")), sig, guard)
     assert info.value.cells > 100
-    prov = ConsequenceProvider(presentation_natural())
+    prov = ConsequenceProvider(presentation_for_mode(GradingMode("natural")))
     with pytest.raises(GuardExceededError, match="guard of 100 cells") as info:
-        tideal_product(prov, prov, sig, Z2, guard=guard)
+        tideal_product(prov, prov, sig, guard=guard)
     assert info.value.cells > 100
 
 
@@ -726,7 +773,7 @@ def test_consequence_guard_bounds_the_column_basis_first():
     trip too, but the basis guard names the length that was asked for."""
     sig = tuple((d,) for d in (0, 1, 0, 1, 1))
     with pytest.raises(GuardExceededError) as info:
-        identities_by_consequences(presentation_natural(), sig, GuardLimits(max_cells=500))
+        identities_by_consequences(presentation_for_mode(GradingMode("natural")), sig, GuardLimits(max_cells=500))
     assert str(info.value).startswith("multilinear column basis: 5 rows of 120 columns")
 
 
@@ -736,7 +783,7 @@ def test_consequence_guard_counts_kept_rows_not_streamed_rows():
     # substitutions, and the stored rows of the length-5 components with a
     # letter put on either side. The guard counts only the 719 kept rows.
     sig = ((0,), (0,), (0,), (1,), (1,), (1,))
-    comp = identities_by_consequences(presentation_natural(), sig, DEFAULT_GUARD)
+    comp = identities_by_consequences(presentation_for_mode(GradingMode("natural")), sig, DEFAULT_GUARD)
     assert comp.space.dim == 719
     assert comp.meta["rows"] * 720 > DEFAULT_GUARD.max_cells
 
