@@ -57,7 +57,10 @@ needs. One length-6 infty identities command exits 3: E's component keeps
 trips before the kernel is built. Two commands read signatures over the
 rank-0 group, whose only degree is 0: an identities command over the
 trivially graded exterior algebra, and a factor-check sweep over the field
-with no --targets. 44 commands in all.
+with no --targets. Two factor-check sweeps to length 3 pin the truncation:
+(1,1) over E_4 with an explicit grading, and (2,1) over E_5 with kstar:1;
+they run the fast rows at that N rather than the limit rows. 46 commands
+in all.
 """
 
 from __future__ import annotations
@@ -105,6 +108,11 @@ UT11_OVER_E = json.dumps({
     "kind": "matrix_over", "shape": [1, 1],
     "entries": {"kind": "grassmann", "grading": {"deg": "infty"}},
 })
+# E_4 with generators of degrees 1, 0, 1, 1
+EXPLICIT_E4 = json.dumps(
+    {"kind": "grassmann", "generators": 4, "grading": {"deg": {"explicit": [1, 0, 1, 1]}}},
+    separators=(",", ":"),
+)
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
 FACTOR_CLI_COMMANDS = [
@@ -175,6 +183,10 @@ FACTOR_CLI_COMMANDS = [
     # signatures over the rank-0 group
     ["identities", "--algebra", "grassmann:deg=trivial", "--sig", "0,0,0,0"],
     ["factor-check", "--shape", "1,1", "--entries", "field", "--sweep", "3"],
+    # pinned truncations: the fast rows at that N
+    _UT11 + [EXPLICIT_E4, "--sweep", "3"],
+    ["factor-check", "--shape", "2,1", "--entries", "grassmann:N=5,deg=kstar,k=1",
+     "--sweep", "3"],
 ]
 
 

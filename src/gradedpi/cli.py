@@ -14,6 +14,7 @@ agree did not), 3 resource guard tripped, 4 unsupported feature.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -24,7 +25,6 @@ from .algebras import (
     BlockShape,
     algebra_from_descriptor,
     build_matrix_algebra,
-    build_matrix_over,
     descriptor_group,
     exterior_spec,
     guard_construction,
@@ -44,15 +44,9 @@ from .errors import (
 from .freealg import format_poly, parse_poly, parse_signature
 from .groups import TRIVIAL_GROUP, GroupSpec, Z2
 from .linalg import GuardLimits
-from .model import ModelConfig, model_eval
-from .relfree import (
-    GradingMode,
-    format_relfree,
-    normal_form,
-    partial_multiplicativity_check,
-)
 from .spaces import (
     EvaluationProvider,
+    GrassmannRowsProvider,
     TIdealPresentation,
     check_factoring,
     default_truncation,
@@ -351,12 +345,23 @@ def _signatures(args, spec: GroupSpec):
         return [parse_signature(args.sig, spec)]
     if args.sweep < 1:
         raise ParseError("sweep bound must be at least 1")
-    els = spec.elements()
+    guard = _guard(args)
+    order = spec.order()
     out = []
+    cells = 0
     for n in range(1, args.sweep + 1):
-        # a length no column basis fits ends the sweep before it is listed
-        guard_column_basis(n, _guard(args))
-        out.extend(itertools.combinations_with_replacement(els, n))
+        # a length no column basis fits ends the sweep before it is listed,
+        # and so does a listing past the guard: n cells per multiset of n
+        # group elements
+        guard_column_basis(n, guard)
+        cells += math.comb(order + n - 1, n) * n
+        if cells > guard.max_cells:
+            raise GuardExceededError(
+                f"signature sweep: the signatures up to length {n} take {cells} cells, "
+                f"which exceeds the guard of {guard.max_cells} cells",
+                cells=cells,
+            )
+        out.extend(itertools.combinations_with_replacement(spec.elements(), n))
     return out
 
 
@@ -406,32 +411,27 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
 
 
 def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
-    """Matrices over the exterior algebra, built at one truncation. An
-    unpinned level n0 is evaluated with the untruncated algebra's rows
-    (method "limit"), which raise TruncationError unless every parity
-    pattern some N realizes fits n0; so its answers hold at every N >= n0.
-    n0 + 2 is bounded by the construction guard only."""
+    """Matrices over the exterior algebra, by the fast rows read off its
+    spec and the block shapes: no algebra is built, so no construction
+    guard applies, and the column-basis, unit-walk, elimination and kernel
+    guards bound the work. An unpinned level n0 is evaluated with the
+    untruncated algebra's rows (method "limit"), which raise TruncationError
+    unless every parity pattern some N realizes fits n0; so its answers hold
+    at every N >= n0, and truncations records n0 and n0 + 2."""
     gspec = exterior_spec(desc)
     if gspec.n_generators:
-        truncations, method = [gspec.n_generators], "auto"
+        truncations, limit = [gspec.n_generators], False
     else:
         n0 = default_truncation(max(len(s) for s in sigs), gspec)
-        truncations, method = [n0, n0 + 2], "limit"
-    target = {"kind": "matrix_over", "shape": list(shape.sizes)}
-    for nn in truncations:
-        guard_construction(dict(target, entries=with_generators(desc, nn)), guard)
-    entry_alg = algebra_from_descriptor(with_generators(desc, truncations[0]))
-    target_alg = build_matrix_over(entry_alg, shape)
+        truncations, limit = [n0, n0 + 2], True
+        gspec = dataclasses.replace(gspec, n_generators=n0)
     providers = {
-        d: EvaluationProvider(
-            entry_alg if d == 1 else build_matrix_over(entry_alg, BlockShape((d,))),
-            guard,
-            method,
-        )
+        d: GrassmannRowsProvider(gspec, BlockShape((d,)), limit, guard)
         for d in dict.fromkeys(shape.sizes)
     }
     factors = [providers[d] for d in shape.sizes]
-    return EvaluationProvider(target_alg, guard, method), factors, {"truncations": truncations}
+    target = GrassmannRowsProvider(gspec, shape, limit, guard)
+    return target, factors, {"truncations": truncations}
 
 
 def cmd_factor_check(args) -> int:
@@ -502,6 +502,9 @@ def cmd_factor_check(args) -> int:
 
 
 def cmd_model(args) -> int:
+    from .model import ModelConfig, model_eval
+    from .relfree import GradingMode
+
     mode = GradingMode.parse(args.mode)
     shape = _parse_shape(args.shape)
     cfg = ModelConfig(shape, Z2, mode)
@@ -533,6 +536,13 @@ def cmd_model(args) -> int:
 
 
 def cmd_relfree(args) -> int:
+    from .relfree import (
+        GradingMode,
+        format_relfree,
+        normal_form,
+        partial_multiplicativity_check,
+    )
+
     mode = GradingMode.parse(args.mode)
     if args.relfree_cmd == "nf":
         f = parse_poly(_poly_text(args.poly), Z2)

@@ -217,18 +217,17 @@ def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False) -> list:
 
 
 def _fast_kind(algebra: StructureConstantAlgebra):
-    """(gspec, positions) when the fast evaluation rows apply: positions are
-    the allowed matrix units of block matrices over E_N, and the single
-    unit (1, 1) for E_N itself. None for every other algebra."""
+    """(gspec, shape) when the fast evaluation rows apply: the exterior
+    spec and block shape of block matrices over E_N, with E_N itself as
+    shape (1,). None for every other algebra."""
     meta = algebra.meta
     if meta.get("kind") == "grassmann":
-        return meta["gspec"], BlockShape((1,)).positions()
+        return meta["gspec"], BlockShape((1,))
     if (
         meta.get("kind") == "matrix_over"
         and meta["entries"].meta.get("kind") == "grassmann"
     ):
-        gspec = meta["entries"].meta["gspec"]
-        return gspec, BlockShape(tuple(meta["shape"])).positions()
+        return meta["entries"].meta["gspec"], BlockShape(tuple(meta["shape"]))
     return None
 
 
@@ -269,12 +268,15 @@ def _unit_chain_columns(positions, perms, guard: GuardLimits) -> list:
 
 
 def grassmann_fast_rows(
-    algebra: StructureConstantAlgebra,
+    gspec: GrassmannSpec,
+    shape: BlockShape,
     sig,
     limit: bool = False,
     guard: GuardLimits = DEFAULT_GUARD,
 ):
-    """Reduced evaluation row set for E_N or block matrices over E_N.
+    """Reduced evaluation row set for block matrices of a shape over E_N,
+    with E_N itself as shape (1,), read off the exterior spec and the shape
+    alone: no algebra is built, and the group is gspec.group().
 
     Substituting pairwise-disjoint-support monomials is enough: a tuple
     with overlapping supports evaluates every monomial to zero, and for
@@ -289,22 +291,16 @@ def grassmann_fast_rows(
     column set does not depend on the pattern, which only sets the signs.
     The column sets are found once per signature from the composable walks
     of n matrix units, at cost O(walks * n!); each used pattern then signs
-    them, at cost O(patterns * rows). The guard bounds walks x n! before
-    the first row; the rows, repeats included, stream lazily into a reducer
-    that bounds the rows it keeps.
+    them, at cost O(patterns * rows). The guard bounds the n x n! column
+    basis and walks x n! before the first row; the rows, repeats included,
+    stream lazily into a reducer that bounds the rows it keeps.
 
     With limit=True the rows describe the untruncated algebra, with the
     patterns parity_patterns selects for it.
     """
-    kind = _fast_kind(algebra)
-    if kind is None:
-        raise UnsupportedFeatureError(
-            "fast evaluation rows need an exterior algebra or matrices over one"
-        )
-    gspec, positions = kind
-    sig = validate_signature(sig, algebra.group)
+    sig = validate_signature(sig, gspec.group())
     perms = _multilinear_basis(len(sig), guard)
-    column_sets = _unit_chain_columns(positions, perms, guard)
+    column_sets = _unit_chain_columns(shape.positions(), perms, guard)
     used = parity_patterns(gspec, sig, limit)
     # per used pattern, each column's sign of sorting the odd-parity blocks
     # back to ascending order: the parity of the column's inversions among
@@ -326,6 +322,30 @@ def grassmann_fast_rows(
     return rows, {"semantics": "limit" if limit else "truncated"}
 
 
+def _evaluation_component(
+    rows, info: dict, sig, spec: GroupSpec, method: str, guard: GuardLimits
+) -> IdentitySubspace:
+    """The kernel of an evaluation row stream, as the component at sig.
+
+    The distinct rows stream into kernel_basis, one elimination; a row
+    whose negation was fed before spans nothing new and is not fed. The
+    rows meta counts the distinct signed rows.
+    """
+    meta = {"route": "evaluation", "method": method}
+
+    def distinct():
+        seen = set()
+        for row in rows:
+            if row not in seen:
+                seen.add(row)
+                if tuple([(c, -v) for c, v in row]) not in seen:
+                    yield row
+        meta["rows"] = len(seen)
+
+    space = kernel_basis(distinct(), math.factorial(len(sig)), guard)
+    return IdentitySubspace(sig, spec, space, {**meta, **info})
+
+
 def identities_by_evaluation(
     algebra: StructureConstantAlgebra,
     sig,
@@ -339,35 +359,22 @@ def identities_by_evaluation(
     the reduced rows with untruncated semantics, i.e. the identities of
     the infinite-generator algebra this one truncates. "auto" picks fast
     when available, else full.
-
-    The distinct rows stream into kernel_basis, one elimination; a row
-    whose negation was fed before spans nothing new and is not fed. The
-    rows meta counts the distinct signed rows.
     """
     sig = validate_signature(sig, algebra.group)
+    kind = _fast_kind(algebra)
     if method == "auto":
-        method = "full" if _fast_kind(algebra) is None else "fast"
+        method = "full" if kind is None else "fast"
     if method == "full":
         rows, info = _full_rows(algebra, sig, guard)
     elif method in ("fast", "limit"):
-        rows, info = grassmann_fast_rows(algebra, sig, method == "limit", guard)
+        if kind is None:
+            raise UnsupportedFeatureError(
+                "fast evaluation rows need an exterior algebra or matrices over one"
+            )
+        rows, info = grassmann_fast_rows(*kind, sig, method == "limit", guard)
     else:
         raise MalformedElementError(f"unknown evaluation method {method!r}")
-    meta = {"route": "evaluation", "method": method}
-
-    def distinct():
-        # a repeated row adds nothing, nor does the negation of a row fed
-        # before; rows counts the distinct signed rows
-        seen = set()
-        for row in rows:
-            if row not in seen:
-                seen.add(row)
-                if tuple([(c, -v) for c, v in row]) not in seen:
-                    yield row
-        meta["rows"] = len(seen)
-
-    space = kernel_basis(distinct(), math.factorial(len(sig)), guard)
-    return IdentitySubspace(sig, algebra.group, space, {**meta, **info})
+    return _evaluation_component(rows, info, sig, algebra.group, method, guard)
 
 
 # -- consequence route -------------------------------------------------------
@@ -587,16 +594,39 @@ class _ComponentCache:
 
 
 class EvaluationProvider(_ComponentCache):
-    """Identity components of one algebra, cached per signature, by the
-    given identities_by_evaluation method."""
+    """Identity components of one built algebra, cached per signature, by
+    identities_by_evaluation's default method."""
 
-    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD, method: str = "auto"):
+    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD):
         super().__init__(algebra.group, guard)
         self.algebra = algebra
-        self.method = method
 
     def _compute(self, sig) -> IdentitySubspace:
-        return identities_by_evaluation(self.algebra, sig, self.method, self.guard)
+        return identities_by_evaluation(self.algebra, sig, guard=self.guard)
+
+
+class GrassmannRowsProvider(_ComponentCache):
+    """Identity components of block matrices of a shape over E_N (E_N
+    itself as shape (1,)), cached per signature: the components that
+    identities_by_evaluation's "fast" ("limit" with limit=True) gives on
+    the built algebra, from grassmann_fast_rows, with nothing built."""
+
+    def __init__(
+        self,
+        gspec: GrassmannSpec,
+        shape: BlockShape,
+        limit: bool = False,
+        guard: GuardLimits = DEFAULT_GUARD,
+    ):
+        super().__init__(gspec.group(), guard)
+        self.gspec = gspec
+        self.shape = shape
+        self.limit = limit
+
+    def _compute(self, sig) -> IdentitySubspace:
+        rows, info = grassmann_fast_rows(self.gspec, self.shape, sig, self.limit, self.guard)
+        method = "limit" if self.limit else "fast"
+        return _evaluation_component(rows, info, sig, self.spec, method, self.guard)
 
 
 class ConsequenceProvider(_ComponentCache):

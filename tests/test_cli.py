@@ -304,16 +304,21 @@ def test_length_11_exits_3_before_the_column_basis_is_built(
     assert err.endswith(f"[cells {cells} > max_cells 8000000]\n")
 
 
+UT11_OVER_E40 = json.dumps(
+    {"kind": "matrix_over", "shape": [1, 1], "entries": {"kind": "grassmann", "generators": 40}}
+)
+
+
 @pytest.mark.parametrize(
     "argv, cells",
     [
         (["identities", "--algebra", "grassmann:N=40"], 2 * 2**40),
-        (["factor-check", "--shape", "1,1", "--entries", "grassmann:N=40"], 2 * 3 * 2**40 * 2),
+        (["identities", "--algebra", UT11_OVER_E40], 2 * 3 * 2**40 * 2),
     ],
 )
 def test_construction_guard_exits_3_before_building(capsys, argv, cells):
-    """The estimate 2 x dim x |unit| is read from the descriptor: E_40 is
-    never enumerated."""
+    """The estimate 2 x dim x |unit| is read from the descriptor: E_40 and
+    the matrices over it are never enumerated."""
     code, out, err = run_cli(capsys, *argv, "--sig", "1,1")
     assert code == 3 and out == ""
     assert err.startswith("resource guard: building") and err.count("\n") == 1
@@ -713,40 +718,73 @@ def test_factor_check_ungraded_field(capsys):
     assert cert["result"]["verdicts"][0]["relation"] == "equal"
 
 
-@pytest.mark.parametrize(
-    "argv, builder, calls",
-    [
-        # the target and one M_2(E) for both diagonal blocks, at n0 only
-        (["--entries", "grassmann:deg=infty"], "build_matrix_over", 2),
-        # the target and one algebra for the repeated block targets (0,1)
-        (["--entries", "field", "--targets", "0,1,0,1", "--group", "2"],
-         "build_matrix_algebra", 2),
-    ],
-)
-def test_factor_check_builds_each_distinct_block_once(capsys, monkeypatch, argv, builder, calls):
-    import gradedpi.cli as cli
+def _count_constructions(monkeypatch) -> list:
+    """Record every StructureConstantAlgebra construction from now on."""
+    from gradedpi.algebras import StructureConstantAlgebra
 
     built = []
-    real = getattr(cli, builder)
-    monkeypatch.setattr(cli, builder, lambda *a: built.append(a) or real(*a))
-    entries = []
-    real_entries = cli.algebra_from_descriptor
-    monkeypatch.setattr(
-        cli, "algebra_from_descriptor", lambda d: entries.append(d) or real_entries(d)
+    init = StructureConstantAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(StructureConstantAlgebra, "__init__", counting_init)
+    return built
+
+
+def test_factor_check_builds_each_distinct_block_once(capsys, monkeypatch):
+    """Over the field: the target and one algebra for the repeated block
+    targets (0,1)."""
+    built = _count_constructions(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "factor-check", "--shape", "2,2", "--entries", "field",
+        "--targets", "0,1,0,1", "--group", "2", "--sig", "0,1",
     )
-    code, out, _ = run_cli(capsys, "factor-check", "--shape", "2,2", *argv, "--sig", "0,1")
+    assert code == 0 and len(built) == 2
+
+
+def test_factor_check_over_e_builds_nothing(capsys, monkeypatch):
+    """Over E the rows are read off the exterior spec and the block shapes:
+    no algebra is constructed, and truncations still records n0 = 2 x 2
+    and n0 + 2. A fresh process imports neither the model nor relfree."""
+    built = _count_constructions(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "factor-check", "--shape", "2,2", "--entries", "grassmann:deg=infty",
+        "--sig", "0,1",
+    )
+    assert code == 0 and built == []
+    assert cert_from(out)["config"]["truncations"] == [4, 6]
+    script = (
+        "import sys; from gradedpi.cli import main; "
+        "code = main(['factor-check', '--shape', '1,1', '--entries', 'grassmann:deg=infty', "
+        "'--sig', '0,1,1']); "
+        "print(code, sorted(m for m in ('gradedpi.model', 'gradedpi.relfree') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_factor_check_pinned_large_truncation_answers_as_unpinned(capsys):
+    """A pinned E_40 is never built, so no construction guard stops it: its
+    fast rows answer every signature up to length 3 as the untruncated rows
+    of the unpinned command do."""
+    argv = ["factor-check", "--shape", "1,1", "--sweep", "3", "--entries"]
+    code, out, err = run_cli(capsys, *argv, "grassmann:N=40,deg=infty")
+    assert code == 0 and err == ""
+    pinned = cert_from(out)
+    code, out, _ = run_cli(capsys, *argv, "grassmann:deg=infty")
     assert code == 0
-    assert len(built) == calls
-    if builder == "build_matrix_over":
-        # one entry algebra, at n0 = 2 x 2; n0 + 2 is certified, not built
-        assert [d["generators"] for d in entries] == [4]
-        assert cert_from(out)["config"]["truncations"] == [4, 6]
+    unpinned = cert_from(out)
+    assert pinned["config"]["truncations"] == [40]
+    assert pinned["result"] == unpinned["result"]
 
 
 def test_factor_check_exits_3_when_the_default_truncation_is_too_small(capsys, monkeypatch):
     """At N = 2 the pattern (0, 0, 0) of 1,1,1 needs six generators. The
-    limit rows raise on it at the first evaluation, after E_2 and M(E_2)
-    are built, and the command stops with one line."""
+    limit rows raise on it at the first evaluation, which reads the
+    exterior spec at N = 2 and builds no algebra, and the command stops
+    with one line."""
     import gradedpi.cli as cli
 
     monkeypatch.setattr(cli, "default_truncation", lambda n, gspec: 2)
@@ -827,6 +865,34 @@ def test_factor_check_sweep_stops_at_the_first_length_past_the_guard(
         "resource guard: multilinear column basis: 10 rows of 3628800 columns "
         "(36288000 cells) exceeds the guard of 8000000 cells "
         "[cells 36288000 > max_cells 8000000]\n"
+    )
+
+
+def test_factor_check_sweep_bounds_its_listing(capsys, monkeypatch):
+    """Over Z_1000 the sweep to length 3 lists 1000 + 2 x 500500 +
+    3 x 167167000 degrees, past the guard: it exits 3 before listing
+    length 3, with the measured cells beside the limit."""
+    import gradedpi.cli as cli
+
+    listed = []
+    real = cli.itertools.combinations_with_replacement
+
+    def listing(els, n):
+        if n > 2:
+            pytest.fail(f"length {n} listed")
+        listed.append(n)
+        return real(els, n)
+
+    monkeypatch.setattr(cli.itertools, "combinations_with_replacement", listing)
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", "field", "--targets", "0,1",
+        "--group", "1000", "--sweep", "3",
+    )
+    assert code == 3 and out == "" and listed == [1, 2]
+    assert err == (
+        "resource guard: signature sweep: the signatures up to length 3 take 502503000 "
+        "cells, which exceeds the guard of 8000000 cells "
+        "[cells 502503000 > max_cells 8000000]\n"
     )
 
 

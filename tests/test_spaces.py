@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from gradedpi.relfree import GradingMode, count_multilinear_basis_words
 from gradedpi.spaces import (
     ConsequenceProvider,
     EvaluationProvider,
+    GrassmannRowsProvider,
     IdentitySubspace,
     ProductProvider,
     TIdealPresentation,
@@ -111,9 +113,9 @@ def test_full_equals_fast_matrix_over():
             assert full.space == fast.space, (n_gens, kind, shape, sig)
 
 
-def _fast_rows_outcome(fn, alg, sig, limit):
+def _outcome(fn, *args):
     try:
-        rows, report = fn(alg, sig, limit)
+        rows, report = fn(*args)
     except TruncationError as exc:
         return ("truncation", str(exc))
     return ("rows", list(rows), report)
@@ -131,16 +133,57 @@ def test_fast_rows_match_direct_enumeration():
     ]
     for n_gens, shape, max_len in cases:
         for kind, k in gradings:
-            M = E(n_gens, kind, k=k)
+            gspec = GrassmannSpec(n_gens, kind, k=k)
+            M = build_grassmann(gspec)
             if shape is not None:
                 M = build_matrix_over(M, BlockShape(shape))
+            blocks = BlockShape(shape or (1,))
             degrees = [()] if kind == "trivial" else [(0,), (1,)]
             for n in range(1, max_len + 1):
                 for sig in itertools.product(degrees, repeat=n):
                     for limit in (False, True):
-                        got = _fast_rows_outcome(grassmann_fast_rows, M, sig, limit)
-                        want = _fast_rows_outcome(reference_fast_rows, M, sig, limit)
+                        got = _outcome(grassmann_fast_rows, gspec, blocks, sig, limit)
+                        want = _outcome(reference_fast_rows, M, sig, limit)
                         assert got == want, (n_gens, shape, kind, sig, limit)
+
+
+def _component_outcome(fn, *args):
+    try:
+        comp = fn(*args)
+    except TruncationError as exc:
+        return ("truncation", str(exc))
+    return ("component", comp.space.rows, comp.space.pivots, comp.meta)
+
+
+def test_grassmann_rows_provider_matches_evaluation_on_built_algebras():
+    """GrassmannRowsProvider reads its components off the exterior spec and
+    the block shape, with nothing built: rows, pivots, meta and
+    TruncationError text equal those of identities_by_evaluation on the
+    built algebra, at every Z2 signature up to length 4, for five gradings,
+    five shapes ((1,) is E_N itself), fast and limit. The truncations are
+    small enough that limit raises at some signatures."""
+    gspecs = [
+        GrassmannSpec(4, "natural"),
+        GrassmannSpec(5, "infty"),
+        GrassmannSpec(4, "kstar", k=1),
+        GrassmannSpec(5, "kstar", k=2),
+        GrassmannSpec(4, "explicit", explicit=(1, 0, 1, 1)),
+    ]
+    sigs = [sig for n in range(1, 5) for sig in all_z2_sigs(n)]
+    outcomes = Counter()
+    for gspec in gspecs:
+        entries = build_grassmann(gspec)
+        for sizes in [(1,), (1, 1), (2, 1), (1, 1, 1), (2, 2)]:
+            shape = BlockShape(sizes)
+            alg = entries if sizes == (1,) else build_matrix_over(entries, shape)
+            for method in ("fast", "limit"):
+                provider = GrassmannRowsProvider(gspec, shape, method == "limit")
+                for sig in sigs:
+                    got = _component_outcome(provider.component, sig)
+                    want = _component_outcome(identities_by_evaluation, alg, sig, method)
+                    assert got == want, (gspec, sizes, sig, method)
+                    outcomes[got[0]] += 1
+    assert outcomes["truncation"] and outcomes["component"]
 
 
 def _patterns_outcome(fn, gspec, sig, limit):
@@ -203,7 +246,8 @@ def test_evaluation_feeds_no_row_whose_negation_was_fed(monkeypatch):
     kernel of every distinct row."""
     M = build_matrix_over(E(8, "infty"), BlockShape((1, 1)))
     sig = ((0,), (1,), (1,))
-    distinct = list(dict.fromkeys(grassmann_fast_rows(M, sig)[0]))
+    rows = grassmann_fast_rows(GrassmannSpec(8, "infty"), BlockShape((1, 1)), sig)[0]
+    distinct = list(dict.fromkeys(rows))
     want = [
         dict(r) for i, r in enumerate(distinct)
         if tuple((c, -v) for c, v in r) not in distinct[:i]
@@ -227,9 +271,10 @@ def test_evaluation_feeds_no_row_whose_negation_was_fed(monkeypatch):
 def test_fast_route_stops_at_full_rank():
     """Rows after the rank reaches n! are in the span: skipping them gives
     the same space as feeding every distinct row."""
-    M = build_matrix_over(E(4, "infty"), BlockShape((2, 1)))
+    gspec, shape = GrassmannSpec(4, "infty"), BlockShape((2, 1))
+    M = build_matrix_over(build_grassmann(gspec), shape)
     sig = ((1,), (0,), (1,), (0,))
-    rows = list(dict.fromkeys(grassmann_fast_rows(M, sig)[0]))
+    rows = list(dict.fromkeys(grassmann_fast_rows(gspec, shape, sig)[0]))
     reducer = RowReducer(24)
     full_at = None
     for i, r in enumerate(rows):
@@ -741,7 +786,12 @@ def test_fast_rows_guard_bounds_walks_and_rows():
     )
     n_walks_by_monomials = n_walks * 24
     with pytest.raises(GuardExceededError, match="unit walks by monomials"):
-        grassmann_fast_rows(M, sig, guard=GuardLimits(max_cells=n_walks_by_monomials - 1))
+        grassmann_fast_rows(
+            GrassmannSpec(4, "infty"),
+            BlockShape((2, 1)),
+            sig,
+            guard=GuardLimits(max_cells=n_walks_by_monomials - 1),
+        )
     # more distinct rows than this guard's cells, but a kept rank that fits
     limit = GuardLimits(max_cells=n_walks_by_monomials)
     comp = identities_by_evaluation(M, sig, guard=limit)
