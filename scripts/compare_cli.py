@@ -59,8 +59,13 @@ rank-0 group, whose only degree is 0: an identities command over the
 trivially graded exterior algebra, and a factor-check sweep over the field
 with no --targets. Two factor-check sweeps to length 3 pin the truncation:
 (1,1) over E_4 with an explicit grading, and (2,1) over E_5 with kstar:1;
-they run the fast rows at that N rather than the limit rows. 46 commands
-in all.
+they run the fast rows at that N rather than the limit rows. Five
+identities commands cover the stabilization scan: E_2 natural at 1,1,1,
+whose two levels use different parity patterns (dims [6, 5]); E_3 infty
+under --method limit, which exits 3 on a pattern E_3 cannot realize; the
+nested matrix_over descriptor under --method fast, which exits 4; E_4 with
+an explicit grading, evaluated once; and (2,1) over kstar:1 E at 1,0,1,1,
+N unpinned. 51 commands in all.
 """
 
 from __future__ import annotations
@@ -113,6 +118,11 @@ EXPLICIT_E4 = json.dumps(
     {"kind": "grassmann", "generators": 4, "grading": {"deg": {"explicit": [1, 0, 1, 1]}}},
     separators=(",", ":"),
 )
+# (2,1) over E with the kstar:1 grading, truncation left to the command
+UT21_OVER_KSTAR1 = json.dumps({
+    "kind": "matrix_over", "shape": [2, 1],
+    "entries": {"kind": "grassmann", "grading": {"deg": {"kstar": 1}}},
+})
 
 _UT11 = ["factor-check", "--shape", "1,1", "--entries"]
 FACTOR_CLI_COMMANDS = [
@@ -187,6 +197,14 @@ FACTOR_CLI_COMMANDS = [
     _UT11 + [EXPLICIT_E4, "--sweep", "3"],
     ["factor-check", "--shape", "2,1", "--entries", "grassmann:N=5,deg=kstar,k=1",
      "--sweep", "3"],
+    # the stabilization scan: levels with different patterns, a limit past
+    # the truncation, no fast rows, an explicit grading, (2,1) unpinned
+    ["identities", "--algebra", "grassmann:N=2,deg=natural", "--sig", "1,1,1"],
+    ["identities", "--algebra", "grassmann:N=3,deg=infty", "--sig", "1,0,1,1",
+     "--method", "limit"],
+    ["identities", "--algebra", NESTED_MATRIX_OVER, "--sig", "1", "--method", "fast"],
+    ["identities", "--algebra", EXPLICIT_E4, "--sig", "1,0,1"],
+    ["identities", "--algebra", UT21_OVER_KSTAR1, "--sig", "1,0,1,1"],
 ]
 
 

@@ -22,6 +22,7 @@ import os
 import sys
 
 from .algebras import (
+    MAX_GENERATORS,
     BlockShape,
     algebra_from_descriptor,
     build_matrix_algebra,
@@ -53,6 +54,7 @@ from .spaces import (
     guard_column_basis,
     identities_by_consequences,
     identities_by_evaluation,
+    parity_patterns,
 )
 
 CERTIFICATE_VERSION = 1
@@ -215,6 +217,15 @@ def _read_generators(path: str, spec: GroupSpec):
     return gens
 
 
+def _truncation(gspec, length: int):
+    """(the exterior algebra evaluated first, whether its N is pinned): an
+    explicit grading fixes N, else a stated N pins it, else N is the
+    default truncation n0 at the signature length."""
+    if gspec.deg_kind == "explicit" or gspec.n_generators:
+        return gspec, True
+    return dataclasses.replace(gspec, n_generators=default_truncation(length, gspec)), False
+
+
 def cmd_identities(args) -> int:
     guard = _guard(args)
     if args.algebra is None and args.generators is None:
@@ -228,35 +239,47 @@ def cmd_identities(args) -> int:
 
     comp_eval = scan = None
     if desc is not None:
+        # E and M(E) have fast rows, read off the exterior spec and the block
+        # shape (E_N as (1,)) with nothing built; every other algebra is built
+        entries = desc["entries"] if desc["kind"] == "matrix_over" else desc
+        fast = args.method != "full" and entries["kind"] == "grassmann"
+        shape = BlockShape(tuple(desc.get("shape", (1,)))) if fast else None
+        limit = args.method == "limit"
+
+        def evaluate(gspec):
+            if shape is not None:
+                return GrassmannRowsProvider(gspec, shape, limit, guard).component(sig)
+            level = desc if gspec is None else with_generators(desc, gspec.n_generators)
+            guard_construction(level, guard)
+            return identities_by_evaluation(algebra_from_descriptor(level), sig, args.method, guard)
+
         gspec = exterior_spec(desc)
+        if gspec is not None:
+            gspec, _ = _truncation(gspec, len(sig))
+            desc = with_generators(desc, gspec.n_generators)
+        comp_eval = evaluate(gspec)
         # an explicit grading lists one degree per generator: it fixes its
         # algebra, so there is no truncation to scan
         if gspec is not None and gspec.deg_kind != "explicit":
-            n0 = gspec.n_generators or default_truncation(len(sig), gspec)
-            truncations = [n0, n0 + 2]
-            for nn in truncations:
-                guard_construction(with_generators(desc, nn), guard)
-            # each algebra is dropped once its component is computed
-            comps = [
-                identities_by_evaluation(
-                    algebra_from_descriptor(with_generators(desc, nn)), sig, args.method, guard
+            n0 = gspec.n_generators
+            if n0 + 2 > MAX_GENERATORS:
+                raise GuardExceededError(
+                    f"the stabilization scan needs N + 2 = {n0 + 2} generators, "
+                    f"past the limit of {MAX_GENERATORS}"
                 )
-                for nn in truncations
-            ]
-            dims = [c.dim for c in comps]
+            up = dataclasses.replace(gspec, n_generators=n0 + 2)
+            # the fast rows read a truncation only through its parity patterns
+            same = shape is not None and (
+                parity_patterns(gspec, sig, limit) == parity_patterns(up, sig, limit)
+            )
+            dims = [comp_eval.dim, comp_eval.dim if same else evaluate(up).dim]
             stabilized = dims[0] == dims[1]
             scan = {
-                "n_values": truncations,
+                "n_values": [n0, n0 + 2],
                 "dims": dims,
                 "stabilized": stabilized,
                 "stabilized_at": n0 if stabilized else None,
             }
-            desc = with_generators(desc, n0)
-            comp_eval = comps[0]
-        else:
-            guard_construction(desc, guard)
-            algebra = algebra_from_descriptor(desc)
-            comp_eval = identities_by_evaluation(algebra, sig, args.method, guard)
 
     comp_cons = None
     gen_texts = None
@@ -418,13 +441,9 @@ def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
     untruncated algebra's rows (method "limit"), which raise TruncationError
     unless every parity pattern some N realizes fits n0; so its answers hold
     at every N >= n0, and truncations records n0 and n0 + 2."""
-    gspec = exterior_spec(desc)
-    if gspec.n_generators:
-        truncations, limit = [gspec.n_generators], False
-    else:
-        n0 = default_truncation(max(len(s) for s in sigs), gspec)
-        truncations, limit = [n0, n0 + 2], True
-        gspec = dataclasses.replace(gspec, n_generators=n0)
+    gspec, pinned = _truncation(exterior_spec(desc), max(len(s) for s in sigs))
+    n0, limit = gspec.n_generators, not pinned
+    truncations = [n0] if pinned else [n0, n0 + 2]
     providers = {
         d: GrassmannRowsProvider(gspec, BlockShape((d,)), limit, guard)
         for d in dict.fromkeys(shape.sizes)

@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -71,6 +73,8 @@ def test_identities_evaluation_route(capsys):
 
 
 def test_identities_builds_each_truncation_once(capsys, monkeypatch):
+    """--method full builds each level of the scan once: n0 = 2 x 2 + 2,
+    then n0 + 2."""
     import gradedpi.cli as cli
 
     built = []
@@ -79,13 +83,98 @@ def test_identities_builds_each_truncation_once(capsys, monkeypatch):
         cli, "algebra_from_descriptor", lambda d: built.append(d) or real(d)
     )
     code, out, _ = run_cli(
-        capsys, "identities", "--algebra", "grassmann:deg=infty", "--sig", "1,1,1"
+        capsys, "identities", "--algebra", "grassmann:deg=kstar,k=2", "--sig", "1,1",
+        "--method", "full",
     )
     assert code == 0
     assert [d["generators"] for d in built] == [6, 8]
     cert = cert_from(out)
     assert cert["result"]["stabilization"]["dims"][0] == cert["result"]["dim"]
     assert cert["config"]["algebra"]["generators"] == 6
+
+
+# (1,1) over E with the infty grading, truncation left to the command
+UT11_OVER_E = json.dumps({
+    "kind": "matrix_over", "shape": [1, 1],
+    "entries": {"kind": "grassmann", "grading": {"deg": "infty"}},
+})
+
+
+@pytest.mark.parametrize("method", ["auto", "fast", "limit"])
+@pytest.mark.parametrize("algebra", ["grassmann:deg=infty", UT11_OVER_E], ids=["E", "UT11"])
+def test_identities_over_e_builds_nothing(capsys, monkeypatch, method, algebra):
+    """auto, fast and limit over E and M(E) read the rows off the exterior
+    spec and the block shape: no algebra is constructed, and an unpinned
+    scan evaluates once, since n0 and n0 + 2 use the same parity patterns."""
+    built = _count_constructions(monkeypatch)
+    calls = _count_fast_rows(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "identities", "--algebra", algebra, "--sig", "1,0,1", "--method", method
+    )
+    assert code == 0 and built == [] and len(calls) == 1
+    assert cert_from(out)["result"]["stabilization"]["n_values"] == [6, 8]
+
+
+def test_identities_evaluates_both_levels_when_their_patterns_differ(capsys, monkeypatch):
+    """A pinned E_2 at 1,1,1 uses fewer parity patterns than E_4, so the scan
+    evaluates both levels, still with nothing built."""
+    built = _count_constructions(monkeypatch)
+    calls = _count_fast_rows(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "identities", "--algebra", "grassmann:N=2,deg=natural", "--sig", "1,1,1"
+    )
+    assert code == 0 and built == [] and len(calls) == 2
+    assert cert_from(out)["result"]["stabilization"]["dims"] == [6, 5]
+
+
+def _count_fast_rows(monkeypatch) -> list:
+    """Record every call of spaces.grassmann_fast_rows from now on."""
+    calls = []
+    real = spaces.grassmann_fast_rows
+    monkeypatch.setattr(
+        spaces, "grassmann_fast_rows", lambda *a: calls.append(a) or real(*a)
+    )
+    return calls
+
+
+@pytest.mark.slow
+def test_identities_scan_matches_evaluation_on_built_algebras(capsys):
+    """Each scan's dims equal identities_by_evaluation on the built n0 and
+    n0 + 2 algebras, at every Z2 signature up to length 4, over E and the
+    shapes (1,1) and (2,1), for natural, infty and kstar:1, with N unpinned
+    and pinned at 3, where the two levels can differ."""
+    built = functools.lru_cache(maxsize=None)(
+        lambda gspec, sizes: build_grassmann(gspec)
+        if sizes == (1,)
+        else build_matrix_over(build_grassmann(gspec), BlockShape(sizes))
+    )
+    gradings = [("natural", {}), ("infty", {}), ("kstar", {"k": 1})]
+    differ = 0
+    for (deg, kw), sizes, pinned in itertools.product(
+        gradings, [(1,), (1, 1), (2, 1)], [None, 3]
+    ):
+        entries = {"kind": "grassmann", "grading": {"deg": {deg: kw["k"]} if kw else deg}}
+        if pinned:
+            entries["generators"] = pinned
+        desc = entries if sizes == (1,) else {
+            "kind": "matrix_over", "shape": list(sizes), "entries": entries,
+        }
+        for n in range(1, 5):
+            for sig in itertools.product("01", repeat=n):
+                code, out, _ = run_cli(
+                    capsys, "identities", "--algebra", json.dumps(desc), "--sig", ",".join(sig)
+                )
+                assert code == 0
+                scan = cert_from(out)["result"]["stabilization"]
+                want = [
+                    spaces.identities_by_evaluation(
+                        built(GrassmannSpec(level, deg, **kw), sizes), [(int(d),) for d in sig]
+                    ).dim
+                    for level in scan["n_values"]
+                ]
+                assert scan["dims"] == want, (desc, sig)
+                differ += want[0] != want[1]
+    assert differ
 
 
 def test_identities_generators_route(capsys, tmp_path):
@@ -318,11 +407,56 @@ UT11_OVER_E40 = json.dumps(
 )
 def test_construction_guard_exits_3_before_building(capsys, argv, cells):
     """The estimate 2 x dim x |unit| is read from the descriptor: E_40 and
-    the matrices over it are never enumerated."""
-    code, out, err = run_cli(capsys, *argv, "--sig", "1,1")
+    the matrices over it are never enumerated. Only --method full builds
+    them; the other methods read their rows off the exterior spec."""
+    code, out, err = run_cli(capsys, *argv, "--sig", "1,1", "--method", "full")
     assert code == 3 and out == ""
     assert err.startswith("resource guard: building") and err.count("\n") == 1
     assert f"[cells {cells} > max_cells 8000000]" in err
+
+
+def test_identities_pinned_large_truncation_answers_as_unpinned(capsys):
+    """A pinned E_40 is never built, so no construction guard stops it: at
+    every signature of length 3 it answers as the unpinned command does,
+    up to the truncations the scan names."""
+    for sig in itertools.product("01", repeat=3):
+        results = []
+        for algebra in ("grassmann:N=40,deg=infty", "grassmann:deg=infty"):
+            code, out, err = run_cli(
+                capsys, "identities", "--algebra", algebra, "--sig", ",".join(sig)
+            )
+            assert code == 0 and err == ""
+            result = cert_from(out)["result"]
+            results.append((result, result.pop("stabilization")))
+        (pinned, pinned_scan), (unpinned, unpinned_scan) = results
+        assert pinned == unpinned
+        assert pinned_scan["n_values"] == [40, 42] and unpinned_scan["n_values"] == [6, 8]
+        assert pinned_scan["dims"] == unpinned_scan["dims"]
+
+
+@pytest.mark.parametrize("n", [4095, 4096])
+def test_identities_scan_past_the_generator_limit_exits_3(capsys, n):
+    """Level N + 2 would pass MAX_GENERATORS: one guard line names it and
+    the limit, not a descriptor error about a value the user never wrote."""
+    code, out, err = run_cli(capsys, "identities", "--algebra", f"grassmann:N={n}", "--sig", "1,1")
+    assert code == 3 and out == ""
+    assert err == (
+        f"resource guard: the stabilization scan needs N + 2 = {n + 2} generators, "
+        "past the limit of 4096\n"
+    )
+
+
+def test_identities_scan_up_to_the_generator_limit(capsys):
+    """N = 4094 scans up to E_4096, the largest exterior algebra; --method
+    full still stops at the construction guard of level N."""
+    code, out, _ = run_cli(capsys, "identities", "--algebra", "grassmann:N=4094", "--sig", "1,1")
+    assert code == 0
+    assert cert_from(out)["result"]["stabilization"]["n_values"] == [4094, 4096]
+    code, out, err = run_cli(
+        capsys, "identities", "--algebra", "grassmann:N=4096", "--sig", "1,1", "--method", "full"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("resource guard: building the ") and err.count("\n") == 1
 
 
 MALFORMED_DESCRIPTORS = [
@@ -778,6 +912,22 @@ def test_factor_check_pinned_large_truncation_answers_as_unpinned(capsys):
     unpinned = cert_from(out)
     assert pinned["config"]["truncations"] == [40]
     assert pinned["result"] == unpinned["result"]
+
+
+def test_factor_check_takes_n_from_an_explicit_grading_of_no_generators(capsys):
+    """An explicit grading fixes N, even N = 0: factor-check evaluates
+    UT(1,1; E_0) with its own rows, as identities does."""
+    entries = '{"kind":"grassmann","generators":0,"grading":{"deg":{"explicit":[]}}}'
+    code, out, err = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", entries, "--sig", "0,0"
+    )
+    assert code == 0 and err == ""
+    cert = cert_from(out)
+    assert cert["config"]["truncations"] == [0]
+    target = f'{{"kind":"matrix_over","shape":[1,1],"entries":{entries}}}'
+    code, out, _ = run_cli(capsys, "identities", "--algebra", target, "--sig", "0,0")
+    assert code == 0
+    assert cert["result"]["verdicts"][0]["dim_identities"] == cert_from(out)["result"]["dim"]
 
 
 def test_factor_check_exits_3_when_the_default_truncation_is_too_small(capsys, monkeypatch):
