@@ -65,7 +65,11 @@ whose two levels use different parity patterns (dims [6, 5]); E_3 infty
 under --method limit, which exits 3 on a pattern E_3 cannot realize; the
 nested matrix_over descriptor under --method fast, which exits 4; E_4 with
 an explicit grading, evaluated once; and (2,1) over kstar:1 E at 1,0,1,1,
-N unpinned. 51 commands in all.
+N unpinned. Four more run letter steps that add into an entry or a node
+already holding words they cancel: model evaluations with Fraction
+coefficients and repeated letters in (1,1) infty, (2,1) natural and
+(1,1,1) kstar:1, and a kstar:2 normal form of a difference of two words
+in reverse order. 55 commands in all.
 """
 
 from __future__ import annotations
@@ -205,6 +209,15 @@ FACTOR_CLI_COMMANDS = [
     ["identities", "--algebra", NESTED_MATRIX_OVER, "--sig", "1", "--method", "fast"],
     ["identities", "--algebra", EXPLICIT_E4, "--sig", "1,0,1"],
     ["identities", "--algebra", UT21_OVER_KSTAR1, "--sig", "1,0,1,1"],
+    # letter steps that add into an entry or node already holding the words
+    # they cancel: Fraction coefficients, repeated letters, both tail orders
+    ["model", "eval", "--shape", "1,1", "--mode", "infty",
+     "--poly", "1/2*z1*y2*z3-1/2*z3*y2*z1+[z1,z3]*y2"],
+    ["model", "eval", "--shape", "2,1", "--mode", "natural",
+     "--poly", "z1*y2*z1+y2*y2-1/3*y2*z1*z1"],
+    ["model", "eval", "--shape", "1,1,1", "--mode", "kstar:1",
+     "--poly", "2/3*z1*z2*y3-z2*z1*y3+[y3,z1]*z2"],
+    ["relfree", "nf", "--mode", "kstar:2", "--poly", "1/2*z1*z2*z3*y4-1/2*y4*z3*z2*z1"],
 ]
 
 

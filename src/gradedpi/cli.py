@@ -217,13 +217,27 @@ def _read_generators(path: str, spec: GroupSpec):
     return gens
 
 
+def _scan_levels(n0: int) -> list:
+    """[n0, n0 + 2], the truncations a stabilization scan reads, or a
+    guard error naming N + 2 when it passes MAX_GENERATORS."""
+    if n0 + 2 > MAX_GENERATORS:
+        raise GuardExceededError(
+            f"the stabilization scan needs N + 2 = {n0 + 2} generators, "
+            f"past the limit of {MAX_GENERATORS}"
+        )
+    return [n0, n0 + 2]
+
+
 def _truncation(gspec, length: int):
     """(the exterior algebra evaluated first, whether its N is pinned): an
     explicit grading fixes N, else a stated N pins it, else N is the
-    default truncation n0 at the signature length."""
+    default truncation n0 at the signature length, which is scanned with
+    n0 + 2, so both must lie within MAX_GENERATORS."""
     if gspec.deg_kind == "explicit" or gspec.n_generators:
         return gspec, True
-    return dataclasses.replace(gspec, n_generators=default_truncation(length, gspec)), False
+    n0 = default_truncation(length, gspec)
+    _scan_levels(n0)
+    return dataclasses.replace(gspec, n_generators=n0), False
 
 
 def cmd_identities(args) -> int:
@@ -261,13 +275,8 @@ def cmd_identities(args) -> int:
         # an explicit grading lists one degree per generator: it fixes its
         # algebra, so there is no truncation to scan
         if gspec is not None and gspec.deg_kind != "explicit":
-            n0 = gspec.n_generators
-            if n0 + 2 > MAX_GENERATORS:
-                raise GuardExceededError(
-                    f"the stabilization scan needs N + 2 = {n0 + 2} generators, "
-                    f"past the limit of {MAX_GENERATORS}"
-                )
-            up = dataclasses.replace(gspec, n_generators=n0 + 2)
+            n_values = _scan_levels(gspec.n_generators)
+            up = dataclasses.replace(gspec, n_generators=n_values[1])
             # the fast rows read a truncation only through its parity patterns
             same = shape is not None and (
                 parity_patterns(gspec, sig, limit) == parity_patterns(up, sig, limit)
@@ -275,10 +284,10 @@ def cmd_identities(args) -> int:
             dims = [comp_eval.dim, comp_eval.dim if same else evaluate(up).dim]
             stabilized = dims[0] == dims[1]
             scan = {
-                "n_values": [n0, n0 + 2],
+                "n_values": n_values,
                 "dims": dims,
                 "stabilized": stabilized,
-                "stabilized_at": n0 if stabilized else None,
+                "stabilized_at": n_values[0] if stabilized else None,
             }
 
     comp_cons = None
@@ -443,7 +452,7 @@ def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
     at every N >= n0, and truncations records n0 and n0 + 2."""
     gspec, pinned = _truncation(exterior_spec(desc), max(len(s) for s in sigs))
     n0, limit = gspec.n_generators, not pinned
-    truncations = [n0] if pinned else [n0, n0 + 2]
+    truncations = [n0] if pinned else _scan_levels(n0)
     providers = {
         d: GrassmannRowsProvider(gspec, BlockShape((d,)), limit, guard)
         for d in dict.fromkeys(shape.sizes)

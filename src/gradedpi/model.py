@@ -64,14 +64,15 @@ class _RelfreeAdapter:
         return dict(a.terms)
 
     def raw_arithmetic(self, universe: dict):
-        """(empty word, letter times raw entry, raw entry -> element) over
-        the entry variables of universe; raw entries are straightened
-        {(evens, odds, comms): c} id tuples."""
+        """(empty word, times, raw entry -> element) over the entry
+        variables of universe; raw entries are straightened
+        {(evens, odds, comms): c} id tuples, and times(vid, raw, out, c)
+        adds c * x_vid * raw into the raw entry out, in place."""
         mode = self.mode
         parities = {vid: deg[0] for vid, deg in universe.items()}
 
-        def times(vid, raw):
-            return letter_step(mode, vid, raw, parities)
+        def times(vid, raw, out, c):
+            letter_step(mode, vid, raw, parities, out, c)
 
         return ((), (), ()), times, lambda raw: from_straightened(mode, raw, parities)
 
@@ -111,12 +112,12 @@ class _TruncatedAdapter:
         return out
 
     def raw_arithmetic(self, universe: dict):
-        """(empty word, letter times raw entry, raw entry -> polynomial)
-        over the entry variables of universe; raw entries are {word: c}
-        terms."""
+        """(empty word, times, raw entry -> polynomial) over the entry
+        variables of universe; raw entries are {word: c} terms, and
+        times(vid, raw, out, c) adds c * x_vid * raw into out, in place."""
 
-        def times(vid, raw):
-            return {(vid,) + w: c for w, c in raw.items()}
+        def times(vid, raw, out, c):
+            add_scaled(out, (((vid,) + w, x) for w, x in raw.items()), c)
 
         return (), times, lambda raw: NcPolynomial(raw, universe)
 
@@ -291,11 +292,12 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
 
     A step moves the entry letters of the generator into the quotient's
     entries: entry (i,j) gains c * x_{i,l} * eval(q)_{l,j} for every l,
-    each term one insertion of a letter into raw backend terms, with no
-    generic matrix of the generator built. The entries become backend
-    elements once, at the end; zero entries are left out. A step forms at
-    most cfg.shape.n_entry_products() letter products: the `model eval`
-    guard bounds that count per step, not for the whole evaluation.
+    each term one letter step that adds its product, times c, straight
+    into the raw entry (i,j), with no product dict and no generic matrix
+    of the generator built. The entries become backend elements once, at
+    the end; zero entries are left out. A step forms at most
+    cfg.shape.n_entry_products() letter products: the `model eval` guard
+    bounds that count per step, not for the whole evaluation.
     """
     if not f.terms:
         return zero_matrix(cfg)
@@ -344,7 +346,7 @@ def model_eval(f: NcPolynomial, cfg: ModelConfig) -> GenericMatrix:
             col = columns[x]
             for (l, j), raw in memo[q].items():
                 for i, vid in col[l]:
-                    add_scaled(acc.setdefault((i, j), {}), times(vid, raw), c)
+                    times(vid, raw, acc.setdefault((i, j), {}), c)
         memo[stack.pop()] = {pos: raw for pos, raw in acc.items() if raw}
     raws = memo.pop(root)
     memo.clear()  # the quotients' entries go before the root's are finished

@@ -32,10 +32,11 @@ non-integral coefficient. Which rule is applied first cannot change the
 result: every rule is an identity of the relatively free algebra, and the
 normal words are a basis of it (a codimension check against the
 consequence route and a leftmost-pair oracle in the tests pin this).
-Every mode straightens by one letter step, letter_step. Every rule
-preserves the multiset of ids of a word, so letter_step drops a word at
-the odd letter that would take it past the kstar cutoff, and relfree_mul
-drops the pairs whose combined odd count already crosses it.
+Every mode straightens by one letter step, letter_step, which adds its
+product, times a scale, straight into the dict its caller is building.
+Every rule preserves the multiset of ids of a word, so letter_step drops
+a word at the odd letter that would take it past the kstar cutoff, and
+relfree_mul drops the pairs whose combined odd count already crosses it.
 
 While a word straightens it is an (evens, odds, comms) tuple of ids; each
 output RelFreeWord is built once, at the end. Input is checked once, by the
@@ -147,89 +148,76 @@ def _word(evens: tuple, odds: tuple, comms: tuple) -> RelFreeWord:
     return word
 
 
-def _with_commutator(comms: tuple, a: int, ia: int, b: int):
-    """(sign, sorted ids) of the tail comms times [x_a, x_b], or None when b
-    repeats an id of comms; ia = bisect_left(comms, a), and a is not in comms.
-
-    Sorting comms + (a, b) passes a over the len(comms) - ia larger ids, b
-    over len(comms) - ib, and b over a if a > b: two bisects give the sign.
-    """
-    ib = bisect_left(comms, b)
-    if ib < len(comms) and comms[ib] == b:
-        return None
-    sign = -1 if (ia + ib + (a > b)) & 1 else 1
-    if a < b:
-        return sign, comms[:ia] + (a,) + comms[ia:ib] + (b,) + comms[ib:]
-    return sign, comms[:ib] + (b,) + comms[ib:ia] + (a,) + comms[ia:]
-
-
-def _times_letter(parity: int, a: int, terms: dict) -> dict:
-    """The letter x_a, of the given parity, times sum(c * W), over normal
-    words W = (evens, odds, comms) id tuples, with no zero coefficient in
-    or out.
+def letter_step(
+    mode: GradingMode, a: int, terms: dict, parities: dict, out: dict, scale
+) -> None:
+    """Add scale * x_a * sum(c * W) in the mode into out, in place, over
+    normal words W as id tuples; scale is nonzero, and no zero coefficient
+    is in terms or is left in out. parities declares a. The one per-mode
+    insertion: normal_form, relfree_mul and the generic model's evaluation
+    all move their letters in through it, each straight into the dict it
+    builds.
 
     x*W = (W with x inserted) + sum over the letters v < x of W of
     (W - v)*[x, v]: x moves right past each smaller letter by
     x v = v x + [x, v], and commutators are central. In the letter order
-    (parity, id), an odd x passes every even letter.
-    """
-    out = {}
-
-    def put(word, c):
-        total = out.get(word, 0) + c
-        if total:
-            out[word] = total
-        else:
-            del out[word]
-
-    for (evens, odds, comms), c in terms.items():
-        if parity:
-            i = bisect_left(odds, a)
-            put((evens, odds[:i] + (a,) + odds[i:], comms), c)
-            moved = [(evens[:k] + evens[k + 1 :], odds, v) for k, v in enumerate(evens)]
-            moved += [(evens, odds[:k] + odds[k + 1 :], v) for k, v in enumerate(odds[:i])]
-        else:
-            i = bisect_left(evens, a)
-            put((evens[:i] + (a,) + evens[i:], odds, comms), c)
-            moved = [(evens[:k] + evens[k + 1 :], odds, v) for k, v in enumerate(evens[:i])]
-        ia = bisect_left(comms, a)
-        if ia < len(comms) and comms[ia] == a:
-            continue  # every [x, v] repeats the id of x in the tail
-        for e, o, v in moved:
-            signed = _with_commutator(comms, a, ia, v)
-            if signed:
-                put((e, o, signed[1]), c * signed[0])
-    return out
-
-
-def letter_step(mode: GradingMode, a: int, terms: dict, parities: dict) -> dict:
-    """The letter x_a times sum(c * W) in the mode, over normal words W as
-    id tuples, with no zero coefficient in or out; parities declares a.
-    The one per-mode insertion: normal_form, relfree_mul and the generic
-    model's evaluation all move their letters in through it.
-
-    natural inserts x_a with the sign of the odds it passes, or drops W when
-    x_a repeats an odd id; kstar drops the words that x_a would take past k
-    odd occurrences, then inserts as infty does.
+    (parity, id), an odd x passes every even letter. natural inserts x_a
+    with the sign of the odds it passes, or drops W when x_a repeats an odd
+    id; kstar drops the words that x_a would take past k odd occurrences,
+    then inserts as infty does.
     """
     parity = parities[a]
-    if mode.kind == "natural":
-        out = {}
-        for (evens, odds, comms), c in terms.items():
-            if not parity:
-                i = bisect_left(evens, a)
-                out[(evens[:i] + (a,) + evens[i:], odds, comms)] = c
-                continue
+    natural = mode.kind == "natural"
+    room = mode.k - parity if mode.kind == "kstar" else None
+    get = out.get
+    for (evens, odds, comms), c in terms.items():
+        if room is not None and len(odds) + _odd_count(comms, parities) > room:
+            continue
+        c *= scale
+        if parity:
             i = bisect_left(odds, a)
-            if i == len(odds) or odds[i] != a:
-                out[(evens, odds[:i] + (a,) + odds[i:], comms)] = -c if i & 1 else c
-        return out
-    if mode.kind == "kstar":
-        room = mode.k - parity
-        terms = {
-            w: c for w, c in terms.items() if len(w[1]) + _odd_count(w[2], parities) <= room
-        }
-    return _times_letter(parity, a, terms)
+            if natural:
+                if i < len(odds) and odds[i] == a:
+                    continue
+                if i & 1:
+                    c = -c
+            key = (evens, odds[:i] + (a,) + odds[i:], comms)
+        else:
+            i = bisect_left(evens, a)
+            key = (evens[:i] + (a,) + evens[i:], odds, comms)
+        total = get(key, 0) + c
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+        if natural:
+            continue
+        ia = bisect_left(comms, a)
+        n_comms = len(comms)
+        if ia < n_comms and comms[ia] == a:
+            continue  # every [x, v] repeats the id of x in the tail
+        # the tail of (W - v)*[x, v] sorts comms + (a, v): a passes the
+        # n_comms - ia ids above it, v the n_comms - ib above it, and v
+        # passes a if a > v, so the sign is (-1)^(ia + ib + (a > v)); an id
+        # of v that repeats in comms kills the word
+        n_even = len(evens)
+        for k, v in enumerate(evens + odds[:i] if parity else evens[:i]):
+            ib = bisect_left(comms, v)
+            if ib < n_comms and comms[ib] == v:
+                continue
+            if a < v:
+                tail = comms[:ia] + (a,) + comms[ia:ib] + (v,) + comms[ib:]
+            else:
+                tail = comms[:ib] + (v,) + comms[ib:ia] + (a,) + comms[ia:]
+            if k < n_even:
+                key = (evens[:k] + evens[k + 1 :], odds, tail)
+            else:
+                key = (evens, odds[: k - n_even] + odds[k - n_even + 1 :], tail)
+            total = get(key, 0) + (-c if (ia + ib + (a > v)) & 1 else c)
+            if total:
+                out[key] = total
+            else:
+                del out[key]
 
 
 def _insert_prefixes(mode: GradingMode, nodes: dict, parities: dict) -> dict:
@@ -238,14 +226,14 @@ def _insert_prefixes(mode: GradingMode, nodes: dict, parities: dict) -> dict:
     {(evens, odds, comms): c} with no zero coefficient.
 
     Longest prefixes first, the last letter x of p = q x moves into nodes[p]
-    by letter_step, and the result joins nodes[q]. Prefixes that share
-    their beginning share the insertions of its letters, and terms cancel
-    before more letters move in. No recursion: words may be long.
+    by letter_step, which adds the result straight into nodes[q]. Prefixes
+    that share their beginning share the insertions of its letters, and
+    terms cancel before more letters move in. No recursion: words may be
+    long.
     """
     for n in range(max(map(len, nodes), default=0), 0, -1):
         for p in [p for p in nodes if len(p) == n]:
-            step = letter_step(mode, p[-1], nodes.pop(p), parities)
-            add_scaled(nodes.setdefault(p[:-1], {}), step)
+            letter_step(mode, p[-1], nodes.pop(p), parities, nodes.setdefault(p[:-1], {}), 1)
     return nodes.get((), {})
 
 
@@ -412,7 +400,12 @@ def relfree_mul(a: RelFreeElement, b: RelFreeElement) -> RelFreeElement:
             tail = wa.comms + wb.comms
             sign = sort_sign(tail)
             if sign:
-                add_scaled(node, {(wb.evens, wb.odds, tuple(sorted(tail))): ca * cb * sign})
+                key = (wb.evens, wb.odds, tuple(sorted(tail)))
+                total = node.get(key, 0) + ca * cb * sign
+                if total:
+                    node[key] = total
+                else:
+                    del node[key]
     return from_straightened(mode, _insert_prefixes(mode, nodes, parities), parities)
 
 

@@ -330,6 +330,41 @@ def reference_relfree_mul(a, b):
     return {w: c for w, c in out.items() if c}
 
 
+def reference_letter_product(mode, x, el, parities):
+    """x * el in raw {(evens, odds, comms): c} id tuples, by
+    reference_relfree_mul on the word x as it stands, unstraightened (the
+    oracle applies the kstar cutoff); parities declares x."""
+    from gradedpi.relfree import from_straightened
+
+    letter = ((), (x,), ()) if parities[x] else ((x,), (), ())
+    want = reference_relfree_mul(from_straightened(mode, {letter: 1}, parities), el)
+    return {(w.evens, w.odds, w.comms): c for w, c in want.items()}
+
+
+def check_accumulating_step(step, product, others, scale, rng):
+    """step(out, scale) must add scale * product into out in place, key for
+    key, and leave no zero coefficient. out starts holding the first key of
+    product and about a third of the others at the value the step cancels,
+    about a fifth at some other value, and the keys of others, which
+    product may miss."""
+    from gradedpi.linalg import add_scaled
+
+    start = {}
+    for n, (key, c) in enumerate(product.items()):
+        r = rng.random()
+        if n == 0 or r < 0.3:
+            start[key] = -scale * c
+        elif r < 0.5:
+            start[key] = rng.choice([1, -3, Fraction(2, 3)])
+    for key in others:
+        start.setdefault(key, rng.choice([1, -1, Fraction(1, 3)]))
+    out = dict(start)
+    step(out, scale)
+    assert out == add_scaled(dict(start), product, scale)
+    assert all(out.values())
+    assert not product or next(iter(product)) not in out  # a key was cancelled
+
+
 # -- consequence-row oracle -------------------------------------------------------
 
 

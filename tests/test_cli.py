@@ -459,6 +459,40 @@ def test_identities_scan_up_to_the_generator_limit(capsys):
     assert err.startswith("resource guard: building the ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (["identities", "--algebra", "grassmann:deg=kstar,k=4095"], 4099),
+        (["factor-check", "--shape", "1,1", "--entries", "grassmann:deg=kstar,k=4093"], 4097),
+    ],
+)
+def test_unpinned_truncation_past_the_generator_limit_exits_3(capsys, argv, need):
+    """An unpinned truncation n0 = 2 + k is read with n0 + 2: past
+    MAX_GENERATORS one guard line names it and the limit, not a descriptor
+    error about a value the user never wrote, nor a level that cannot be
+    built recorded as if it were."""
+    code, out, err = run_cli(capsys, *argv, "--sig", "1")
+    assert code == 3 and out == ""
+    assert err == (
+        f"resource guard: the stabilization scan needs N + 2 = {need} generators, "
+        "past the limit of 4096\n"
+    )
+
+
+def test_unpinned_truncation_up_to_the_generator_limit(capsys):
+    """k = 4092 gives n0 = 4094, whose level n0 + 2 is E_4096, the largest
+    exterior algebra: both commands answer and name the two levels."""
+    entries = "grassmann:deg=kstar,k=4092"
+    code, out, _ = run_cli(capsys, "identities", "--algebra", entries, "--sig", "1")
+    assert code == 0
+    assert cert_from(out)["result"]["stabilization"]["n_values"] == [4094, 4096]
+    code, out, _ = run_cli(
+        capsys, "factor-check", "--shape", "1,1", "--entries", entries, "--sig", "1"
+    )
+    assert code == 0
+    assert cert_from(out)["config"]["truncations"] == [4094, 4096]
+
+
 MALFORMED_DESCRIPTORS = [
     ("grassmann:N=x", 1),
     ('{"kind":"grassmann","group":[2],"generators":"abc"}', 1),

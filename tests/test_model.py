@@ -27,10 +27,10 @@ from gradedpi.model import (
     shift_automorphism,
     zero_matrix,
 )
-from gradedpi.relfree import GradingMode
+from gradedpi.relfree import GradingMode, RelFreeElement, random_basis_word
 from gradedpi.spaces import TruncatedQuotientBackend
 
-from _support import word_by_word_model_eval
+from _support import check_accumulating_step, reference_letter_product, word_by_word_model_eval
 
 NAT = GradingMode("natural")
 
@@ -374,6 +374,8 @@ def _commutator_polys(draw, max_degree=5):
 # is drawn by the strategy
 @example(f=parse_poly("2*[z1,y2]*z3 - y4*[z3,z1] + z1*y4*z3 + 1", Z2), backend="kstar:2", shape=(1, 2))
 @example(f=parse_poly("[y1,y2]*y3*[y4,z5] - y4*y3 + z5", Z2), backend="kstar:0", shape=(2, 1))
+# Fraction coefficients that cancel inside one entry, and a repeated variable
+@example(f=parse_poly("1/2*z1*y2*z1 - 1/2*z1*z1*y2 + [z1,y2]*z1", Z2), backend="infty", shape=(1, 1, 1))
 def test_model_eval_matches_the_word_by_word_oracle(f, backend, shape):
     """Memoized Horner gives the same printed entries as multiplying out
     every word, on both backends."""
@@ -381,6 +383,38 @@ def test_model_eval_matches_the_word_by_word_oracle(f, backend, shape):
     cfg = ModelConfig(BlockShape(shape), Z2, entries)
     got = model_eval(f, cfg).entry_strings()
     assert got == word_by_word_model_eval(f, cfg).entry_strings()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    scale=st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+    backend=st.sampled_from(["natural", "infty", "kstar:0", "kstar:1", "kstar:2", "truncated"]),
+)
+def test_adapter_times_accumulates_in_place(seed, scale, backend):
+    """Each adapter's times(vid, raw, out, c) adds c * x_vid * raw straight
+    into an entry that already holds terms, some of which the product
+    cancels: the same as adding the bare product to it, with no zero
+    coefficient left."""
+    rng = random.Random(seed)
+    ids = list(range(1, 7))
+    parities = {v: 0 if v <= 2 else rng.randint(0, 1) for v in ids}
+    universe = {v: (p,) for v, p in parities.items()}
+    x = rng.choice(ids)
+    coeffs = [-2, -1, 1, Fraction(1, 2)]
+    if backend == "truncated":
+        words = [tuple(rng.choice(ids) for _ in range(rng.randint(0, 3))) for _ in range(3)]
+        raw = {w: rng.choice(coeffs) for w in words}
+        product = {(x,) + w: c for w, c in raw.items()}
+    else:
+        mode = GradingMode.parse(backend)
+        words = [random_basis_word(mode, ids, parities, rng, 4) for _ in range(3)]
+        el = RelFreeElement(mode, {w: rng.choice(coeffs) for w in words}, parities)
+        raw = {(w.evens, w.odds, w.comms): c for w, c in el.terms.items()}
+        product = reference_letter_product(mode, x, el, parities)
+    entries = _truncated_backend() if backend == "truncated" else mode
+    _, times, _ = ModelConfig(BlockShape((1,)), Z2, entries).adapter().raw_arithmetic(universe)
+    check_accumulating_step(lambda out, c: times(x, raw, out, c), product, list(raw), scale, rng)
 
 
 def test_model_eval_of_a_long_word():

@@ -3,8 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _support import reference_relfree_mul, reference_straighten
+from _support import (
+    check_accumulating_step,
+    reference_letter_product,
+    reference_relfree_mul,
+    reference_straighten,
+)
 from gradedpi import Z2
 from gradedpi.errors import DegreeConflictError, MalformedElementError, UnsupportedFeatureError
 from gradedpi import relfree
@@ -305,13 +312,14 @@ def test_letter_step_matches_leftmost_pair_oracle(mode):
             terms[RelFreeWord((), (), ())] = 3
         el = RelFreeElement(mode, terms, parities)
         x = rng.choice(ids)
-        # the word x as it stands, unstraightened: the oracle applies the cutoff
-        letter = ((), (x,), ()) if parities[x] else ((x,), (), ())
-        want = reference_relfree_mul(from_straightened(mode, {letter: 1}, parities), el)
+        want = reference_letter_product(mode, x, el, parities)
         raw = {(w.evens, w.odds, w.comms): c for w, c in el.terms.items()}
-        got = letter_step(mode, x, raw, parities)
-        assert got == {(w.evens, w.odds, w.comms): c for w, c in want.items()}, (mode, x, el)
-        assert from_straightened(mode, got, parities).terms == want
+        got = {}
+        letter_step(mode, x, raw, parities, got, 1)
+        assert got == want, (mode, x, el)
+        assert from_straightened(mode, got, parities).terms == {
+            RelFreeWord(*k): c for k, c in want.items()
+        }
         for w in el.terms:
             odd = len(w.odds) + sum(parities[v] for v in w.comms) + parities[x]
             if mode.kind == "kstar" and parities[x]:
@@ -322,6 +330,31 @@ def test_letter_step_matches_leftmost_pair_oracle(mode):
         assert seen["past cutoff"] and (seen["on cutoff"] or mode.k == 0), seen
     if mode.kind == "natural":
         assert seen["repeated odd id"], seen
+
+
+@pytest.mark.parametrize(
+    "mode", [NAT, INF] + [GradingMode("kstar", k) for k in range(3)], ids=lambda m: m.token()
+)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32), scale=st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_letter_step_accumulates_in_place(mode, seed, scale):
+    """letter_step adds scale * x * el straight into a dict that already
+    holds words, some of which the product cancels: the same as adding the
+    leftmost-pair product to it, with no zero coefficient left."""
+    rng = random.Random(seed)
+    ids = list(range(1, 7))
+    parities = {v: 0 if v <= 2 else rng.randint(0, 1) for v in ids}
+    words = [random_basis_word(mode, ids, parities, rng, 4) for _ in range(rng.randint(1, 3))]
+    el = RelFreeElement(mode, {w: rng.choice([-2, -1, 1, Fraction(1, 2)]) for w in words}, parities)
+    x = rng.choice(ids)
+    raw = {(w.evens, w.odds, w.comms): c for w, c in el.terms.items()}
+    check_accumulating_step(
+        lambda out, c: letter_step(mode, x, raw, parities, out, c),
+        reference_letter_product(mode, x, el, parities),
+        list(raw),
+        scale,
+        rng,
+    )
 
 
 @pytest.mark.parametrize("mode", [NAT, INF, K1, K2], ids=lambda m: m.token())
