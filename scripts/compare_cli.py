@@ -69,7 +69,10 @@ N unpinned. Four more run letter steps that add into an entry or a node
 already holding words they cancel: model evaluations with Fraction
 coefficients and repeated letters in (1,1) infty, (2,1) natural and
 (1,1,1) kstar:1, and a kstar:2 normal form of a difference of two words
-in reverse order. 55 commands in all.
+in reverse order. Two identities commands decide the fast rows by the
+descriptor of an algebra that has none: a block_triangular one, built and
+evaluated by its full rows, and a matrix one under --method limit, which
+exits 4. 57 commands in all.
 """
 
 from __future__ import annotations
@@ -121,6 +124,14 @@ UT11_OVER_E = json.dumps({
 EXPLICIT_E4 = json.dumps(
     {"kind": "grassmann", "generators": 4, "grading": {"deg": {"explicit": [1, 0, 1, 1]}}},
     separators=(",", ":"),
+)
+# UT over the field with targets 0,1,0 in blocks (2,1), and M_2 over the field
+BLOCK_TRIANGULAR_21 = json.dumps({
+    "kind": "block_triangular", "group": [2],
+    "grading": {"targets": [[0], [1], [0]]}, "shape": [2, 1],
+}, separators=(",", ":"))
+MATRIX_M2 = json.dumps(
+    {"kind": "matrix", "group": [2], "grading": {"targets": [[0], [1]]}}, separators=(",", ":")
 )
 # (2,1) over E with the kstar:1 grading, truncation left to the command
 UT21_OVER_KSTAR1 = json.dumps({
@@ -218,6 +229,9 @@ FACTOR_CLI_COMMANDS = [
     ["model", "eval", "--shape", "1,1,1", "--mode", "kstar:1",
      "--poly", "2/3*z1*z2*y3-z2*z1*y3+[y3,z1]*z2"],
     ["relfree", "nf", "--mode", "kstar:2", "--poly", "1/2*z1*z2*z3*y4-1/2*y4*z3*z2*z1"],
+    # algebras without fast rows: full rows on a built one, and limit refused
+    ["identities", "--algebra", BLOCK_TRIANGULAR_21, "--sig", "0,1,0"],
+    ["identities", "--algebra", MATRIX_M2, "--method", "limit", "--sig", "1"],
 ]
 
 

@@ -139,6 +139,10 @@ class StructureConstantAlgebra:
     on 10^4 seeded samples above the bounds. Every build runs these three
     passes in this order on the same seeded draws (check_indices), calling
     the product rule once per term.
+
+    meta is the canonical descriptor of the algebra, as normalize_descriptor
+    gives it, stored by the builder that made it; an algebra made by this
+    constructor alone has meta {}. No code writes to it.
     """
 
     def __init__(self, labels, degrees, group: GroupSpec, product_fn, unit, meta=None):
@@ -320,10 +324,11 @@ def build_matrix_algebra(
     kind = "matrix" if len(shape.sizes) == 1 else "block_triangular"
     meta = {
         "kind": kind,
-        "targets": targets,
-        "shape": shape.sizes,
-        "group": spec,
+        "group": list(spec.orders),
+        "grading": {"targets": [list(t) for t in targets]},
     }
+    if kind == "block_triangular":
+        meta["shape"] = list(shape.sizes)
     return StructureConstantAlgebra(labels, degrees, spec, product, unit, meta)
 
 
@@ -335,7 +340,7 @@ def build_field(spec: GroupSpec = TRIVIAL_GROUP) -> StructureConstantAlgebra:
         spec,
         lambda i, j: {0: 1},
         {0: 1},
-        meta={"kind": "field", "group": spec},
+        meta={"kind": "field", "group": list(spec.orders)},
     )
 
 
@@ -379,9 +384,9 @@ def build_grassmann(gspec: GrassmannSpec) -> StructureConstantAlgebra:
             return {}
         return {index_of_mask[ma | mb]: -1 if (ma & above[b]).bit_count() & 1 else 1}
 
-    unit = {0: 1}
-    meta = {"kind": "grassmann", "gspec": gspec, "group": spec}
-    return StructureConstantAlgebra(labels, degrees, spec, product, unit, meta)
+    return StructureConstantAlgebra(
+        labels, degrees, spec, product, {0: 1}, _grassmann_descriptor(gspec)
+    )
 
 
 def build_matrix_over(
@@ -418,12 +423,7 @@ def build_matrix_over(
         for i in range(1, shape.n + 1)
         for t, c in entries.unit.items()
     }
-    meta = {
-        "kind": "matrix_over",
-        "shape": shape.sizes,
-        "entries": entries,
-        "group": entries.group,
-    }
+    meta = {"kind": "matrix_over", "shape": list(shape.sizes), "entries": entries.meta}
     return StructureConstantAlgebra(labels, degrees, entries.group, product, unit, meta)
 
 
@@ -623,6 +623,17 @@ def exterior_spec(desc) -> GrassmannSpec | None:
     return _resolve(desc).exterior
 
 
+def fast_rows_kind(desc) -> tuple | None:
+    """(GrassmannSpec, BlockShape) when the fast evaluation rows apply to the
+    algebra a canonical descriptor names: E_N, as shape (1,), and block
+    matrices over E_N. None for every other kind, nested matrix_over and the
+    empty meta of an algebra made by the constructor alone included."""
+    entries = desc["entries"] if desc.get("kind") == "matrix_over" else desc
+    if entries.get("kind") != "grassmann":
+        return None
+    return exterior_spec(desc), BlockShape(tuple(desc.get("shape", (1,))))
+
+
 def with_generators(desc, n: int) -> dict:
     """The canonical descriptor with its exterior algebra at n generators."""
     canon = normalize_descriptor(desc)
@@ -653,29 +664,6 @@ def guard_construction(desc, guard: GuardLimits) -> int:
 def algebra_from_descriptor(desc) -> StructureConstantAlgebra:
     """Build an algebra from its JSON descriptor object."""
     return _resolve(desc).build()
-
-
-def descriptor_of(algebra: StructureConstantAlgebra) -> dict:
-    """Reconstruct the JSON descriptor of a constructed algebra."""
-    meta = algebra.meta
-    kind = meta.get("kind")
-    if kind == "field":
-        return {"kind": "field", "group": list(meta["group"].orders)}
-    if kind in ("matrix", "block_triangular"):
-        out = {
-            "kind": kind,
-            "group": list(meta["group"].orders),
-            "grading": {"targets": [list(t) for t in meta["targets"]]},
-        }
-        if kind == "block_triangular":
-            out["shape"] = list(meta["shape"])
-        return out
-    if kind == "grassmann":
-        return _grassmann_descriptor(meta["gspec"])
-    if kind == "matrix_over":
-        inner = descriptor_of(meta["entries"])
-        return {"kind": "matrix_over", "shape": list(meta["shape"]), "entries": inner}
-    raise UnsupportedFeatureError(f"no descriptor for algebra kind {kind!r}")
 
 
 def parse_inline_descriptor(text: str) -> dict:

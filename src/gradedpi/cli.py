@@ -28,6 +28,7 @@ from .algebras import (
     build_matrix_algebra,
     descriptor_group,
     exterior_spec,
+    fast_rows_kind,
     guard_construction,
     is_g_regular,
     normalize_descriptor,
@@ -255,14 +256,12 @@ def cmd_identities(args) -> int:
     if desc is not None:
         # E and M(E) have fast rows, read off the exterior spec and the block
         # shape (E_N as (1,)) with nothing built; every other algebra is built
-        entries = desc["entries"] if desc["kind"] == "matrix_over" else desc
-        fast = args.method != "full" and entries["kind"] == "grassmann"
-        shape = BlockShape(tuple(desc.get("shape", (1,)))) if fast else None
+        fast = None if args.method == "full" else fast_rows_kind(desc)
         limit = args.method == "limit"
 
         def evaluate(gspec):
-            if shape is not None:
-                return GrassmannRowsProvider(gspec, shape, limit, guard).component(sig)
+            if fast is not None:
+                return GrassmannRowsProvider(gspec, fast[1], limit, guard).component(sig)
             level = desc if gspec is None else with_generators(desc, gspec.n_generators)
             guard_construction(level, guard)
             return identities_by_evaluation(algebra_from_descriptor(level), sig, args.method, guard)
@@ -278,7 +277,7 @@ def cmd_identities(args) -> int:
             n_values = _scan_levels(gspec.n_generators)
             up = dataclasses.replace(gspec, n_generators=n_values[1])
             # the fast rows read a truncation only through its parity patterns
-            same = shape is not None and (
+            same = fast is not None and (
                 parity_patterns(gspec, sig, limit) == parity_patterns(up, sig, limit)
             )
             dims = [comp_eval.dim, comp_eval.dim if same else evaluate(up).dim]

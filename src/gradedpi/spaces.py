@@ -31,6 +31,7 @@ from .algebras import (
     BlockShape,
     GrassmannSpec,
     StructureConstantAlgebra,
+    fast_rows_kind,
     homogeneous_indices,
 )
 from .errors import (
@@ -216,21 +217,6 @@ def parity_patterns(gspec: GrassmannSpec, sig, limit: bool = False) -> list:
     return used
 
 
-def _fast_kind(algebra: StructureConstantAlgebra):
-    """(gspec, shape) when the fast evaluation rows apply: the exterior
-    spec and block shape of block matrices over E_N, with E_N itself as
-    shape (1,). None for every other algebra."""
-    meta = algebra.meta
-    if meta.get("kind") == "grassmann":
-        return meta["gspec"], BlockShape((1,))
-    if (
-        meta.get("kind") == "matrix_over"
-        and meta["entries"].meta.get("kind") == "grassmann"
-    ):
-        return meta["entries"].meta["gspec"], BlockShape(tuple(meta["shape"]))
-    return None
-
-
 def _unit_chain_columns(positions, perms, guard: GuardLimits) -> list:
     """Column sets of the matrix-unit rows, in unit-tuple sweep order.
 
@@ -357,11 +343,13 @@ def identities_by_evaluation(
     method "full" enumerates all homogeneous basis tuples; "fast" uses the
     reduced Grassmann row set (same kernel, same algebra); "limit" uses
     the reduced rows with untruncated semantics, i.e. the identities of
-    the infinite-generator algebra this one truncates. "auto" picks fast
-    when available, else full.
+    the infinite-generator algebra this one truncates. Whether the fast
+    rows apply is fast_rows_kind of the algebra's meta, its canonical
+    descriptor: "auto" picks fast for E_N and block matrices over E_N, else
+    full, and an algebra made by the constructor alone (meta {}) takes full.
     """
     sig = validate_signature(sig, algebra.group)
-    kind = _fast_kind(algebra)
+    kind = fast_rows_kind(algebra.meta)
     if method == "auto":
         method = "full" if kind is None else "fast"
     if method == "full":

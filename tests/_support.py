@@ -158,18 +158,18 @@ def reference_fast_rows(algebra, sig, limit=False):
     finds the same column sets once from the composable walks. Every row
     is listed as sorted (col, value) pairs, repeats included.
 
-    The pattern selection (reference_parity_patterns), the row enumeration
-    and the pattern signs (an inversion count, not freealg.sort_sign) are
-    all independent of the library's.
+    The exterior spec and the block shape are decoded from the algebra's
+    descriptor, its meta. The pattern selection (reference_parity_patterns),
+    the row enumeration and the pattern signs (an inversion count, not
+    freealg.sort_sign) are all independent of the library's.
     """
-    from gradedpi.algebras import BlockShape
+    from gradedpi.algebras import BlockShape, exterior_spec
     from gradedpi.freealg import multilinear_monomials, validate_signature
 
     meta = algebra.meta
-    if meta["kind"] == "grassmann":
-        gspec, positions = meta["gspec"], None
-    else:
-        gspec = meta["entries"].meta["gspec"]
+    gspec = exterior_spec(meta)
+    positions = None
+    if meta["kind"] == "matrix_over":
         positions = BlockShape(tuple(meta["shape"])).positions()
     sig = validate_signature(sig, algebra.group)
     n = len(sig)
@@ -242,7 +242,7 @@ def acceptance_pass(num, label, elapsed, budget=None):
 
 
 def word_by_word_model_eval(f, cfg):
-    """model_eval by the definition: 1 * xi_{v1} * ... * xi_{vn} for every
+    """model_eval by the definition: xi_{v1} * ... * xi_{vn} * 1 for every
     word of f, scaled by its coefficient and summed; one matrix product per
     letter of every word, nothing shared between words."""
     from gradedpi.model import identity_matrix, make_generator, zero_matrix
@@ -251,8 +251,9 @@ def word_by_word_model_eval(f, cfg):
     acc = zero_matrix(cfg)
     for w, c in f.terms.items():
         m = identity_matrix(cfg)
-        for vid in w:
-            m = m * gens[vid]
+        # from the right: each product then moves one letter into m
+        for vid in reversed(w):
+            m = gens[vid] * m
         acc = acc + m.scale(c)
     return acc
 

@@ -81,14 +81,16 @@ def test_criterion_01_route_agreement_exterior_gradings():
     label = "consequence route == evaluation route (infty, kstar:1, kstar:2)"
     acceptance_start(1, label)
     t0 = time.monotonic()
+    built = {}  # each distinct E_N built once, keyed by (kind, k, N)
     for name in ("infty", "kstar:1", "kstar:2"):
         mode = GradingMode.parse(name)
         pres = presentation_for_mode(mode)
         for sig in z2_sigs_up_to(4):
             co = identities_by_consequences(pres, sig)
-            ev = identities_by_evaluation(
-                E(2 * len(sig) + 4, mode.kind, k=mode.k), sig, method="limit"
-            )
+            key = (mode.kind, mode.k, 2 * len(sig) + 4)
+            if key not in built:
+                built[key] = E(key[2], mode.kind, k=mode.k)
+            ev = identities_by_evaluation(built[key], sig, method="limit")
             # exact equality of the canonical reduced bases
             assert ev.space.rows == co.space.rows, (name, sig)
             assert ev.space.pivots == co.space.pivots, (name, sig)
@@ -118,14 +120,17 @@ def test_criterion_03_factoring_ut11_exterior():
     label = "UT(1,1;E) factors as T(E)T(E) (natural and infty, sigs up to length 4)"
     acceptance_start(3, label)
     t0 = time.monotonic()
+    built = {}  # each distinct E_N and its M(E_N) built once, keyed by (kind, N)
     for kind in ("natural", "infty"):
         for sig in z2_sigs_up_to(4):
             n = len(sig)
             dims = []
             # two consecutive truncations confirm the dimensions stabilized
             for N in (2 * n + 2, 2 * n + 3):
-                A = E(N, kind)
-                R = build_matrix_over(A, BlockShape((1, 1)))
+                if (kind, N) not in built:
+                    A = E(N, kind)
+                    built[kind, N] = A, build_matrix_over(A, BlockShape((1, 1)))
+                A, R = built[kind, N]
                 v = check_factoring(
                     EvaluationProvider(R), [EvaluationProvider(A), EvaluationProvider(A)], sig
                 )
@@ -196,6 +201,7 @@ def test_criterion_06_model_corpus_equivalence():
     t0 = time.monotonic()
     corpus = json.loads((DATA / "model_corpus.json").read_text())
     assert len(corpus) >= 30
+    built = {}  # each distinct M(E_N) built once, keyed by (kind, k, N, shape)
     for entry in corpus:
         mode = GradingMode.parse(entry["mode"])
         shape = BlockShape(tuple(entry["shape"]))
@@ -203,9 +209,11 @@ def test_criterion_06_model_corpus_equivalence():
         model_zero = model_eval(f, ModelConfig(shape, Z2, mode)).is_zero()
         n = len(f.universe)
         sig = tuple(tuple(f.universe[v]) for v in sorted(f.universe))
-        alg = build_matrix_over(E(2 * n + 4, mode.kind, k=mode.k), shape)
+        key = (mode.kind, mode.k, 2 * n + 4, shape)
+        if key not in built:
+            built[key] = build_matrix_over(E(key[2], mode.kind, k=mode.k), shape)
         eval_zero = membership(
-            f, identities_by_evaluation(alg, sig, method="limit")
+            f, identities_by_evaluation(built[key], sig, method="limit")
         )
         assert model_zero == eval_zero == entry["model_zero"], entry
     elapsed = time.monotonic() - t0

@@ -19,9 +19,9 @@ from gradedpi.algebras import (
     build_matrix_over,
     check_indices,
     descriptor_group,
-    descriptor_of,
     evaluate,
     exterior_spec,
+    fast_rows_kind,
     guard_construction,
     homogeneous_indices,
     is_g_regular,
@@ -38,6 +38,7 @@ from gradedpi.errors import (
 )
 from gradedpi.freealg import parse_poly, sort_sign
 from gradedpi.linalg import GuardLimits
+from gradedpi.spaces import identities_by_evaluation
 
 from _support import reference_self_check
 
@@ -251,21 +252,47 @@ def test_is_g_regular_examples():
 
 
 def test_descriptor_round_trip():
-    cases = [
-        build_grassmann(GrassmannSpec(3, "natural")),
-        build_grassmann(GrassmannSpec(4, "kstar", k=2)),
-        build_grassmann(GrassmannSpec(3, "explicit", explicit=(0, 1, 0))),
-        build_matrix_algebra(((0,), (1,)), Z2, BlockShape((1, 1))),
-        build_matrix_over(build_grassmann(GrassmannSpec(2, "infty")), BlockShape((1, 1))),
-        build_field(Z2),
+    """A built algebra's meta is its canonical descriptor: it rebuilds the
+    same algebra, and the fast-rows rule reads off it the exterior spec and
+    block shape the algebra was built from, for E and one level of M(E)."""
+    specs = [
+        GrassmannSpec(3, "natural"),
+        GrassmannSpec(3, "infty"),
+        GrassmannSpec(4, "kstar", k=2),
+        GrassmannSpec(3, "explicit", explicit=(0, 1, 0)),
+        GrassmannSpec(2, "trivial"),
     ]
-    for A in cases:
-        d = descriptor_of(A)
-        B = algebra_from_descriptor(d)
+    # (algebra, what fast_rows_kind gives on its meta)
+    cases = [(build_grassmann(g), (g, BlockShape((1,)))) for g in specs]
+    E = build_grassmann(GrassmannSpec(2, "infty"))
+    shapes = (BlockShape((1, 1)), BlockShape((2, 1)))
+    over_e = [build_matrix_over(E, shape) for shape in shapes]
+    cases += [(M, (exterior_spec(E.meta), shape)) for M, shape in zip(over_e, shapes)]
+    cases += [
+        (build_matrix_over(over_e[0], BlockShape((1,))), None),  # nested matrix_over
+        (build_field(), None),
+        (build_field(Z2), None),
+        (build_matrix_algebra(((0,), (1,), (0,)), Z2), None),
+        (build_matrix_algebra(((0,), (1,)), Z2, BlockShape((1, 1))), None),
+    ]
+    kinds = {A.meta["kind"] for A, _ in cases}
+    assert kinds == {"field", "matrix", "block_triangular", "grassmann", "matrix_over"}
+    for A, fast in cases:
+        assert normalize_descriptor(A.meta) == A.meta
+        B = algebra_from_descriptor(A.meta)
         assert B.dim == A.dim
         assert B.degrees == A.degrees
         assert B.labels == A.labels
-        assert descriptor_of(B) == d
+        assert B.meta == A.meta
+        assert fast_rows_kind(A.meta) == fast, A.meta
+    # an algebra made by the constructor alone has no descriptor and takes
+    # the full evaluation rows, which cut the same component as E's fast ones
+    C = StructureConstantAlgebra(E.labels, E.degrees, E.group, E.product_basis, E.unit)
+    assert C.meta == {} and fast_rows_kind(C.meta) is None
+    sig = ((1,), (1,))
+    full = identities_by_evaluation(C, sig)
+    assert full.meta["method"] == "full"
+    assert full.space == identities_by_evaluation(E, sig).space
 
 
 def test_inline_descriptors():
@@ -317,7 +344,7 @@ def test_descriptor_group_is_derived_and_checked():
         descriptor_group(dict(natural, group=[]))
     # matrices over E take the group of their entries
     M = build_matrix_over(build_grassmann(GrassmannSpec(2, "infty")), BlockShape((1, 1)))
-    d = descriptor_of(M)
+    d = M.meta
     assert "group" not in d and descriptor_group(d) == Z2
     assert descriptor_group(dict(d, group=[2])) == Z2
     with pytest.raises(ParseError, match="states group"):
@@ -421,7 +448,7 @@ def test_bitmask_product_matches_sorting_sign(kind):
     for _ in range(3000):
         a, b = rng.randrange(E.dim), rng.randrange(E.dim)
         assert E.product_basis(a, b) == _sorting_product(E, a, b), (a, b)
-    gspec = E.meta["gspec"]
+    gspec = exterior_spec(E.meta)
     assert E.degrees == tuple(gspec.monomial_degree(lab) for lab in E.labels)
 
 
@@ -449,7 +476,7 @@ def test_self_check_products_are_released():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert M.meta["entries"] is E
+    assert M.meta["entries"] == E.meta
     assert held < 8_000_000
 
 

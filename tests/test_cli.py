@@ -17,7 +17,6 @@ from gradedpi.algebras import (
     GrassmannSpec,
     build_grassmann,
     build_matrix_over,
-    descriptor_of,
 )
 from gradedpi.cli import main
 from gradedpi.freealg import format_poly
@@ -568,12 +567,12 @@ def test_identities_evaluates_an_explicit_grading_once(capsys, over):
 
 def test_identities_accepts_descriptor_of_matrix_over(capsys):
     M = build_matrix_over(build_grassmann(GrassmannSpec(2, "natural")), BlockShape((1, 1)))
-    desc = json.dumps(descriptor_of(M))
+    desc = json.dumps(M.meta)
     code, out, err = run_cli(capsys, "identities", "--algebra", desc, "--sig", "1,1")
     assert code == 0, err
     cert = cert_from(out)
     assert cert["config"]["group"] == [2]
-    assert cert["config"]["algebra"] == descriptor_of(M)
+    assert cert["config"]["algebra"] == M.meta
     assert cert["result"]["stabilization"]["n_values"] == [2, 4]
 
 
