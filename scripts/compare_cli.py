@@ -72,7 +72,11 @@ coefficients and repeated letters in (1,1) infty, (2,1) natural and
 in reverse order. Two identities commands decide the fast rows by the
 descriptor of an algebra that has none: a block_triangular one, built and
 evaluated by its full rows, and a matrix one under --method limit, which
-exits 4. 57 commands in all.
+exits 4. Two are refused before anything is built: M_300 over the field
+under --method fast, which has no fast rows (exit 4; 0c49cc2 and earlier
+exit 3 on the guard of a construction never run), and a field factor-check
+over (150,150), whose target's construction estimate trips the guard
+(exit 3). 59 commands in all.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ BLOCK_TRIANGULAR_21 = json.dumps({
 }, separators=(",", ":"))
 MATRIX_M2 = json.dumps(
     {"kind": "matrix", "group": [2], "grading": {"targets": [[0], [1]]}}, separators=(",", ":")
+)
+# M_300 over the field in degree 0: its construction estimate trips the guard
+MATRIX_M300 = json.dumps(
+    {"kind": "matrix", "group": [2], "grading": {"targets": [[0]] * 300}}, separators=(",", ":")
 )
 # (2,1) over E with the kstar:1 grading, truncation left to the command
 UT21_OVER_KSTAR1 = json.dumps({
@@ -232,6 +240,10 @@ FACTOR_CLI_COMMANDS = [
     # algebras without fast rows: full rows on a built one, and limit refused
     ["identities", "--algebra", BLOCK_TRIANGULAR_21, "--sig", "0,1,0"],
     ["identities", "--algebra", MATRIX_M2, "--method", "limit", "--sig", "1"],
+    # refusals before anything is built: a method without fast rows, and a
+    # target past the construction guard
+    ["identities", "--algebra", MATRIX_M300, "--method", "fast", "--sig", "0"],
+    ["factor-check", "--shape", "150,150", "--entries", "field", "--sig", "0"],
 ]
 
 

@@ -24,12 +24,8 @@ import sys
 from .algebras import (
     MAX_GENERATORS,
     BlockShape,
-    algebra_from_descriptor,
-    build_matrix_algebra,
     descriptor_group,
     exterior_spec,
-    fast_rows_kind,
-    guard_construction,
     is_g_regular,
     normalize_descriptor,
     parse_inline_descriptor,
@@ -48,13 +44,11 @@ from .groups import TRIVIAL_GROUP, GroupSpec, Z2
 from .linalg import GuardLimits
 from .spaces import (
     EvaluationProvider,
-    GrassmannRowsProvider,
     TIdealPresentation,
     check_factoring,
     default_truncation,
     guard_column_basis,
     identities_by_consequences,
-    identities_by_evaluation,
     parity_patterns,
 )
 
@@ -134,7 +128,7 @@ def _load_descriptor(text: str) -> dict:
         return parse_inline_descriptor(text)
     try:
         return normalize_descriptor(json.loads(text))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad descriptor JSON: {exc}") from exc
 
 
@@ -254,33 +248,25 @@ def cmd_identities(args) -> int:
 
     comp_eval = scan = None
     if desc is not None:
-        # E and M(E) have fast rows, read off the exterior spec and the block
-        # shape (E_N as (1,)) with nothing built; every other algebra is built
-        fast = None if args.method == "full" else fast_rows_kind(desc)
-        limit = args.method == "limit"
-
-        def evaluate(gspec):
-            if fast is not None:
-                return GrassmannRowsProvider(gspec, fast[1], limit, guard).component(sig)
-            level = desc if gspec is None else with_generators(desc, gspec.n_generators)
-            guard_construction(level, guard)
-            return identities_by_evaluation(algebra_from_descriptor(level), sig, args.method, guard)
-
         gspec = exterior_spec(desc)
         if gspec is not None:
             gspec, _ = _truncation(gspec, len(sig))
             desc = with_generators(desc, gspec.n_generators)
-        comp_eval = evaluate(gspec)
+        provider = EvaluationProvider(desc, args.method, guard=guard)
+        comp_eval = provider.component(sig)
         # an explicit grading lists one degree per generator: it fixes its
         # algebra, so there is no truncation to scan
         if gspec is not None and gspec.deg_kind != "explicit":
             n_values = _scan_levels(gspec.n_generators)
             up = dataclasses.replace(gspec, n_generators=n_values[1])
+            dims = [comp_eval.dim] * 2
             # the fast rows read a truncation only through its parity patterns
-            same = fast is not None and (
-                parity_patterns(gspec, sig, limit) == parity_patterns(up, sig, limit)
-            )
-            dims = [comp_eval.dim, comp_eval.dim if same else evaluate(up).dim]
+            limit = provider.method == "limit"
+            if provider.method == "full" or (
+                parity_patterns(gspec, sig, limit) != parity_patterns(up, sig, limit)
+            ):
+                level = with_generators(desc, up.n_generators)
+                dims[1] = EvaluationProvider(level, args.method, guard=guard).component(sig).dim
             stabilized = dims[0] == dims[1]
             scan = {
                 "n_values": n_values,
@@ -400,6 +386,9 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
     """Elementary grading over the field, with no truncation. The group is
     --group if given, else the descriptor's group if it is non-trivial,
     else the group of order 2 with --targets and the trivial group without.
+    The target and the blocks are providers of block_triangular and matrix
+    descriptors: each bounds its construction when it is made and builds
+    its algebra once, for its first component.
     """
     stated = descriptor_group(desc)
     if not stated.is_trivial():
@@ -416,49 +405,48 @@ def _field_setup(args, desc, shape: BlockShape, guard: GuardLimits):
             )
     else:
         targets = tuple(spec.identity() for _ in range(shape.n))
-    # the target's construction bounds each block's
-    guard_construction(
-        {
-            "kind": "block_triangular",
-            "group": list(spec.orders),
-            "grading": {"targets": _sig_json(targets)},
-            "shape": list(shape.sizes),
-        },
-        guard,
-    )
-    target_alg = build_matrix_algebra(targets, spec, shape)
+
+    def provider(kind, targets, **keys):
+        grading = {"targets": _sig_json(targets)}
+        desc = {"kind": kind, "group": list(spec.orders), "grading": grading, **keys}
+        return EvaluationProvider(desc, guard=guard)
+
+    # made first, the target's construction guard bounds each block's
+    target = provider("block_triangular", targets, shape=list(shape.sizes))
     blocks = []
     offset = 0
     for d in shape.sizes:
         blocks.append(targets[offset : offset + d])
         offset += d
-    providers = {
-        block: EvaluationProvider(build_matrix_algebra(block, spec), guard)
-        for block in dict.fromkeys(blocks)
-    }
+    providers = {block: provider("matrix", block) for block in dict.fromkeys(blocks)}
     factors = [providers[block] for block in blocks]
     config = {"targets": _sig_json(targets)}
-    return spec, EvaluationProvider(target_alg, guard), factors, config
+    return spec, target, factors, config
 
 
 def _grassmann_setup(desc, shape: BlockShape, sigs, guard: GuardLimits):
-    """Matrices over the exterior algebra, by the fast rows read off its
-    spec and the block shapes: no algebra is built, so no construction
-    guard applies, and the column-basis, unit-walk, elimination and kernel
-    guards bound the work. An unpinned level n0 is evaluated with the
-    untruncated algebra's rows (method "limit"), which raise TruncationError
-    unless every parity pattern some N realizes fits n0; so its answers hold
-    at every N >= n0, and truncations records n0 and n0 + 2."""
+    """Matrices over the exterior algebra: providers of matrix_over
+    descriptors over E_n0, whose fast rows are read off the exterior spec
+    and the block shapes. No algebra is built, so no construction guard
+    applies, and the column-basis, unit-walk, elimination and kernel guards
+    bound the work. A pinned N is evaluated with its own rows (method
+    "fast"). An unpinned level n0 is evaluated with the untruncated
+    algebra's rows (method "limit"), which raise TruncationError unless
+    every parity pattern some N realizes fits n0; so its answers hold at
+    every N >= n0, and truncations records n0 and n0 + 2."""
     gspec, pinned = _truncation(exterior_spec(desc), max(len(s) for s in sigs))
-    n0, limit = gspec.n_generators, not pinned
+    n0 = gspec.n_generators
     truncations = [n0] if pinned else _scan_levels(n0)
-    providers = {
-        d: GrassmannRowsProvider(gspec, BlockShape((d,)), limit, guard)
-        for d in dict.fromkeys(shape.sizes)
-    }
+    entries = with_generators(desc, n0)
+    method = "fast" if pinned else "limit"
+
+    def over(sizes):
+        matrices = {"kind": "matrix_over", "shape": list(sizes), "entries": entries}
+        return EvaluationProvider(matrices, method, guard=guard)
+
+    providers = {d: over((d,)) for d in dict.fromkeys(shape.sizes)}
     factors = [providers[d] for d in shape.sizes]
-    target = GrassmannRowsProvider(gspec, shape, limit, guard)
-    return target, factors, {"truncations": truncations}
+    return over(shape.sizes), factors, {"truncations": truncations}
 
 
 def cmd_factor_check(args) -> int:

@@ -400,7 +400,10 @@ def parse_poly(text: str, spec: GroupSpec) -> NcPolynomial:
     if not tokens:
         raise ParseError("empty polynomial text")
     parser = _Parser(tokens, spec)
-    out = parser.parse_poly()
+    try:
+        out = parser.parse_poly()
+    except RecursionError:
+        raise ParseError("brackets nested too deeply to parse") from None
     if parser.i != len(tokens):
         raise ParseError("trailing input after polynomial")
     return out

@@ -31,7 +31,10 @@ from .algebras import (
     BlockShape,
     GrassmannSpec,
     StructureConstantAlgebra,
+    algebra_from_descriptor,
+    descriptor_group,
     fast_rows_kind,
+    guard_construction,
     homogeneous_indices,
 )
 from .errors import (
@@ -338,31 +341,9 @@ def identities_by_evaluation(
     method: str = "auto",
     guard: GuardLimits = DEFAULT_GUARD,
 ) -> IdentitySubspace:
-    """Multilinear identity component of an algebra at a signature.
-
-    method "full" enumerates all homogeneous basis tuples; "fast" uses the
-    reduced Grassmann row set (same kernel, same algebra); "limit" uses
-    the reduced rows with untruncated semantics, i.e. the identities of
-    the infinite-generator algebra this one truncates. Whether the fast
-    rows apply is fast_rows_kind of the algebra's meta, its canonical
-    descriptor: "auto" picks fast for E_N and block matrices over E_N, else
-    full, and an algebra made by the constructor alone (meta {}) takes full.
-    """
-    sig = validate_signature(sig, algebra.group)
-    kind = fast_rows_kind(algebra.meta)
-    if method == "auto":
-        method = "full" if kind is None else "fast"
-    if method == "full":
-        rows, info = _full_rows(algebra, sig, guard)
-    elif method in ("fast", "limit"):
-        if kind is None:
-            raise UnsupportedFeatureError(
-                "fast evaluation rows need an exterior algebra or matrices over one"
-            )
-        rows, info = grassmann_fast_rows(*kind, sig, method == "limit", guard)
-    else:
-        raise MalformedElementError(f"unknown evaluation method {method!r}")
-    return _evaluation_component(rows, info, sig, algebra.group, method, guard)
+    """Multilinear identity component of an algebra at a signature, by
+    EvaluationProvider's rows for the method (see there)."""
+    return EvaluationProvider(algebra, method, guard=guard).component(sig)
 
 
 # -- consequence route -------------------------------------------------------
@@ -582,39 +563,51 @@ class _ComponentCache:
 
 
 class EvaluationProvider(_ComponentCache):
-    """Identity components of one built algebra, cached per signature, by
-    identities_by_evaluation's default method."""
+    """Identity components of one algebra by evaluation, cached per signature.
 
-    def __init__(self, algebra, guard: GuardLimits = DEFAULT_GUARD):
-        super().__init__(algebra.group, guard)
-        self.algebra = algebra
+    source is a built algebra or a canonical descriptor; a built algebra's
+    descriptor is its meta. fast_rows_kind of the descriptor settles whether
+    the fast rows apply: to E_N and block matrices over E_N, not to an
+    algebra made by the constructor alone (meta {}). method is resolved once,
+    into self.method: "full" enumerates all homogeneous basis tuples; "fast"
+    uses the reduced Grassmann row set (same kernel, same algebra); "limit"
+    the reduced rows with untruncated semantics, i.e. the identities of the
+    infinite-generator algebra this one truncates; "auto" is fast where the
+    fast rows apply, else full. Fast and limit rows are read off the exterior
+    spec and the block shape, with nothing built. Full rows from a
+    descriptor are bounded by guard_construction when the provider is made,
+    and the algebra is built once, on the first component.
+    """
+
+    def __init__(self, source, method: str = "auto", *, guard: GuardLimits = DEFAULT_GUARD):
+        built = isinstance(source, StructureConstantAlgebra)
+        desc = source.meta if built else source
+        super().__init__(source.group if built else descriptor_group(desc), guard)
+        self._fast = fast_rows_kind(desc)
+        if method == "auto":
+            method = "full" if self._fast is None else "fast"
+        if method in ("fast", "limit"):
+            if self._fast is None:
+                raise UnsupportedFeatureError(
+                    "fast evaluation rows need an exterior algebra or matrices over one"
+                )
+        elif method != "full":
+            raise MalformedElementError(f"unknown evaluation method {method!r}")
+        elif not built:
+            guard_construction(desc, guard)
+        self.method = method
+        self._source = source
 
     def _compute(self, sig) -> IdentitySubspace:
-        return identities_by_evaluation(self.algebra, sig, guard=self.guard)
-
-
-class GrassmannRowsProvider(_ComponentCache):
-    """Identity components of block matrices of a shape over E_N (E_N
-    itself as shape (1,)), cached per signature: the components that
-    identities_by_evaluation's "fast" ("limit" with limit=True) gives on
-    the built algebra, from grassmann_fast_rows, with nothing built."""
-
-    def __init__(
-        self,
-        gspec: GrassmannSpec,
-        shape: BlockShape,
-        limit: bool = False,
-        guard: GuardLimits = DEFAULT_GUARD,
-    ):
-        super().__init__(gspec.group(), guard)
-        self.gspec = gspec
-        self.shape = shape
-        self.limit = limit
-
-    def _compute(self, sig) -> IdentitySubspace:
-        rows, info = grassmann_fast_rows(self.gspec, self.shape, sig, self.limit, self.guard)
-        method = "limit" if self.limit else "fast"
-        return _evaluation_component(rows, info, sig, self.spec, method, self.guard)
+        if self.method == "full":
+            if not isinstance(self._source, StructureConstantAlgebra):
+                self._source = algebra_from_descriptor(self._source)
+            rows, info = _full_rows(self._source, sig, self.guard)
+        else:
+            rows, info = grassmann_fast_rows(
+                *self._fast, sig, self.method == "limit", self.guard
+            )
+        return _evaluation_component(rows, info, sig, self.spec, self.method, self.guard)
 
 
 class ConsequenceProvider(_ComponentCache):
@@ -739,7 +732,8 @@ def check_factoring(
     its diagonal factors' T-ideal product.
 
     target and the factors are component providers over one group, e.g.
-    EvaluationProvider(R) for the algebra R; guard bounds the product. The
+    EvaluationProvider(R) for R built or named by its descriptor, which
+    builds nothing for fast or limit rows; guard bounds the product. The
     product is always contained in the identities, so a violation is
     reported as an internal inconsistency, not a verdict.
     """
@@ -871,7 +865,7 @@ class TruncatedQuotientBackend:
         self.algebra = algebra
         self.spec = algebra.group
         self.max_degree = max_degree
-        self._identities = EvaluationProvider(algebra, guard)
+        self._identities = EvaluationProvider(algebra, guard=guard)
 
     def residue(self, f: NcPolynomial) -> dict:
         """Canonical residue profile {multidegree key: reduced coordinates}."""

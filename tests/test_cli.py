@@ -74,12 +74,10 @@ def test_identities_evaluation_route(capsys):
 def test_identities_builds_each_truncation_once(capsys, monkeypatch):
     """--method full builds each level of the scan once: n0 = 2 x 2 + 2,
     then n0 + 2."""
-    import gradedpi.cli as cli
-
     built = []
-    real = cli.algebra_from_descriptor
+    real = spaces.algebra_from_descriptor
     monkeypatch.setattr(
-        cli, "algebra_from_descriptor", lambda d: built.append(d) or real(d)
+        spaces, "algebra_from_descriptor", lambda d: built.append(d) or real(d)
     )
     code, out, _ = run_cli(
         capsys, "identities", "--algebra", "grassmann:deg=kstar,k=2", "--sig", "1,1",
@@ -986,9 +984,7 @@ def test_factor_check_exits_3_when_the_default_truncation_is_too_small(capsys, m
 def test_factor_check_guards_field_entries_before_building(capsys, monkeypatch):
     """The (150,150) target over the field is 67500-dimensional: its
     block_triangular estimate trips the guard before anything is built."""
-    import gradedpi.cli as cli
-
-    monkeypatch.setattr(cli, "build_matrix_algebra", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(spaces, "algebra_from_descriptor", lambda *a: pytest.fail("built"))
     code, out, err = run_cli(
         capsys, "factor-check", "--shape", "150,150", "--entries", "field", "--sig", "0"
     )
@@ -997,6 +993,21 @@ def test_factor_check_guards_field_entries_before_building(capsys, monkeypatch):
         "resource guard: building the 67500-dimensional block_triangular algebra: its "
         "unit-law check computes 40500000 basis products, which exceeds the guard of "
         "8000000 cells [cells 40500000 > max_cells 8000000]\n"
+    )
+
+
+def test_unsupported_method_is_refused_before_the_construction_estimate(capsys):
+    """--method fast on M_300 over the field has no fast rows to use: it
+    exits 4 on that, not 3 on the construction guard of an algebra the
+    command would never build."""
+    targets = ",".join(["[0]"] * 300)
+    desc = f'{{"kind":"matrix","group":[2],"grading":{{"targets":[{targets}]}}}}'
+    code, out, err = run_cli(
+        capsys, "identities", "--algebra", desc, "--method", "fast", "--sig", "0"
+    )
+    assert (code, out) == (4, "")
+    assert err == (
+        "unsupported: fast evaluation rows need an exterior algebra or matrices over one\n"
     )
 
 
@@ -1027,8 +1038,8 @@ def test_factor_check_sweep_stops_at_the_first_length_past_the_guard(
     capsys, monkeypatch, entries
 ):
     """Length 10's column basis, 10 x 10! cells, exceeds the default guard:
-    the sweep exits 3 before it lists that length or builds an exterior
-    algebra, however far its bound reaches."""
+    the sweep exits 3 before it lists that length or builds any algebra,
+    however far its bound reaches."""
     import gradedpi.cli as cli
 
     listed = []
@@ -1039,7 +1050,7 @@ def test_factor_check_sweep_stops_at_the_first_length_past_the_guard(
         return real(els, n)
 
     monkeypatch.setattr(cli.itertools, "combinations_with_replacement", listing)
-    monkeypatch.setattr(cli, "algebra_from_descriptor", lambda *a: pytest.fail("built"))
+    monkeypatch.setattr(spaces, "algebra_from_descriptor", lambda *a: pytest.fail("built"))
     code, out, err = run_cli(
         capsys, "factor-check", "--shape", "1,1", "--entries", *entries, "--sweep", "300"
     )
@@ -1285,6 +1296,43 @@ def test_descriptor_and_poly_files_give_the_inline_certificate(capsys, tmp_path)
         inline = run_cli(capsys, *[names[a][0] if a in names else a for a in argv])
         from_file = run_cli(capsys, *[names[a][1] if a in names else a for a in argv])
         assert inline[0] == 0 and from_file == inline, argv
+
+
+def test_deep_bracket_nesting_exits_with_one_line(tmp_path):
+    """Polynomial text 330 brackets deep passes Python's recursion limit
+    while it is parsed: the three commands that read polynomial text exit 1
+    with one line, not a traceback. 300 brackets still parse."""
+    deep = tmp_path / "deep.txt"
+    deep.write_text("[" * 330 + "y1,y2" + "]" * 330 + "\n")
+    for argv in (
+        ["relfree", "nf", "--mode", "infty", "--poly", deep.read_text().strip()],
+        ["model", "eval", "--shape", "1,1", "--mode", "infty", "--poly", str(deep)],
+        ["identities", "--generators", str(deep), "--sig", "0,0"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradedpi", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", "error: brackets nested too deeply to parse\n"
+        ), argv[:2]
+    text = "[" * 300 + "y1,y2" + ",y3]" * 300
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradedpi", "relfree", "nf", "--mode", "infty", "--poly", text],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("0\n") and proc.stderr == ""
+
+
+def test_deeply_nested_descriptor_json_exits_with_one_line(capsys, tmp_path):
+    """A descriptor file whose JSON nests 100,000 arrays is bad descriptor
+    JSON: exit 1 and one line."""
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind":' + "[" * 100_000)
+    code, out, err = run_cli(capsys, "identities", "--algebra", str(path), "--sig", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad descriptor JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -12,6 +12,7 @@ from gradedpi import Z2, TRIVIAL_GROUP, GroupSpec, spaces
 from gradedpi.algebras import (
     BlockShape,
     GrassmannSpec,
+    StructureConstantAlgebra,
     build_field,
     build_grassmann,
     build_matrix_algebra,
@@ -44,7 +45,6 @@ from gradedpi.relfree import GradingMode, count_multilinear_basis_words
 from gradedpi.spaces import (
     ConsequenceProvider,
     EvaluationProvider,
-    GrassmannRowsProvider,
     IdentitySubspace,
     ProductProvider,
     TIdealPresentation,
@@ -155,13 +155,27 @@ def _component_outcome(fn, *args):
     return ("component", comp.space.rows, comp.space.pivots, comp.meta)
 
 
-def test_grassmann_rows_provider_matches_evaluation_on_built_algebras():
-    """GrassmannRowsProvider reads its components off the exterior spec and
-    the block shape, with nothing built: rows, pivots, meta and
-    TruncationError text equal those of identities_by_evaluation on the
-    built algebra, at every Z2 signature up to length 4, for five gradings,
-    five shapes ((1,) is E_N itself), fast and limit. The truncations are
-    small enough that limit raises at some signatures."""
+def _constructions(monkeypatch) -> list:
+    """Record every StructureConstantAlgebra construction from now on."""
+    built = []
+    init = StructureConstantAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(StructureConstantAlgebra, "__init__", counting_init)
+    return built
+
+
+def test_descriptor_provider_matches_evaluation_on_built_algebras(monkeypatch):
+    """EvaluationProvider of a descriptor reads its fast and limit
+    components off the exterior spec and the block shape, with nothing
+    built: rows, pivots, meta and TruncationError text equal those of
+    identities_by_evaluation on the built algebra, at every Z2 signature up
+    to length 4, for five gradings, five shapes ((1,) is E_N itself), fast
+    and limit. The truncations are small enough that limit raises at some
+    signatures."""
     gspecs = [
         GrassmannSpec(4, "natural"),
         GrassmannSpec(5, "infty"),
@@ -174,16 +188,39 @@ def test_grassmann_rows_provider_matches_evaluation_on_built_algebras():
     for gspec in gspecs:
         entries = build_grassmann(gspec)
         for sizes in [(1,), (1, 1), (2, 1), (1, 1, 1), (2, 2)]:
-            shape = BlockShape(sizes)
-            alg = entries if sizes == (1,) else build_matrix_over(entries, shape)
+            alg = entries if sizes == (1,) else build_matrix_over(entries, BlockShape(sizes))
             for method in ("fast", "limit"):
-                provider = GrassmannRowsProvider(gspec, shape, method == "limit")
-                for sig in sigs:
-                    got = _component_outcome(provider.component, sig)
+                with monkeypatch.context() as m:
+                    built = _constructions(m)
+                    provider = EvaluationProvider(alg.meta, method)
+                    got = [_component_outcome(provider.component, sig) for sig in sigs]
+                assert built == [] and provider.method == method
+                for sig, outcome in zip(sigs, got):
                     want = _component_outcome(identities_by_evaluation, alg, sig, method)
-                    assert got == want, (gspec, sizes, sig, method)
-                    outcomes[got[0]] += 1
+                    assert outcome == want, (gspec, sizes, sig, method)
+                    outcomes[outcome[0]] += 1
     assert outcomes["truncation"] and outcomes["component"]
+
+
+def test_full_descriptor_provider_builds_once(monkeypatch):
+    """A full provider of a descriptor bounds the construction when it is
+    made, builds nothing then, and builds the algebra once, on its first
+    component: three signatures, one construction, the components of the
+    built algebra."""
+    desc = {"kind": "block_triangular", "group": [2],
+            "grading": {"targets": [[0], [1], [0]]}, "shape": [2, 1]}
+    sigs = [((0,), (1,)), ((1,), (1,)), ((0,), (1,), (0,))]
+    built = _constructions(monkeypatch)
+    provider = EvaluationProvider(desc)
+    assert provider.method == "full" and built == []
+    got = [provider.component(sig) for sig in sigs]
+    assert len(built) == 1 and built[0].meta == desc
+    R = build_matrix_algebra(((0,), (1,), (0,)), Z2, BlockShape((2, 1)))
+    for sig, comp in zip(sigs, got):
+        assert comp.space == identities_by_evaluation(R, sig).space, sig
+    with pytest.raises(GuardExceededError, match="block_triangular"):
+        EvaluationProvider(desc, "full", guard=GuardLimits(max_cells=10))
+    assert len(built) == 2  # R above, and nothing for the tripped guard
 
 
 def _patterns_outcome(fn, gspec, sig, limit):
